@@ -13,11 +13,12 @@ import sys
 from dataclasses import dataclass
 
 from ffree.alteration import (
+    InapplicableFamilyError,
     alteration_graph,
-    check_family_condition,
     lemma2_trial,
     lemma_constants,
     random_family,
+    require_family_condition,
 )
 from ffree.graphs import parse_pattern
 from ffree.sampling import Seed
@@ -73,8 +74,10 @@ def main() -> int:
     if cfg.family_size > 0:
         fam = random_family(cfg.n, cfg.family_size, cfg.family_edges, seed,
                             weights=(cfg.family_weight,) * cfg.family_size)
-        if not check_family_condition(fam, p, consts.delta):
-            print("family violates the weight condition", file=sys.stderr)
+        try:
+            require_family_condition(fam, p, consts.delta, "adversary family")
+        except InapplicableFamilyError as exc:
+            print(f"failure: {exc}", file=sys.stderr)
             return 1
         hits = sum(lemma2_trial(cfg.n, p, pat, fam, seed, trial_index=i).hit_all
                    for i in range(cfg.runs))

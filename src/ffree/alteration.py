@@ -190,6 +190,12 @@ def lemma2_trial(n: int, p: float, f: PatternGraph, family: WeightedFamily,
     Asserts the counting identity: whenever E_H and D_H both hold for an H
     with e(H) >= 1, the altered graph shares an edge with H.
     """
+    return _lemma2_trial(n, p, f, family, seed, trial_index)[0]
+
+
+def _lemma2_trial(n: int, p: float, f: PatternGraph, family: WeightedFamily,
+                  seed: Seed, trial_index: int) -> tuple[TrialRecord, PackingResult]:
+    """lemma2_trial, also returning the trial's alteration result."""
     if family.members and family.members[0].n != n:
         raise ValueError("family members must live on [n]")
     j = minimal_m2_subgraph(f)
@@ -220,7 +226,7 @@ def lemma2_trial(n: int, p: float, f: PatternGraph, family: WeightedFamily,
     if not family.members:
         hit_all = True
     return TrialRecord(seed.master, trial_index, n, p, result.in_regime,
-                       tuple(hits), hit_all, missed)
+                       tuple(hits), hit_all, missed), result
 
 
 @dataclass(frozen=True)
@@ -247,11 +253,10 @@ def refute_certificate(gfam: WeightedFamily, f: PatternGraph, n: int, p: float,
     require_family_condition(complements, p, consts.delta, "complement family")
     records = []
     for i in range(trial_budget):
-        rec = lemma2_trial(n, p, f, complements, seed, trial_index=i)
+        rec, result = _lemma2_trial(n, p, f, complements, seed, trial_index=i)
         records.append(rec)
         if rec.hit_all:
-            # re-derive the altered graph and verify the escape explicitly
-            result = alteration_graph(n, p, f, seed, index=i)
+            # verify the escape explicitly
             full = result.altered.full_mask
             for s in gfam.members:
                 assert result.altered.bits & ~s.bits & full, (

@@ -83,11 +83,10 @@ def cmd_alter(args) -> int:
 def cmd_mu_sweep(args) -> int:
     f = _pattern(args)
     grid = [float(x) for x in args.p_grid.split(",")]
-    rows = []
-    for p in grid:
-        est = thresholds.estimate_mu(args.n, p, f, args.trials, _seed(args))
-        rows.append([args.pattern, args.n, repr(p), repr(est.mu_hat),
-                     repr(est.ci_lo), repr(est.ci_hi), args.trials, args.seed])
+    curve = thresholds.mu_curve(args.n, grid, f, args.trials, _seed(args))
+    rows = [[args.pattern, args.n, repr(p), repr(est.mu_hat),
+             repr(est.ci_lo), repr(est.ci_hi), args.trials, args.seed]
+            for p, est in zip(grid, curve)]
     header = ["pattern", "n", "p", "mu_hat", "ci_lo", "ci_hi", "trials", "seed"]
     if args.format == "json":
         _emit_json(args, {"command": "mu-sweep",

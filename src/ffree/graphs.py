@@ -18,6 +18,8 @@ import math
 import re
 from dataclasses import dataclass
 
+import numpy as np
+
 
 class PatternParseError(ValueError):
     """Malformed pattern text; carries the offending position."""
@@ -228,13 +230,10 @@ class LabeledGraph:
         return bool(self.bits >> pair_index(min(u, v), max(u, v), self.n) & 1)
 
     def edge_ids(self) -> list[int]:
-        out = []
-        b = self.bits
-        while b:
-            low = b & -b
-            out.append(low.bit_length() - 1)
-            b ^= low
-        return out
+        """Pair indices of the edges, increasing."""
+        raw = self.bits.to_bytes((self.bits.bit_length() + 7) // 8, "little")
+        bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8), bitorder="little")
+        return np.flatnonzero(bits).tolist()
 
     def edges(self) -> list[tuple[int, int]]:
         return [pair_from_index(k, self.n) for k in self.edge_ids()]

@@ -12,6 +12,7 @@ neighbor bitmasks.  Fast enough for the sparse graphs this project samples
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from .graphs import LabeledGraph, PatternGraph, pair_index
@@ -30,9 +31,11 @@ class Copy:
         return m
 
 
-def _search_order(pattern: PatternGraph) -> tuple[list[int], list[list[int]]]:
+def _search_order(pattern: PatternGraph,
+                  first_edge: tuple[int, ...] = ()) -> tuple[list[int], list[list[int]]]:
     """Order non-isolated pattern vertices connected-first by degree.
 
+    The order starts with the endpoints of `first_edge` when one is given.
     Returns (order, prior_neighbors) where prior_neighbors[i] lists the
     positions j < i whose vertex is adjacent to order[i].
     """
@@ -42,8 +45,8 @@ def _search_order(pattern: PatternGraph) -> tuple[list[int], list[list[int]]]:
     for u, v in pattern.edges:
         adj[u].add(v)
         adj[v].add(u)
-    order: list[int] = []
-    placed: set[int] = set()
+    order: list[int] = list(first_edge)
+    placed: set[int] = set(order)
     while len(order) < len(verts):
         candidates = [v for v in verts if v not in placed]
         # prefer vertices attached to the partial order, then high degree
@@ -62,17 +65,28 @@ def _iter_bits(mask: int):
         mask ^= low
 
 
-def _embeddings(g: LabeledGraph, pattern: PatternGraph):
-    """Yield injective maps (as tuples of images per search position)."""
-    order, prior = _search_order(pattern)
+def _host(g: LabeledGraph) -> tuple[list[int], list[int]]:
+    """Neighbor bitmasks and degrees of G, the host arguments of _embeddings."""
+    adj = g.adjacency_masks()
+    return adj, [m.bit_count() for m in adj]
+
+
+def _embeddings(adj: list[int], gdeg: list[int], pattern: PatternGraph,
+                plan: tuple[list[int], list[list[int]]] | None = None,
+                root: tuple[int, ...] = ()):
+    """Yield injective maps (as tuples of images per search position).
+
+    The host is given by its neighbor bitmasks `adj` and degrees `gdeg`.
+    `plan` is the search order from _search_order (computed when omitted);
+    `root` fixes the images of its first len(root) positions.
+    """
+    order, prior = plan or _search_order(pattern)
     k = len(order)
     if k == 0:
         yield ()
         return
-    adj = g.adjacency_masks()
-    gdeg = [m.bit_count() for m in adj]
     pdeg = pattern.degrees()
-    all_mask = (1 << g.n) - 1
+    all_mask = (1 << len(adj)) - 1
     images = [0] * k
     used = 0
 
@@ -88,6 +102,8 @@ def _embeddings(g: LabeledGraph, pattern: PatternGraph):
             dom &= ~used
         else:
             dom = all_mask & ~used
+        if i < len(root):
+            dom &= 1 << root[i]
         need = pdeg[order[i]]
         for v in _iter_bits(dom):
             if gdeg[v] < need:
@@ -109,9 +125,60 @@ def contains_copy(g: LabeledGraph, f: PatternGraph) -> bool:
         return False
     if f.edge_count == 0:
         return True
-    for _ in _embeddings(g, f):
+    for _ in _embeddings(*_host(g), f):
         return True
     return False
+
+
+@functools.lru_cache(maxsize=64)
+def _edge_roots(f: PatternGraph) -> tuple:
+    """(plan, deg a, deg b) for one oriented edge (a, b) per orbit of Aut(F),
+    each plan a search order starting a, b.
+
+    A host edge (u, v) lies in a copy of F iff some root's plan embeds with
+    its first two positions at (u, v): an automorphism carrying (a, b) to
+    (c, d) turns an embedding with c, d at u, v into one with a, b there.
+    """
+    adj, deg = _host(LabeledGraph.from_edges(f.vertex_count, f.edges))
+    oriented = [e for u, v in f.edges for e in ((u, v), (v, u))]
+    roots = []
+    covered: set[tuple[int, int]] = set()
+    for x, y in oriented:
+        if (x, y) in covered:
+            continue
+        plan = _search_order(f, (x, y))
+        roots.append((plan, deg[x], deg[y]))
+        # embeddings of F into itself are automorphisms: (c, d) is in the
+        # orbit of (x, y) iff one exists with x, y at c, d
+        covered.update(e for e in oriented if any(_embeddings(adj, deg, f, plan, root=e)))
+    return tuple(roots)
+
+
+def first_completing_edge(n: int, pairs, f: PatternGraph) -> int | None:
+    """Position in `pairs` of the edge whose arrival first completes a copy of F.
+
+    The graph on [n] starts empty and gains the pairs (u, v) in the given
+    order.  After each arrival only copies using the new edge are searched,
+    rooted at it (see _edge_roots).  None if the graph never contains a copy.
+    """
+    if f.edge_count < 1:
+        raise ValueError("pattern must have at least one edge")
+    if n < f.vertex_count:
+        return None
+    roots = _edge_roots(f)
+    adj = [0] * n
+    gdeg = [0] * n
+    for i, (u, v) in enumerate(pairs):
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+        gdeg[u] += 1
+        gdeg[v] += 1
+        for plan, need_u, need_v in roots:
+            if gdeg[u] < need_u or gdeg[v] < need_v:
+                continue
+            for _ in _embeddings(adj, gdeg, f, plan, root=(u, v)):
+                return i
+    return None
 
 
 def enumerate_copies(g: LabeledGraph, j: PatternGraph) -> list[Copy]:
@@ -124,7 +191,7 @@ def enumerate_copies(g: LabeledGraph, j: PatternGraph) -> list[Copy]:
     pos = {v: i for i, v in enumerate(order)}
     pat_edges = [(pos[u], pos[v]) for u, v in j.edges]
     seen: dict[tuple[int, ...], tuple[int, ...]] = {}
-    for images in _embeddings(g, j):
+    for images in _embeddings(*_host(g), j):
         ids = tuple(sorted(
             pair_index(min(images[a], images[b]), max(images[a], images[b]), g.n)
             for a, b in pat_edges

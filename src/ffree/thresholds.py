@@ -1,9 +1,18 @@
 """Monte Carlo threshold location for the F-free down-set.
 
-mu_p is the probability a G(n, p) sample is F-free.  Its estimator here
-reuses one battery of coupled edge-mark tables for every probed p, which
-makes the empirical curve exactly non-increasing in p; bisection on that
-curve cannot flip-flop.  Fresh seeds across repeats quantify sampling error.
+mu_p is the probability a G(n, p) sample is F-free.  Every sample is the
+coupled realization of a seeded edge-mark table (edge e present iff its
+64-bit mark is below p on the 2^-64 grid), so "the table's graph contains F"
+is monotone in p and has an exact hitting time T: the mark of the edge whose
+arrival, in increasing mark order, first completes a copy of F (the
+Newman-Ziff single pass).  For every p,
+
+    contains_copy(coupled_realize(table, p), F)  ==  T < grid(p),
+
+so mu_hat(p) is the count #{T_i >= grid(p)} / N over one battery of tables.
+Each table is generated, scanned once and dropped.  The bisection for p_c
+probes that count, which makes its trace exactly non-increasing in p; fresh
+seeds across repeats quantify sampling error.
 """
 
 from __future__ import annotations
@@ -15,8 +24,44 @@ import numpy as np
 
 from .density import m_density
 from .graphs import PatternGraph
-from .sampling import EdgeThresholdTable, Seed, coupled_realize, sample_gnp
-from .subiso import contains_copy
+from .sampling import _GRID, EdgeThresholdTable, Seed, _p_to_grid
+from .subiso import first_completing_edge
+
+
+def hitting_time(table: EdgeThresholdTable, f: PatternGraph) -> int:
+    """Grid mark at which the table's coupled graph first contains F.
+
+    -1 when F has no edges (every graph on enough vertices contains it) and
+    2^64 (never) when the table has fewer vertices than F.
+    """
+    if f.vertex_count < 1:
+        raise ValueError("pattern must have at least one vertex")
+    if table.n < f.vertex_count:
+        return _GRID
+    if f.edge_count == 0:
+        return -1
+    order = np.argsort(table.u, kind="stable")
+    v = np.repeat(np.arange(table.n), np.arange(table.n))[order]
+    u = order - v * (v - 1) // 2
+    i = first_completing_edge(table.n, zip(u.tolist(), v.tolist()), f)
+    # a copy on at most n vertices is completed by the time every edge arrives
+    assert i is not None
+    return int(table.u[order[i]])
+
+
+def hitting_times(n: int, f: PatternGraph, trials: int, seed: Seed,
+                  purpose: str) -> list[int]:
+    """Hitting times of the tables seed.stream(purpose, i), i < trials."""
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    return [hitting_time(EdgeThresholdTable.generate(n, seed.stream(purpose, i)), f)
+            for i in range(trials)]
+
+
+def _free_count(times: list[int], p: float) -> int:
+    """Number of tables whose graph at p is F-free."""
+    grid = _p_to_grid(p)
+    return sum(1 for t in times if t >= grid)
 
 
 def wilson_interval(successes: int, trials: int, z: float = 1.96) -> tuple[float, float]:
@@ -38,16 +83,24 @@ class MuEstimate:
     trials: int
 
 
+def _mu_estimate(times: list[int], p: float) -> MuEstimate:
+    free = _free_count(times, p)
+    lo, hi = wilson_interval(free, len(times))
+    return MuEstimate(free / len(times), lo, hi, len(times))
+
+
 def estimate_mu(n: int, p: float, f: PatternGraph, trials: int, seed: Seed) -> MuEstimate:
     """Fraction of G(n, p) samples that are F-free, with Wilson interval."""
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    free = sum(
-        1 for i in range(trials)
-        if not contains_copy(sample_gnp(n, p, seed, purpose="mu", index=i), f)
-    )
-    lo, hi = wilson_interval(free, trials)
-    return MuEstimate(free / trials, lo, hi, trials)
+    return mu_curve(n, [p], f, trials, seed)[0]
+
+
+def mu_curve(n: int, ps: list[float], f: PatternGraph, trials: int,
+             seed: Seed) -> list[MuEstimate]:
+    """estimate_mu at every p in `ps`, from one pass over the battery."""
+    for p in ps:
+        _p_to_grid(p)
+    times = hitting_times(n, f, trials, seed, "mu")
+    return [_mu_estimate(times, p) for p in ps]
 
 
 @dataclass(frozen=True)
@@ -76,7 +129,7 @@ class ThresholdEstimate:
         }
 
 
-class BracketError(RuntimeError):
+class BracketError(ValueError):
     """Initial bracket endpoints fail to straddle mu = 1/2."""
 
 
@@ -87,30 +140,27 @@ def estimate_pc(n: int, f: PatternGraph, trials: int, tolerance: float,
         raise ValueError(f"n={n} < pattern vertex count {f.vertex_count}: mu is constant 1")
     if tolerance <= 0:
         raise ValueError("tolerance must be positive")
-    battery = [EdgeThresholdTable.generate(n, seed.stream(f"pc-table-n{n}", i))
-               for i in range(trials)]
+    times = hitting_times(n, f, trials, seed, f"pc-table-n{n}")
 
     def mu_hat(p: float) -> float:
-        free = sum(1 for t in battery if not contains_copy(coupled_realize(t, p), f))
-        return free / trials
+        return _free_count(times, p) / trials
 
     lo, hi = n ** -2.0, 1.0 - n ** -2.0
     trace = [(lo, mu_hat(lo)), (hi, mu_hat(hi))]
     if trace[0][1] < 0.5 or trace[1][1] > 0.5:
-        raise BracketError(f"endpoints do not straddle 1/2: {trace}")
+        raise BracketError(f"thresholds: endpoints do not straddle 1/2: {trace}")
     while hi - lo > tolerance * 0.5 * (hi + lo):
         mid = 0.5 * (lo + hi)
         mu_mid = mu_hat(mid)
+        if mid == (lo if mu_mid >= 0.5 else hi):
+            break  # lo and hi are adjacent floats: the bracket cannot shrink
         trace.append((mid, mu_mid))
         if mu_mid >= 0.5:
             lo = mid
         else:
             hi = mid
     p_hat = 0.5 * (lo + hi)
-    free = sum(1 for t in battery if not contains_copy(coupled_realize(t, p_hat), f))
-    ci_lo, ci_hi = wilson_interval(free, trials)
-    return ThresholdEstimate(n, f.to_text(), p_hat,
-                             MuEstimate(free / trials, ci_lo, ci_hi, trials),
+    return ThresholdEstimate(n, f.to_text(), p_hat, _mu_estimate(times, p_hat),
                              trials, seed.master, tolerance, tuple(trace))
 
 

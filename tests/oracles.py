@@ -3,8 +3,9 @@
 Each oracle deliberately takes a different route than the library code it
 checks: densities by enumerating every (vertex subset, edge subset) pair,
 copies by trying every injective vertex map, set cover by enumerating
-element partitions, and the covering LP by rational enumeration of basic
-feasible solutions.
+element partitions, the covering LP by rational enumeration of basic
+feasible solutions, edge ids by peeling the lowest set bit, and mu and p_c
+by realizing every coupled table at every probed p and searching it whole.
 """
 
 from __future__ import annotations
@@ -13,6 +14,9 @@ import itertools
 from fractions import Fraction
 
 from ffree.graphs import LabeledGraph, PatternGraph, pair_index
+from ffree.sampling import EdgeThresholdTable, Seed, coupled_realize, sample_gnp
+from ffree.subiso import contains_copy
+from ffree.thresholds import MuEstimate, ThresholdEstimate, wilson_interval
 
 
 def density_oracle(f: PatternGraph) -> tuple[Fraction, Fraction | None]:
@@ -141,3 +145,53 @@ def lp_bfs_oracle(elements: list[int], candidates: list[int], m: int,
             best = cost
     assert best is not None, "LP oracle found no feasible basis"
     return best
+
+
+def edge_ids_oracle(g: LabeledGraph) -> list[int]:
+    """Set bits of the edge vector, lowest first, peeled one at a time."""
+    out = []
+    b = g.bits
+    while b:
+        low = b & -b
+        out.append(low.bit_length() - 1)
+        b ^= low
+    return out
+
+
+def mu_oracle(n: int, p: float, f: PatternGraph, trials: int, seed: Seed) -> MuEstimate:
+    """estimate_mu by realizing each table at p and searching it whole."""
+    free = sum(
+        1 for i in range(trials)
+        if not contains_copy(sample_gnp(n, p, seed, purpose="mu", index=i), f)
+    )
+    lo, hi = wilson_interval(free, trials)
+    return MuEstimate(free / trials, lo, hi, trials)
+
+
+def pc_bisection_oracle(n: int, f: PatternGraph, trials: int, tolerance: float,
+                        seed: Seed) -> ThresholdEstimate:
+    """estimate_pc by realizing every table at every bisection probe."""
+    battery = [EdgeThresholdTable.generate(n, seed.stream(f"pc-table-n{n}", i))
+               for i in range(trials)]
+
+    def mu_hat(p: float) -> float:
+        free = sum(1 for t in battery if not contains_copy(coupled_realize(t, p), f))
+        return free / trials
+
+    lo, hi = n ** -2.0, 1.0 - n ** -2.0
+    trace = [(lo, mu_hat(lo)), (hi, mu_hat(hi))]
+    assert trace[0][1] >= 0.5 >= trace[1][1], trace
+    while hi - lo > tolerance * 0.5 * (hi + lo):
+        mid = 0.5 * (lo + hi)
+        mu_mid = mu_hat(mid)
+        trace.append((mid, mu_mid))
+        if mu_mid >= 0.5:
+            lo = mid
+        else:
+            hi = mid
+    p_hat = 0.5 * (lo + hi)
+    free = sum(1 for t in battery if not contains_copy(coupled_realize(t, p_hat), f))
+    ci_lo, ci_hi = wilson_interval(free, trials)
+    return ThresholdEstimate(n, f.to_text(), p_hat,
+                             MuEstimate(free / trials, ci_lo, ci_hi, trials),
+                             trials, seed.master, tolerance, tuple(trace))

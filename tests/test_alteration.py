@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ffree import alteration
 from ffree.alteration import (
     EPSILON,
     InapplicableFamilyError,
@@ -151,7 +152,12 @@ def test_refute_rejects_thin_family():
         refute_certificate(fam, TRIANGLE, 8, 0.2, 5, Seed(0))
 
 
-def test_refute_produces_escape_graph():
+def test_refute_produces_escape_graph(monkeypatch):
+    # each trial builds its graph once: the escape check reuses it
+    calls = []
+    build = alteration.alteration_graph
+    monkeypatch.setattr(alteration, "alteration_graph",
+                        lambda *a, **kw: calls.append(a) or build(*a, **kw))
     n, p, k = 40, 0.2, 3
     delta = lemma_constants(TRIANGLE, n).delta
     e_min = min_family_edges(k, p, delta)
@@ -163,6 +169,7 @@ def test_refute_produces_escape_graph():
     fam = WeightedFamily.unit(members)
     res = refute_certificate(fam, TRIANGLE, n, p, 30, Seed(23))
     assert res.success
+    assert len(calls) == len(res.trials)
     g = res.graph
     assert not contains_copy(g, TRIANGLE)
     for m in fam.members:

@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -56,6 +57,25 @@ def test_pc_json(capsys):
     assert code == 0
     doc = json.loads(out)
     assert abs(doc["p_hat"] - 0.5 ** (1 / 3)) < 0.1
+
+
+def test_pc_usage_errors_exit_2(capsys):
+    # 2 of 3 tables on 5 vertices are still K5-free at the top endpoint
+    assert main(["pc", "--pattern", "K5", "--n", "5", "--trials", "3",
+                 "--seed", "0"]) == 2
+    assert capsys.readouterr().err.startswith("error: thresholds: ")
+    assert main(["pc", "--pattern", "triangle", "--n", "5", "--trials", "0"]) == 2
+
+
+def test_pc_tiny_tolerance_terminates(capsys):
+    # the bisection stops once lo and hi are adjacent floats
+    code, out = run(capsys, "pc", "--pattern", "triangle", "--n", "8",
+                    "--trials", "20", "--tol", "1e-300", "--seed", "0")
+    assert code == 0
+    trace = json.loads(out)["trace"]
+    lo = max(p for p, mu in trace if mu >= 0.5)
+    hi = min(p for p, mu in trace if mu < 0.5)
+    assert math.nextafter(lo, 1.0) == hi
 
 
 def test_lemma2_exit_codes(capsys):

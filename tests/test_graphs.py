@@ -11,6 +11,8 @@ from ffree.graphs import (
     parse_pattern,
 )
 
+from oracles import edge_ids_oracle
+
 
 def test_pair_index_examples():
     assert pair_index(0, 1, 4) == 0
@@ -106,3 +108,12 @@ def test_labeled_graph_edges_roundtrip():
     assert g.edge_count == 3
     assert LabeledGraph.from_edges(5, g.edges()) == g
     assert g.has_edge(4, 2) and not g.has_edge(0, 4)
+
+
+@given(st.integers(1, 40), st.integers(0, 2**800))
+def test_edge_ids_match_peel_oracle(n, raw):
+    pairs = n * (n - 1) // 2
+    for g in (LabeledGraph(n, raw % (1 << pairs)), LabeledGraph.empty(n),
+              LabeledGraph.complete(n)):
+        assert g.edge_ids() == edge_ids_oracle(g)
+    assert LabeledGraph(2, 1).edge_ids() == [0]

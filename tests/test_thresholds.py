@@ -1,14 +1,21 @@
+import math
+
 import pytest
 
-from ffree.graphs import PRESETS
-from ffree.sampling import Seed
+from ffree.graphs import PRESETS, parse_pattern
+from ffree.sampling import EdgeThresholdTable, Seed, _p_to_grid, coupled_realize
+from ffree.subiso import contains_copy
 from ffree.thresholds import (
     BracketError,
     estimate_mu,
     estimate_pc,
+    hitting_time,
+    mu_curve,
     scaling_fit,
     wilson_interval,
 )
+
+from oracles import mu_oracle, pc_bisection_oracle
 
 TRIANGLE = PRESETS["triangle"]
 
@@ -70,3 +77,52 @@ def test_scaling_fit_input_validation():
         scaling_fit(TRIANGLE, [8, 16], 100, 0.05, Seed(0))
     with pytest.raises(ValueError):
         scaling_fit(TRIANGLE, [16, 8, 32], 100, 0.05, Seed(0))
+
+
+# presets, a disconnected pattern, one with an isolated vertex, one edgeless
+HITTING_PATTERNS = ["triangle", "C4", "K4", "P3", "C5", "0-1 2-3", "n=4 0-1 1-2", "n=2"]
+
+
+@pytest.mark.parametrize("text", HITTING_PATTERNS)
+def test_hitting_time_matches_realized_search(text):
+    # contains_copy(coupled_realize(t, p), F) == (T < grid(p)) for every p:
+    # at the extremes, at random p, and on either side of T itself
+    f = parse_pattern(text)
+    gen = Seed(5).stream("hitting-p")
+    for n in (1, 3, 4, 5, 8, 12):
+        for i in range(12):
+            table = EdgeThresholdTable.generate(n, Seed(11).stream(f"ht-{n}", i))
+            t = hitting_time(table, f)
+            probes = [0.0, 1.0, *gen.random(6).tolist()]
+            if 0 <= t < 1 << 64:
+                near = t / 2.0 ** 64
+                probes += [near, math.nextafter(near, 1.0)]
+            for p in probes:
+                assert contains_copy(coupled_realize(table, p), f) == (t < _p_to_grid(p)), (n, i, p)
+
+
+@pytest.mark.parametrize("text", ["triangle", "C4", "K4", "0-1 2-3", "n=4 0-1 1-2"])
+@pytest.mark.parametrize("tolerance", [0.05, 0.01])
+def test_estimate_pc_equals_bisection_oracle(text, tolerance):
+    f = parse_pattern(text)
+    for n in (f.vertex_count, 9, 16):
+        for seed in (Seed(3), Seed(40)):
+            assert (estimate_pc(n, f, 60, tolerance, seed)
+                    == pc_bisection_oracle(n, f, 60, tolerance, seed)), (n, seed)
+
+
+@pytest.mark.parametrize("text", ["triangle", "C4", "K4", "0-1 2-3", "n=4 0-1 1-2"])
+def test_estimate_mu_equals_realizing_oracle(text):
+    f = parse_pattern(text)
+    grid = [0.0, 0.05, 0.2, 0.45, 0.8, 1.0]
+    for n in (3, 8, 16):
+        want = [mu_oracle(n, p, f, 50, Seed(8)) for p in grid]
+        assert mu_curve(n, grid, f, 50, Seed(8)) == want
+        assert [estimate_mu(n, p, f, 50, Seed(8)) for p in grid] == want
+
+
+def test_bracket_error_is_a_usage_error():
+    # K5 on 5 vertices: 2 of 3 tables still K5-free at the top endpoint
+    with pytest.raises(BracketError, match="^thresholds: ") as info:
+        estimate_pc(5, PRESETS["K5"], 3, 0.05, Seed(0))
+    assert isinstance(info.value, ValueError)
