@@ -113,30 +113,31 @@ def cmd_scaling(args) -> int:
     return 0
 
 
-def _generated_family(args, f, n, p) -> alteration.WeightedFamily:
-    consts = alteration.lemma_constants(f, n)
-    if args.family_edges is not None:
-        edges = args.family_edges
-    else:
-        edges = alteration.min_family_edges(args.family_size, p, consts.delta)
+def _generated_family(args, f, n, p, weight=None):
+    """(family, edges per member, delta): --family-size seeded random graphs
+    with --family-edges edges each, by default the fewest edges meeting the
+    unit-weight family condition at p."""
+    if not 0.0 < p < 1.0:
+        raise ValueError(f"p={p} outside (0, 1)")
+    delta = alteration.lemma_constants(f, n).delta
+    edges = (args.family_edges if args.family_edges is not None
+             else alteration.min_family_edges(args.family_size, p, delta))
     if edges > n * (n - 1) // 2:
         raise ValueError(
             f"family needs {edges} edges per member but only {n*(n-1)//2} pairs "
-            f"exist; raise --p or pass --family-edges with --family-weight"
+            f"exist at n={n}; raise --p"
         )
-    weights = None
-    if args.family_weight is not None:
-        weights = (args.family_weight,) * args.family_size
-    return alteration.random_family(n, args.family_size, edges, _seed(args),
-                                    weights=weights)
+    weights = None if weight is None else (weight,) * args.family_size
+    family = alteration.random_family(n, args.family_size, edges, _seed(args),
+                                      weights=weights)
+    return family, edges, delta
 
 
 def cmd_lemma2(args) -> int:
     f = _pattern(args)
-    family = _generated_family(args, f, args.n, args.p)
-    consts = alteration.lemma_constants(f, args.n)
-    alteration.require_family_condition(family, args.p, consts.delta,
-                                        "generated family")
+    family, _, delta = _generated_family(args, f, args.n, args.p,
+                                         args.family_weight)
+    alteration.require_family_condition(family, args.p, delta, "generated family")
     records = [alteration.lemma2_trial(args.n, args.p, f, family, _seed(args),
                                        trial_index=i)
                for i in range(args.trials)]
@@ -146,7 +147,7 @@ def cmd_lemma2(args) -> int:
         "family_size": args.family_size,
         "family_edge_counts": [g.edge_count for g in family.members],
         "family_weights": list(family.weights),
-        "delta": consts.delta,
+        "delta": delta,
         "hit_all_count": sum(1 for r in records if r.hit_all),
         "records": [r.to_dict() for r in records],
     })
@@ -156,16 +157,8 @@ def cmd_lemma2(args) -> int:
 def cmd_refute(args) -> int:
     f = _pattern(args)
     n, p = args.n, args.p
-    consts = alteration.lemma_constants(f, n)
     # certificate members are complements of random graphs with enough edges
-    edges = (args.family_edges if args.family_edges is not None
-             else alteration.min_family_edges(args.family_size, p, consts.delta))
-    if edges > n * (n - 1) // 2:
-        raise ValueError(
-            f"certificate complements need {edges} edges but only "
-            f"{n*(n-1)//2} pairs exist at n={n}; raise --p"
-        )
-    comps = alteration.random_family(n, args.family_size, edges, _seed(args))
+    comps, edges, _ = _generated_family(args, f, n, p)
     gfam = alteration.WeightedFamily.unit(tuple(g.complement()
                                                 for g in comps.members))
     result = alteration.refute_certificate(gfam, f, n, p, args.budget, _seed(args))
@@ -297,7 +290,8 @@ def main(argv=None) -> int:
     except (PatternParseError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (AssertionError, alteration.InapplicableFamilyError) as exc:
+    except (AssertionError, alteration.InapplicableFamilyError,
+            exact_tiny.PivotCapError) as exc:
         print(f"failure: {exc}", file=sys.stderr)
         return 1
 

@@ -3,15 +3,20 @@ r"""Exact tiny-n expectation thresholds.
 At n <= 5 the ground set X (all pairs) has at most 10 elements, so the
 F-free down-set can be handled exhaustively:
 
+* one pass over the 2^{|X|} graphs on [n] finds the edge-maximal F-free
+  graphs and the edge-count profile of the F-free graphs;
 * the coverage universe shrinks to the edge-maximal F-free graphs (every
   F-free graph is a subgraph of one, and down-closure membership is
   inherited by subgraphs);
 * certificate sets may be restricted to unions of the maximal graphs they
   cover: shrinking any S to that union preserves coverage and raises
-  |X \ S|, so the weight (1-p)^{|X \ S|} can only drop;
-* the expectation threshold q comes from branch-and-bound set cover over
-  those candidates, the fractional threshold q_f from a covering LP solved
-  by a dense two-phase simplex with Bland's anti-cycling rule;
+  |X \ S|, so the weight (1-p)^{|X \ S|} can only drop.  Each candidate is
+  then the union of the elements it covers, so a strictly larger coverage
+  means a strictly larger set and, for 0 < p < 1, a strictly larger weight:
+  no candidate dominates another;
+* elements, candidates and coverage are built once per (n, F), only the
+  weights per p; q comes from branch-and-bound set cover over the
+  candidates, q_f from the covering LP, solved through its packing dual;
 * both optima are non-increasing in p (each weight is), so bisection on p
   against the 1/2 budget is valid.
 """
@@ -29,11 +34,16 @@ from .subiso import contains_copy
 
 N_CAP = 5
 SIMPLEX_TOL = 1e-9
+PIVOT_CAP = 20_000   # the largest LPs at n <= 5 take a few hundred pivots
 DEFAULT_P_TOL = 1e-4
 
 
 class ScaleError(ValueError):
     pass
+
+
+class PivotCapError(RuntimeError):
+    """The packing simplex reached PIVOT_CAP pivots without an optimum."""
 
 
 def _check_cap(n: int):
@@ -44,31 +54,25 @@ def _check_cap(n: int):
 
 
 @lru_cache(maxsize=None)
-def _maximal_ffree_bits(n: int, pattern_text: str) -> tuple[int, ...]:
+def _ffree_census(n: int, pattern_text: str) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """One pass over all graphs on [n]: (sorted edge-maximal F-free bitmasks,
+    number of F-free graphs with e edges for e = 0..n(n-1)/2)."""
     f = parse_pattern(pattern_text)
     m = n * (n - 1) // 2
-    ffree = [g for g in range(1 << m)
-             if not contains_copy(LabeledGraph(n, g), f)]
-    ffree_set = set(ffree)
-    out = []
+    ffree = {g for g in range(1 << m) if not contains_copy(LabeledGraph(n, g), f)}
+    profile = [0] * (m + 1)
     for g in ffree:
-        absent = ((1 << m) - 1) ^ g
-        maximal = True
-        while absent:
-            low = absent & -absent
-            if (g | low) in ffree_set:
-                maximal = False
-                break
-            absent ^= low
-        if maximal:
-            out.append(g)
-    return tuple(sorted(out))
+        profile[g.bit_count()] += 1
+    maximal = sorted(g for g in ffree
+                     if not any((g | 1 << e) in ffree
+                                for e in range(m) if not g >> e & 1))
+    return tuple(maximal), tuple(profile)
 
 
 def enumerate_maximal_ffree(n: int, f: PatternGraph) -> list[LabeledGraph]:
     """All edge-maximal F-free graphs on [n] (brute force over 2^{n(n-1)/2})."""
     _check_cap(n)
-    return [LabeledGraph(n, b) for b in _maximal_ffree_bits(n, f.to_text())]
+    return [LabeledGraph(n, b) for b in _ffree_census(n, f.to_text())[0]]
 
 
 @dataclass(frozen=True)
@@ -92,59 +96,53 @@ def verify_certificate(cert: Certificate, f: PatternGraph, n: int) -> bool:
     if cert.total_weight > 0.5:
         return False
     member_bits = [g.bits for g in cert.members]
-    for mb in _maximal_ffree_bits(n, f.to_text()):
+    for mb in _ffree_census(n, f.to_text())[0]:
         if not any(mb & ~s == 0 for s in member_bits):
             return False
     return True
 
 
-def _candidates(n: int, f: PatternGraph) -> tuple[list[int], list[int]]:
-    """(elements, candidates): maximal F-free bitmasks and their union closure.
+@dataclass(frozen=True)
+class _Instance:
+    """The covering instance of (n, F), everything but the weights."""
+    elements: tuple[int, ...]        # edge-maximal F-free bitmasks
+    candidates: tuple[int, ...]      # their union closure, sorted
+    missing: tuple[int, ...]         # |X \ S| per candidate S
+    cover: tuple[int, ...]           # bitmask of the elements each candidate covers
+    covers_by_elem: tuple[tuple[int, ...], ...]   # candidates covering each element
+    packing: np.ndarray              # candidates x elements 0/1 coverage matrix
 
-    Each candidate also records nothing about which subset generated it; the
-    coverage relation M subset-of S is recomputed bitwise where needed.
-    """
-    elements = list(_maximal_ffree_bits(n, f.to_text()))
-    closure = set(elements)
-    frontier = set(elements)
+    def weights(self, p: float) -> list[float]:
+        return [(1.0 - p) ** e for e in self.missing]
+
+
+@lru_cache(maxsize=None)
+def _instance(n: int, pattern_text: str) -> _Instance:
+    elements = _ffree_census(n, pattern_text)[0]
+    closure, frontier = set(elements), set(elements)
     while frontier:
-        fresh = set()
-        for a in frontier:
-            for b in elements:
-                u = a | b
-                if u not in closure:
-                    fresh.add(u)
-        closure |= fresh
-        frontier = fresh
-    return elements, sorted(closure)
+        frontier = {a | b for a in frontier for b in elements} - closure
+        closure |= frontier
+    candidates = tuple(sorted(closure))
+    covered = [[e & ~c == 0 for e in elements] for c in candidates]
+    cover = tuple(sum(1 << i for i, hit in enumerate(row) if hit) for row in covered)
+    packing = np.array(covered, dtype=float).reshape(len(candidates), len(elements))
+    packing.flags.writeable = False   # cached and shared by every probe
+    m = n * (n - 1) // 2
+    return _Instance(
+        elements, candidates, tuple(m - c.bit_count() for c in candidates), cover,
+        tuple(tuple(j for j, row in enumerate(covered) if row[i])
+              for i in range(len(elements))),
+        packing)
 
 
-def _coverage_and_weights(elements, candidates, m, p):
-    cover = [sum(1 << i for i, e in enumerate(elements) if e & ~c == 0)
-             for c in candidates]
-    weights = [(1.0 - p) ** (m - c.bit_count()) for c in candidates]
-    return cover, weights
+def _candidates(n: int, f: PatternGraph) -> tuple[list[int], list[int]]:
+    """(elements, candidates): maximal F-free bitmasks and their union closure."""
+    inst = _instance(n, f.to_text())
+    return list(inst.elements), list(inst.candidates)
 
 
-def _prune_dominated(candidates, cover, weights):
-    keep = []
-    for i in range(len(candidates)):
-        dominated = False
-        for j in range(len(candidates)):
-            if i == j:
-                continue
-            if cover[j] & cover[i] == cover[i] and weights[j] <= weights[i]:
-                if cover[j] != cover[i] or weights[j] < weights[i] or j < i:
-                    dominated = True
-                    break
-        if not dominated:
-            keep.append(i)
-    return ([candidates[i] for i in keep], [cover[i] for i in keep],
-            [weights[i] for i in keep])
-
-
-def min_cover_cost(n: int, p: float, f: PatternGraph,
-                   return_cover: bool = False):
+def min_cover_cost(n: int, p: float, f: PatternGraph) -> float:
     """Exact minimum certificate weight covering all maximal F-free graphs.
 
     Branch and bound: branch on the uncovered element with fewest covering
@@ -154,20 +152,14 @@ def min_cover_cost(n: int, p: float, f: PatternGraph,
     _check_cap(n)
     if not (0.0 <= p <= 1.0):
         raise ValueError(f"p={p} outside [0, 1]")
-    elements, candidates = _candidates(n, f)
-    m = n * (n - 1) // 2
-    k = len(elements)
-    cover, weights = _coverage_and_weights(elements, candidates, m, p)
-    candidates, cover, weights = _prune_dominated(candidates, cover, weights)
-    full = (1 << k) - 1
-    nc = len(candidates)
-    covers_by_elem = [[c for c in range(nc) if cover[c] >> i & 1]
-                      for i in range(k)]
-    if any(not lst for lst in covers_by_elem):
-        raise RuntimeError("some maximal graph has no covering candidate")
+    inst = _instance(n, f.to_text())
+    cover, covers_by_elem = inst.cover, inst.covers_by_elem
+    weights = inst.weights(p)
+    full = (1 << len(inst.elements)) - 1
+    nc = len(cover)
 
-    def greedy() -> tuple[float, list[int]]:
-        covered, cost, picked = 0, 0.0, []
+    def greedy() -> float:
+        covered, cost = 0, 0.0
         while covered != full:
             best_i, best_ratio = None, None
             for i in range(nc):
@@ -179,10 +171,9 @@ def min_cover_cost(n: int, p: float, f: PatternGraph,
                     best_i, best_ratio = i, ratio
             covered |= cover[best_i]
             cost += weights[best_i]
-            picked.append(best_i)
-        return cost, picked
+        return cost
 
-    best_cost, best_pick = greedy()
+    best_cost = greedy()
 
     def lower_bound(uncovered: int) -> float:
         # amortized: a set of weight w covering c live elements pays >= w/c each
@@ -203,11 +194,11 @@ def min_cover_cost(n: int, p: float, f: PatternGraph,
 
     seen: dict[int, float] = {}
 
-    def branch(uncovered: int, cost: float, picked: list[int]):
-        nonlocal best_cost, best_pick
+    def branch(uncovered: int, cost: float):
+        nonlocal best_cost
         if uncovered == 0:
             if cost < best_cost:
-                best_cost, best_pick = cost, list(picked)
+                best_cost = cost
             return
         prev = seen.get(uncovered)
         if prev is not None and cost >= prev:
@@ -225,13 +216,10 @@ def min_cover_cost(n: int, p: float, f: PatternGraph,
                 target, fewest = i, len(covers_by_elem[i])
             u ^= low
         for c in sorted(covers_by_elem[target], key=lambda c: weights[c]):
-            picked.append(c)
-            branch(uncovered & ~cover[c], cost + weights[c], picked)
-            picked.pop()
+            branch(uncovered & ~cover[c], cost + weights[c])
 
-    branch(full, 0.0, [])
-    if return_cover:
-        return best_cost, [LabeledGraph(n, candidates[i]) for i in best_pick]
+    branch(full, 0.0)
+    del branch   # a self-referencing closure: free the memo now, not at the next GC
     return best_cost
 
 
@@ -243,6 +231,8 @@ class ThresholdValue:
 
 
 def _bisect_budget(cost_at, tolerance: float) -> ThresholdValue:
+    if not tolerance > 0:
+        raise ValueError(f"tolerance must be positive, got {tolerance}")
     if cost_at(1.0) > 0.5:
         return ThresholdValue(1.0, True, tolerance)
     if cost_at(0.0) <= 0.5:
@@ -250,6 +240,8 @@ def _bisect_budget(cost_at, tolerance: float) -> ThresholdValue:
     lo, hi = 0.0, 1.0
     while hi - lo > tolerance:
         mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:   # lo and hi are adjacent floats
+            break
         if cost_at(mid) <= 0.5:
             hi = mid
         else:
@@ -264,7 +256,8 @@ def q_exact(n: int, f: PatternGraph, tolerance: float = DEFAULT_P_TOL) -> Thresh
 
 
 # ---------------------------------------------------------------------------
-# covering LP: min sum w(S) lambda(S)  s.t.  sum_{S >= M} lambda(S) >= 1
+# covering LP: min sum w(S) lambda(S)  s.t.  sum_{S >= M} lambda(S) >= 1,
+# solved through its packing dual  max sum y(M)  s.t.  sum_{M <= S} y(M) <= w(S)
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -274,73 +267,46 @@ class FractionalCertificate:
     total_cost: float
 
 
-def _simplex(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> tuple[float, np.ndarray]:
-    """min c.x s.t. a x = b, x >= 0; two-phase tableau, Bland's rule.
+def _packing_simplex(a: np.ndarray, w: list[float]) -> tuple[float, np.ndarray]:
+    """max 1.y s.t. a y <= w, y >= 0, for a 0/1 matrix a and w >= 0.
 
-    Assumes b >= 0.  Returns (optimum, x).
+    Primal simplex from the feasible origin (slack basis): no phase 1.
+    Dantzig's entering rule; the ratio test takes the lexicographically least
+    row of (rhs, slack columns) / pivot entry.  The slack columns hold B^-1,
+    whose rows are independent, so no basis repeats (Dantzig, Orden and
+    Wolfe 1955).  Returns (optimum, lambda), lambda being the slack reduced
+    costs: an optimal solution of min w.lambda s.t. a^T lambda >= 1.
     """
-    m, nvar = a.shape
-    # phase 1: artificials
-    tab = np.zeros((m + 1, nvar + m + 1))
-    tab[:m, :nvar] = a
-    tab[:m, nvar:nvar + m] = np.eye(m)
-    tab[:m, -1] = b
-    basis = list(range(nvar, nvar + m))
-    tab[m, :nvar + m] = 0.0
-    # phase-1 objective row: minimize sum of artificials
-    tab[m, :] = -tab[:m, :].sum(axis=0)
-    tab[m, nvar:nvar + m] = 0.0
-
-    def pivot(row: int, col: int):
+    rows, cols = a.shape
+    if not cols:   # nothing to cover
+        return 0.0, np.zeros(rows)
+    tab = np.zeros((rows + 1, cols + rows + 1))
+    tab[:rows, :cols] = a
+    tab[np.arange(rows), cols + np.arange(rows)] = 1.0
+    tab[:rows, -1] = w
+    tab[rows, :cols] = -1.0
+    lex = [cols + rows, *range(cols, cols + rows)]   # rhs, then slack columns
+    for pivots in itertools.count():
+        col = int(np.argmin(tab[rows, :-1]))
+        if tab[rows, col] >= -SIMPLEX_TOL:
+            return float(tab[rows, -1]), tab[rows, cols:-1].copy()
+        if pivots == PIVOT_CAP:
+            raise PivotCapError(
+                f"exact_tiny: packing simplex reached PIVOT_CAP={PIVOT_CAP} "
+                f"pivots on a {rows}x{cols} LP")
+        ties = np.flatnonzero(tab[:rows, col] > SIMPLEX_TOL)
+        for j in lex:
+            if len(ties) == 1:
+                break
+            ratio = tab[ties, j] / tab[ties, col]
+            ties = ties[ratio <= ratio.min() + SIMPLEX_TOL]
+        row = ties[0]
         tab[row] /= tab[row, col]
-        for r in range(m + 1):
-            if r != row and abs(tab[r, col]) > 0:
-                tab[r] -= tab[r, col] * tab[row]
-        basis[row] = col
-
-    def iterate(allowed: int):
-        while True:
-            col = -1
-            for jcol in range(allowed):
-                if tab[m, jcol] < -SIMPLEX_TOL:
-                    col = jcol
-                    break
-            if col < 0:
-                return
-            row, best = -1, None
-            for r in range(m):
-                if tab[r, col] > SIMPLEX_TOL:
-                    ratio = tab[r, -1] / tab[r, col]
-                    if best is None or ratio < best - SIMPLEX_TOL or (
-                            abs(ratio - best) <= SIMPLEX_TOL and basis[r] < basis[row]):
-                        row, best = r, ratio
-            if row < 0:
-                raise RuntimeError("LP unbounded")
-            pivot(row, col)
-
-    iterate(nvar + m)
-    if tab[m, -1] < -1e-7:
-        raise RuntimeError("LP infeasible")
-    # drive artificials out of the basis where possible
-    for r in range(m):
-        if basis[r] >= nvar:
-            for jcol in range(nvar):
-                if abs(tab[r, jcol]) > SIMPLEX_TOL:
-                    pivot(r, jcol)
-                    break
-    # phase 2
-    tab[m, :] = 0.0
-    tab[m, :nvar] = c
-    for r in range(m):
-        if basis[r] < nvar:
-            tab[m] -= c[basis[r]] * tab[r]
-    tab[:, nvar:nvar + m] = 0.0  # forbid artificials
-    iterate(nvar)
-    x = np.zeros(nvar)
-    for r in range(m):
-        if basis[r] < nvar:
-            x[basis[r]] = tab[r, -1]
-    return float(c @ x), x
+        # eliminate only where both the pivot column and pivot row are nonzero
+        hit = np.flatnonzero(tab[:, col])
+        hit = hit[hit != row]
+        nz = np.flatnonzero(tab[row])
+        tab[np.ix_(hit, nz)] -= np.outer(tab[hit, col], tab[row, nz])
 
 
 def lp_min_cost(n: int, p: float, f: PatternGraph) -> tuple[float, FractionalCertificate]:
@@ -353,26 +319,10 @@ def lp_min_cost(n: int, p: float, f: PatternGraph) -> tuple[float, FractionalCer
     _check_cap(n)
     if not (0.0 <= p <= 1.0):
         raise ValueError(f"p={p} outside [0, 1]")
-    elements, candidates = _candidates(n, f)
-    m_pairs = n * (n - 1) // 2
-    cover, weights = _coverage_and_weights(elements, candidates, m_pairs, p)
-    candidates, cover, weights = _prune_dominated(candidates, cover, weights)
-    k = len(elements)
-    nv = len(candidates)
-    # A lambda - s = 1
-    a = np.zeros((k, nv + k))
-    for j in range(nv):
-        for i in range(k):
-            if cover[j] >> i & 1:
-                a[i, j] = 1.0
-    a[:, nv:] = -np.eye(k)
-    b = np.ones(k)
-    c = np.concatenate([np.array(weights, dtype=float), np.zeros(k)])
-    opt, x = _simplex(a, b, c)
-    support = tuple(
-        (LabeledGraph(n, candidates[j]), float(x[j]))
-        for j in range(nv) if x[j] > SIMPLEX_TOL
-    )
+    inst = _instance(n, f.to_text())
+    opt, lam = _packing_simplex(inst.packing, inst.weights(p))
+    support = tuple((LabeledGraph(n, c), float(x))
+                    for c, x in zip(inst.candidates, lam) if x > SIMPLEX_TOL)
     return opt, FractionalCertificate(support, p, opt)
 
 
@@ -386,22 +336,11 @@ def qf_exact(n: int, f: PatternGraph, tolerance: float = DEFAULT_P_TOL) -> Thres
 # exact threshold p_c at tiny n, and the chain report
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
-def _ffree_edge_profile(n: int, pattern_text: str) -> tuple[int, ...]:
-    f = parse_pattern(pattern_text)
-    m = n * (n - 1) // 2
-    counts = [0] * (m + 1)
-    for g in range(1 << m):
-        if not contains_copy(LabeledGraph(n, g), f):
-            counts[g.bit_count()] += 1
-    return tuple(counts)
-
-
 def mu_exact(n: int, p: float, f: PatternGraph) -> float:
     """Exact mu_p of the F-free down-set by summing the product measure."""
     _check_cap(n)
     m = n * (n - 1) // 2
-    counts = _ffree_edge_profile(n, f.to_text())
+    counts = _ffree_census(n, f.to_text())[1]
     return sum(counts[e] * p ** e * (1.0 - p) ** (m - e) for e in range(m + 1))
 
 

@@ -138,8 +138,8 @@ def estimate_pc(n: int, f: PatternGraph, trials: int, tolerance: float,
     """Bisection for the p with mu_p = 1/2 on a shared coupled battery."""
     if n < f.vertex_count:
         raise ValueError(f"n={n} < pattern vertex count {f.vertex_count}: mu is constant 1")
-    if tolerance <= 0:
-        raise ValueError("tolerance must be positive")
+    if not tolerance > 0:
+        raise ValueError(f"tolerance must be positive, got {tolerance}")
     times = hitting_times(n, f, trials, seed, f"pc-table-n{n}")
 
     def mu_hat(p: float) -> float:

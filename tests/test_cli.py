@@ -1,8 +1,13 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import ffree
 from ffree.cli import main
 
 
@@ -149,3 +154,59 @@ def test_reruns_byte_identical(capsys, argv):
     code2, out2 = run(capsys, *argv)
     assert code1 == code2 == 0
     assert out1 == out2
+
+
+def _ffree_subprocess(*argv):
+    # a fresh interpreter under a time limit, so a hang fails the test
+    # instead of stalling the suite
+    src = str(Path(ffree.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-m", "ffree.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=60)
+
+
+def test_exact_qf_c4_n5_terminates():
+    proc = _ffree_subprocess("exact-qf", "--pattern", "C4", "--n", "5",
+                             "--tol", "0.01")
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["value"] == 0.66015625
+
+
+def test_exact_zero_tolerance_exits_2():
+    proc = _ffree_subprocess("exact-q", "--pattern", "triangle", "--n", "4",
+                             "--tol", "0")
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: tolerance must be positive")
+
+
+def test_exact_tiny_tolerance_terminates():
+    # the bisection stops once lo and hi are adjacent floats
+    proc = _ffree_subprocess("exact-qf", "--pattern", "triangle", "--n", "3",
+                             "--tol", "1e-300")
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["value"] == pytest.approx(5 / 6, abs=1e-15)
+
+
+@pytest.mark.parametrize("argv", [
+    ["exact-q", "--pattern", "triangle", "--n", "4", "--tol", "-1"],
+    ["exact-qf", "--pattern", "triangle", "--n", "4", "--tol", "nan"],
+    ["gap", "--pattern", "triangle", "--n", "4", "--tol", "nan"],
+    ["pc", "--pattern", "triangle", "--n", "5", "--trials", "5", "--tol", "nan"],
+], ids=["exact-q-negative", "exact-qf-nan", "gap-nan", "pc-nan"])
+def test_bad_tolerance_exits_2(capsys, argv):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: tolerance must be positive")
+
+
+@pytest.mark.parametrize("command", ["lemma2", "refute"])
+@pytest.mark.parametrize("p", ["0", "1"])
+def test_family_p_outside_unit_interval_exits_2(capsys, command, p):
+    argv = [command, "--pattern", "triangle", "--n", "40", "--p", p]
+    argv += ["--trials", "2"] if command == "lemma2" else ["--budget", "2"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: p={float(p)} outside (0, 1)")

@@ -2,8 +2,11 @@ from fractions import Fraction
 
 import pytest
 
+from ffree import exact_tiny
+from ffree.cli import main
 from ffree.exact_tiny import (
     Certificate,
+    PivotCapError,
     ScaleError,
     enumerate_maximal_ffree,
     gap_report,
@@ -21,6 +24,7 @@ from oracles import lp_bfs_oracle, partition_cover_oracle
 
 TRIANGLE = PRESETS["triangle"]
 C4 = PRESETS["C4"]
+P3 = PRESETS["P3"]
 
 
 def test_maximal_triangle_free_n3():
@@ -115,21 +119,59 @@ def test_lp_matches_rational_bfs_oracle_n3():
 
 
 def test_lp_matches_scipy_linprog():
-    # independent floating-point solver on the same covering LP
+    # independent floating-point solver on the same covering LP; C4 and P3
+    # at n = 5, p = 1/4 and 1/2 are where a float-tie simplex can cycle
     from scipy.optimize import linprog
     from ffree.exact_tiny import _candidates
-    for n, pattern in [(4, TRIANGLE), (4, C4)]:
+    cases = [(4, TRIANGLE, (0.2, 0.5, 0.8)), (4, C4, (0.2, 0.5, 0.8)),
+             (5, C4, (0.25, 0.5)), (5, P3, (0.25, 0.5))]
+    for n, pattern, ps in cases:
         m = n * (n - 1) // 2
         elements, candidates = _candidates(n, pattern)
-        for p in [0.2, 0.5, 0.8]:
+        for p in ps:
             costs = [(1 - p) ** (m - c.bit_count()) for c in candidates]
             a_ub = [[-1.0 if e & ~c == 0 else 0.0 for c in candidates]
                     for e in elements]
             res = linprog(costs, A_ub=a_ub, b_ub=[-1.0] * len(elements),
                           bounds=(0, None), method="highs")
             assert res.status == 0
-            got, _ = lp_min_cost(n, p, pattern)
+            got, cert = lp_min_cost(n, p, pattern)
             assert got == pytest.approx(res.fun, abs=1e-8)
+            # the certificate is a feasible covering solution of that cost
+            assert sum(lam * (1 - p) ** (m - g.edge_count)
+                       for g, lam in cert.support) == pytest.approx(got, abs=1e-8)
+            for e in elements:
+                assert sum(lam for g, lam in cert.support
+                           if e & ~g.bits == 0) >= 1 - 1e-8
+
+
+def test_candidates_are_unions_of_covered_elements():
+    # a candidate covering strictly more elements is a strictly larger set,
+    # so for 0 < p < 1 it is strictly heavier and no candidate dominates
+    # another: the covering instance needs no domination pruning
+    from ffree.exact_tiny import _candidates
+    for pattern in PRESETS.values():
+        for n in range(2, 6):
+            elements, candidates = _candidates(n, pattern)
+            assert len(set(candidates)) == len(candidates)
+            for c in candidates:
+                union = 0
+                for e in elements:
+                    if e & ~c == 0:
+                        union |= e
+                assert union == c
+
+
+def test_pivot_cap_is_a_failure_not_a_traceback(monkeypatch, capsys):
+    monkeypatch.setattr(exact_tiny, "PIVOT_CAP", 1)
+    with pytest.raises(PivotCapError):
+        lp_min_cost(4, 0.5, TRIANGLE)
+    for command in ("exact-qf", "gap"):
+        assert main([command, "--pattern", "triangle", "--n", "4"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("failure: exact_tiny: packing simplex reached "
+                              "PIVOT_CAP=1 pivots")
+        assert "Traceback" not in err
 
 
 def test_qf_at_most_q():
