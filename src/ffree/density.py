@@ -34,8 +34,8 @@ def _induced_edge_count(f: PatternGraph, subset_mask: int) -> int:
     return sum(1 for u, v in f.edges if subset_mask >> u & 1 and subset_mask >> v & 1)
 
 
-def _subset_vertices(mask: int, n: int) -> list[int]:
-    return [v for v in range(n) if mask >> v & 1]
+def _induced_on(f: PatternGraph, mask: int) -> PatternGraph:
+    return f.induced([v for v in range(f.vertex_count) if mask >> v & 1])
 
 
 def _best_subset(f: PatternGraph, min_vertices: int, shift: int):
@@ -61,21 +61,21 @@ def _best_subset(f: PatternGraph, min_vertices: int, shift: int):
     return best, best_mask
 
 
-def m_density(f: PatternGraph) -> Fraction:
-    """Exact m(F) = max e_J / v_J over nonempty subgraphs."""
+def _m(f: PatternGraph):
+    """(m(F), vertex mask of its witness)."""
     if f.vertex_count < 1:
         raise UndefinedDensityError("m(F) undefined for empty vertex set")
     _check_size(f)
-    best, _ = _best_subset(f, 1, 0)
-    return best
+    return _best_subset(f, 1, 0)
+
+
+def m_density(f: PatternGraph) -> Fraction:
+    """Exact m(F) = max e_J / v_J over nonempty subgraphs."""
+    return _m(f)[0]
 
 
 def m_witness(f: PatternGraph) -> PatternGraph:
-    if f.vertex_count < 1:
-        raise UndefinedDensityError("m(F) undefined for empty vertex set")
-    _check_size(f)
-    _, mask = _best_subset(f, 1, 0)
-    return f.induced(_subset_vertices(mask, f.vertex_count))
+    return _induced_on(f, _m(f)[1])
 
 
 def m2_density(f: PatternGraph) -> Fraction:
@@ -98,7 +98,7 @@ def minimal_m2_subgraph(f: PatternGraph) -> PatternGraph:
         raise UndefinedDensityError("minimal m2 subgraph needs v_F >= 3 and max degree >= 2")
     _check_size(f)
     _, mask = _best_subset(f, 3, 2)
-    return f.induced(_subset_vertices(mask, f.vertex_count)).drop_isolated()
+    return _induced_on(f, mask).drop_isolated()
 
 
 @dataclass(frozen=True)
@@ -122,11 +122,8 @@ class DensityReport:
 
 def density_gap_check(f: PatternGraph) -> DensityReport:
     """Report m, m2 (if defined), their witnesses, and whether m2 > m."""
-    m = m_density(f)
-    wm = m_witness(f)
+    m, mask = _m(f)
     if f.vertex_count < 3:
-        return DensityReport(m, None, wm, None, False)
-    m2 = m2_density(f)
-    _, mask = _best_subset(f, 3, 2)
-    wm2 = f.induced(_subset_vertices(mask, f.vertex_count))
-    return DensityReport(m, m2, wm, wm2, m2 > m)
+        return DensityReport(m, None, _induced_on(f, mask), None, False)
+    m2, mask2 = _best_subset(f, 3, 2)
+    return DensityReport(m, m2, _induced_on(f, mask), _induced_on(f, mask2), m2 > m)

@@ -15,8 +15,9 @@ F-free down-set can be handled exhaustively:
   means a strictly larger set and, for 0 < p < 1, a strictly larger weight:
   no candidate dominates another;
 * elements, candidates and coverage are built once per (n, F), only the
-  weights per p; q comes from branch-and-bound set cover over the
-  candidates, q_f from the covering LP, solved through its packing dual;
+  weights per p; q_f comes from the covering LP, solved through its packing
+  dual; each probe of q asks only whether a cover costs <= 1/2: an LP
+  screen, a greedy cover, then a branch and bound seeded at the budget;
 * both optima are non-increasing in p (each weight is), so bisection on p
   against the 1/2 budget is valid.
 """
@@ -46,11 +47,13 @@ class PivotCapError(RuntimeError):
     """The packing simplex reached PIVOT_CAP pivots without an optimum."""
 
 
-def _check_cap(n: int):
+def _check_cap(n: int, p: float = 0.0):
     if n > N_CAP:
         raise ScaleError(f"exact computation capped at n <= {N_CAP}, got {n}")
     if n < 2:
         raise ValueError("need n >= 2")
+    if not (0.0 <= p <= 1.0):
+        raise ValueError(f"p={p} outside [0, 1]")
 
 
 @lru_cache(maxsize=None)
@@ -142,38 +145,25 @@ def _candidates(n: int, f: PatternGraph) -> tuple[list[int], list[int]]:
     return list(inst.elements), list(inst.candidates)
 
 
-def min_cover_cost(n: int, p: float, f: PatternGraph) -> float:
-    """Exact minimum certificate weight covering all maximal F-free graphs.
-
-    Branch and bound: branch on the uncovered element with fewest covering
-    candidates; a greedy solution seeds the incumbent; branches are cut by
-    partial cost plus a per-element lower bound.
-    """
-    _check_cap(n)
-    if not (0.0 <= p <= 1.0):
-        raise ValueError(f"p={p} outside [0, 1]")
-    inst = _instance(n, f.to_text())
+def _branch_and_bound(inst: _Instance, weights: list[float], incumbent: float,
+                      stop_at: float) -> float:
+    """Least cover cost below `incumbent`, else `incumbent`; returns at the
+    first cover costing <= stop_at.  A greedy cover (least weight per new
+    element) comes first; branches split the uncovered element with fewest
+    covering candidates and are cut once partial cost plus a per-element
+    lower bound comes within 1e-15 of the best cost so far."""
     cover, covers_by_elem = inst.cover, inst.covers_by_elem
-    weights = inst.weights(p)
-    full = (1 << len(inst.elements)) - 1
     nc = len(cover)
-
-    def greedy() -> float:
-        covered, cost = 0, 0.0
-        while covered != full:
-            best_i, best_ratio = None, None
-            for i in range(nc):
-                new = (cover[i] & ~covered).bit_count()
-                if new == 0:
-                    continue
-                ratio = weights[i] / new
-                if best_ratio is None or ratio < best_ratio:
-                    best_i, best_ratio = i, ratio
-            covered |= cover[best_i]
-            cost += weights[best_i]
-        return cost
-
-    best_cost = greedy()
+    full = (1 << len(inst.elements)) - 1
+    covered, greedy = 0, 0.0
+    while covered != full:
+        i = min((c for c in range(nc) if cover[c] & ~covered),
+                key=lambda c: weights[c] / (cover[c] & ~covered).bit_count())
+        covered |= cover[i]
+        greedy += weights[i]
+    best = min(incumbent, greedy)
+    if best <= stop_at:
+        return best
 
     def lower_bound(uncovered: int) -> float:
         # amortized: a set of weight w covering c live elements pays >= w/c each
@@ -194,18 +184,17 @@ def min_cover_cost(n: int, p: float, f: PatternGraph) -> float:
 
     seen: dict[int, float] = {}
 
-    def branch(uncovered: int, cost: float):
-        nonlocal best_cost
+    def branch(uncovered: int, cost: float) -> bool:
+        nonlocal best
         if uncovered == 0:
-            if cost < best_cost:
-                best_cost = cost
-            return
+            best = min(best, cost)
+            return best <= stop_at
         prev = seen.get(uncovered)
         if prev is not None and cost >= prev:
-            return
+            return False
         seen[uncovered] = cost
-        if cost + lower_bound(uncovered) >= best_cost - 1e-15:
-            return
+        if cost + lower_bound(uncovered) >= best - 1e-15:
+            return False
         # branch on the uncovered element with fewest covering candidates
         target, fewest = None, None
         u = uncovered
@@ -215,12 +204,30 @@ def min_cover_cost(n: int, p: float, f: PatternGraph) -> float:
             if fewest is None or len(covers_by_elem[i]) < fewest:
                 target, fewest = i, len(covers_by_elem[i])
             u ^= low
-        for c in sorted(covers_by_elem[target], key=lambda c: weights[c]):
-            branch(uncovered & ~cover[c], cost + weights[c])
+        return any(branch(uncovered & ~cover[c], cost + weights[c])
+                   for c in sorted(covers_by_elem[target], key=lambda c: weights[c]))
 
     branch(full, 0.0)
     del branch   # a self-referencing closure: free the memo now, not at the next GC
-    return best_cost
+    return best
+
+
+def min_cover_cost(n: int, p: float, f: PatternGraph) -> float:
+    """Exact minimum certificate weight covering all maximal F-free graphs."""
+    _check_cap(n, p)
+    inst = _instance(n, f.to_text())
+    return _branch_and_bound(inst, inst.weights(p), float("inf"), -1.0)
+
+
+def _cover_within(n: int, p: float, f: PatternGraph) -> bool:
+    """Whether min_cover_cost(n, p, f) <= 1/2.  The LP optimum bounds it from
+    below (SIMPLEX_TOL keeps float error from flipping a no); otherwise the
+    search stops at the first cover within 1/2, from an incumbent 2e-15 above
+    1/2 so that a branch bounded by exactly 1/2 survives the 1e-15 cut."""
+    inst = _instance(n, f.to_text())
+    weights = inst.weights(p)
+    return (_packing_simplex(inst.packing, weights)[0] <= 0.5 + SIMPLEX_TOL
+            and _branch_and_bound(inst, weights, 0.5 + 2e-15, 0.5) <= 0.5)
 
 
 @dataclass(frozen=True)
@@ -230,19 +237,20 @@ class ThresholdValue:
     tolerance: float
 
 
-def _bisect_budget(cost_at, tolerance: float) -> ThresholdValue:
+def _bisect_budget(within, tolerance: float) -> ThresholdValue:
+    """Least p at which within(p) holds, for a predicate monotone in p."""
     if not tolerance > 0:
         raise ValueError(f"tolerance must be positive, got {tolerance}")
-    if cost_at(1.0) > 0.5:
+    if not within(1.0):
         return ThresholdValue(1.0, True, tolerance)
-    if cost_at(0.0) <= 0.5:
+    if within(0.0):
         return ThresholdValue(0.0, False, tolerance)
     lo, hi = 0.0, 1.0
     while hi - lo > tolerance:
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:   # lo and hi are adjacent floats
             break
-        if cost_at(mid) <= 0.5:
+        if within(mid):
             hi = mid
         else:
             lo = mid
@@ -252,7 +260,7 @@ def _bisect_budget(cost_at, tolerance: float) -> ThresholdValue:
 def q_exact(n: int, f: PatternGraph, tolerance: float = DEFAULT_P_TOL) -> ThresholdValue:
     """Smallest p whose optimal integral certificate costs <= 1/2."""
     _check_cap(n)
-    return _bisect_budget(lambda p: min_cover_cost(n, p, f), tolerance)
+    return _bisect_budget(lambda p: _cover_within(n, p, f), tolerance)
 
 
 # ---------------------------------------------------------------------------
@@ -316,9 +324,7 @@ def lp_min_cost(n: int, p: float, f: PatternGraph) -> tuple[float, FractionalCer
     subgraph of some M, and S >= M implies S >= F for every F <= M, so the
     remaining constraints are implied.
     """
-    _check_cap(n)
-    if not (0.0 <= p <= 1.0):
-        raise ValueError(f"p={p} outside [0, 1]")
+    _check_cap(n, p)
     inst = _instance(n, f.to_text())
     opt, lam = _packing_simplex(inst.packing, inst.weights(p))
     support = tuple((LabeledGraph(n, c), float(x))
@@ -329,7 +335,7 @@ def lp_min_cost(n: int, p: float, f: PatternGraph) -> tuple[float, FractionalCer
 def qf_exact(n: int, f: PatternGraph, tolerance: float = DEFAULT_P_TOL) -> ThresholdValue:
     """Smallest p whose optimal fractional certificate costs <= 1/2."""
     _check_cap(n)
-    return _bisect_budget(lambda p: lp_min_cost(n, p, f)[0], tolerance)
+    return _bisect_budget(lambda p: lp_min_cost(n, p, f)[0] <= 0.5, tolerance)
 
 
 # ---------------------------------------------------------------------------

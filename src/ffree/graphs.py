@@ -249,6 +249,3 @@ class LabeledGraph:
             adj[v] |= 1 << u
         return adj
 
-
-def complement(g: LabeledGraph) -> LabeledGraph:
-    return g.complement()

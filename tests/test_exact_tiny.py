@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -18,7 +19,7 @@ from ffree.exact_tiny import (
     qf_exact,
     verify_certificate,
 )
-from ffree.graphs import LabeledGraph, PRESETS
+from ffree.graphs import LabeledGraph, PRESETS, parse_pattern
 from ffree.subiso import contains_copy
 from oracles import lp_bfs_oracle, partition_cover_oracle
 
@@ -223,3 +224,45 @@ def test_gap_chain_holds():
         assert rep.qf <= rep.q + 2 * rep.tolerance
         d = rep.to_dict()
         assert d["ratio_q_pc"] >= 1.0 - 1e-6
+
+
+@pytest.mark.parametrize("n, pattern", [
+    *((n, k) for n in (3, 4) for k in (*PRESETS, "0-1 2-3")),
+    *((5, k) for k in ("triangle", "C5", "P4", "K4")),
+])
+def test_cover_within_matches_min_cover_cost(monkeypatch, n, pattern):
+    # dyadic p makes many weights exact (at p = 1/2 all are powers of 2), so
+    # costs of exactly 1/2 occur; the probes are the points q_exact decides
+    f = parse_pattern(pattern)
+    probes = []
+    decide = exact_tiny._cover_within
+    monkeypatch.setattr(exact_tiny, "_cover_within",
+                        lambda n, p, f: probes.append(p) or decide(n, p, f))
+    q_exact(n, f)
+    # min_cover_cost is non-increasing in p, so at n = 5 the answer below the
+    # highest p whose cost exceeds 1/2 is no; this spares the multi-second
+    # proofs of costs near 1 there
+    exceeded = False
+    for p in sorted({k / 64 for k in range(65)} | set(probes), reverse=True):
+        want = (False if exceeded and n == 5
+                else min_cover_cost(n, p, f) <= 0.5)
+        exceeded = exceeded or not want
+        assert decide(n, p, f) == want, p
+
+
+@pytest.mark.parametrize("per_missing, within", [
+    ((47, 11, 6, 5), False),   # LP optimum 7/16, optimum 33/64
+    ((41, 12, 7, 3), True),    # optimum exactly 1/2, at a branch bounded by 1/2
+])
+def test_cover_within_branch_and_bound(monkeypatch, per_missing, within):
+    # weights in 64ths by number of missing edges on the triangle instance at
+    # n = 4: the LP screen passes and the greedy cover costs 33/64, so the
+    # branch and bound seeded at the budget decides
+    monkeypatch.setattr(exact_tiny._Instance, "weights",
+                        lambda self, p: [per_missing[e] / 64 for e in self.missing])
+    inst = exact_tiny._instance(4, TRIANGLE.to_text())
+    greedy = exact_tiny._branch_and_bound(inst, inst.weights(0.5), math.inf, math.inf)
+    assert greedy == 33 / 64
+    assert lp_min_cost(4, 0.5, TRIANGLE)[0] <= 0.5
+    assert (min_cover_cost(4, 0.5, TRIANGLE) <= 0.5) is within
+    assert exact_tiny._cover_within(4, 0.5, TRIANGLE) is within
