@@ -21,8 +21,9 @@ copy order keeps every trial reproducible.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from fractions import Fraction
+from dataclasses import dataclass, replace
+
+import numpy as np
 
 from .density import minimal_m2_subgraph, m2_density
 from .graphs import LabeledGraph, PatternGraph
@@ -121,11 +122,9 @@ def greedy_maximal_packing(g: LabeledGraph, j: PatternGraph) -> PackingResult:
     accepted: list[Copy] = []
     packed = 0
     for copy in enumerate_copies(g, j):
-        mask = copy.edge_mask
-        if mask & packed:
-            continue
-        accepted.append(copy)
-        packed |= mask
+        if not copy.edge_mask & packed:
+            accepted.append(copy)
+            packed |= copy.edge_mask
     altered = LabeledGraph(g.n, g.bits & ~packed)
     return PackingResult(g, tuple(accepted), packed, altered, in_regime=True)
 
@@ -138,9 +137,7 @@ def alteration_graph(n: int, p: float, f: PatternGraph, seed: Seed,
     consts = lemma_constants(f, n)
     j = minimal_m2_subgraph(f)
     g = sample_gnp(n, p, seed, purpose="alteration", index=index)
-    result = greedy_maximal_packing(g, j)
-    return PackingResult(result.source, result.copies, result.packed_edges,
-                         result.altered, in_regime=p <= consts.admissible_p_max)
+    return replace(greedy_maximal_packing(g, j), in_regime=p <= consts.admissible_p_max)
 
 
 @dataclass(frozen=True)
@@ -223,8 +220,6 @@ def _lemma2_trial(n: int, p: float, f: PatternGraph, family: WeightedFamily,
             missed += w
         hits.append(HitRecord(i, e_h, shared_raw, event_e, touched, event_d,
                               shared_altered))
-    if not family.members:
-        hit_all = True
     return TrialRecord(seed.master, trial_index, n, p, result.in_regime,
                        tuple(hits), hit_all, missed), result
 
@@ -294,11 +289,10 @@ def random_member(n: int, edge_count: int, gen) -> LabeledGraph:
     pairs = n * (n - 1) // 2
     if edge_count > pairs:
         raise ValueError(f"edge_count {edge_count} exceeds {pairs} pairs")
-    chosen = gen.choice(pairs, size=edge_count, replace=False)
-    bits = 0
-    for k in chosen:
-        bits |= 1 << int(k)
-    return LabeledGraph(n, bits)
+    present = np.zeros(pairs, dtype=bool)
+    present[gen.choice(pairs, size=edge_count, replace=False)] = True
+    packed = np.packbits(present, bitorder="little")
+    return LabeledGraph(n, int.from_bytes(packed.tobytes(), "little"))
 
 
 def random_family(n: int, k: int, edge_count: int, seed: Seed,

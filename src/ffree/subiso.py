@@ -8,6 +8,9 @@ The search is plain backtracking over the non-isolated pattern vertices in a
 connected-first, descending-degree order, pruning candidate images through
 neighbor bitmasks.  Fast enough for the sparse graphs this project samples
 (n up to a few hundred, patterns up to ~10 vertices).
+
+enumerate_copies finds each copy once: symmetry-breaking order constraints
+(Grochow & Kellis, RECOMB 2007) pass only its lexicographically least embedding.
 """
 
 from __future__ import annotations
@@ -23,12 +26,9 @@ class Copy:
     vertex_image: tuple[int, ...]   # images of the pattern's non-isolated vertices
     edge_ids: tuple[int, ...]       # sorted pair indices covered by the copy
 
-    @property
-    def edge_mask(self) -> int:
-        m = 0
-        for k in self.edge_ids:
-            m |= 1 << k
-        return m
+    def __post_init__(self):
+        # edge_mask is set once here, not a field: eq, hash and repr ignore it
+        object.__setattr__(self, "edge_mask", sum(1 << k for k in self.edge_ids))
 
 
 def _search_order(pattern: PatternGraph,
@@ -73,12 +73,13 @@ def _host(g: LabeledGraph) -> tuple[list[int], list[int]]:
 
 def _embeddings(adj: list[int], gdeg: list[int], pattern: PatternGraph,
                 plan: tuple[list[int], list[list[int]]] | None = None,
-                root: tuple[int, ...] = ()):
+                root: tuple[int, ...] = (), above: list[list[int]] | None = None):
     """Yield injective maps (as tuples of images per search position).
 
     The host is given by its neighbor bitmasks `adj` and degrees `gdeg`.
     `plan` is the search order from _search_order (computed when omitted);
-    `root` fixes the images of its first len(root) positions.
+    `root` fixes the images of its first len(root) positions; `above[i]`
+    lists earlier positions j whose image must be below images[i].
     """
     order, prior = plan or _search_order(pattern)
     k = len(order)
@@ -104,6 +105,9 @@ def _embeddings(adj: list[int], gdeg: list[int], pattern: PatternGraph,
             dom = all_mask & ~used
         if i < len(root):
             dom &= 1 << root[i]
+        if above and above[i]:
+            for j in above[i]:
+                dom &= ~((2 << images[j]) - 1)
         need = pdeg[order[i]]
         for v in _iter_bits(dom):
             if gdeg[v] < need:
@@ -131,6 +135,21 @@ def contains_copy(g: LabeledGraph, f: PatternGraph) -> bool:
 
 
 @functools.lru_cache(maxsize=64)
+def _automorphisms(f: PatternGraph) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    """Pairs (i, perm) over the positions i of _search_order(F): for each
+    other w in the orbit of i under the automorphisms fixing the positions
+    before i, one of them, perm[i] == w, as a permutation of positions.
+    They generate Aut(F) without listing it (K8 has 40320 automorphisms)."""
+    order, _ = plan = _search_order(f)
+    pos = {v: i for i, v in enumerate(order)}
+    host = _host(LabeledGraph.from_edges(f.vertex_count, f.edges))
+    # embeddings of F into itself are automorphisms
+    maps = ((i, next(_embeddings(*host, f, plan, root=(*order[:i], order[w])), None))
+            for i in range(len(order)) for w in range(i + 1, len(order)))
+    return tuple((i, tuple(pos[v] for v in images)) for i, images in maps if images)
+
+
+@functools.lru_cache(maxsize=64)
 def _edge_roots(f: PatternGraph) -> tuple:
     """(plan, deg a, deg b) for one oriented edge (a, b) per orbit of Aut(F),
     each plan a search order starting a, b.
@@ -139,18 +158,19 @@ def _edge_roots(f: PatternGraph) -> tuple:
     its first two positions at (u, v): an automorphism carrying (a, b) to
     (c, d) turns an embedding with c, d at u, v into one with a, b there.
     """
-    adj, deg = _host(LabeledGraph.from_edges(f.vertex_count, f.edges))
-    oriented = [e for u, v in f.edges for e in ((u, v), (v, u))]
+    order, _ = _search_order(f)
+    gens = [{order[i]: order[w] for i, w in enumerate(perm)} for _, perm in _automorphisms(f)]
+    deg = f.degrees()
     roots = []
     covered: set[tuple[int, int]] = set()
-    for x, y in oriented:
-        if (x, y) in covered:
-            continue
-        plan = _search_order(f, (x, y))
-        roots.append((plan, deg[x], deg[y]))
-        # embeddings of F into itself are automorphisms: (c, d) is in the
-        # orbit of (x, y) iff one exists with x, y at c, d
-        covered.update(e for e in oriented if any(_embeddings(adj, deg, f, plan, root=e)))
+    for x, y in (e for u, v in f.edges for e in ((u, v), (v, u))):
+        if (x, y) not in covered:
+            roots.append((_search_order(f, (x, y)), deg[x], deg[y]))
+            orbit = [(x, y)]
+            for a, b in orbit:   # the orbit grows while it is scanned
+                new = {(s[a], s[b]) for s in gens} - covered
+                covered |= new
+                orbit += new
     return tuple(roots)
 
 
@@ -182,23 +202,22 @@ def first_completing_edge(n: int, pairs, f: PatternGraph) -> int | None:
 
 
 def enumerate_copies(g: LabeledGraph, j: PatternGraph) -> list[Copy]:
-    """All copies of J in G, deduplicated by edge set, lexicographic order."""
+    """All copies of J in G, one per edge set, in lexicographic edge-id order."""
     if j.edge_count < 1:
         raise ValueError("pattern must have at least one edge")
     if g.n < j.vertex_count:
         return []
-    order, _ = _search_order(j)
+    plan = order, _ = _search_order(j)
     pos = {v: i for i, v in enumerate(order)}
     pat_edges = [(pos[u], pos[v]) for u, v in j.edges]
-    seen: dict[tuple[int, ...], tuple[int, ...]] = {}
-    for images in _embeddings(*_host(g), j):
-        ids = tuple(sorted(
-            pair_index(min(images[a], images[b]), max(images[a], images[b]), g.n)
-            for a, b in pat_edges
-        ))
-        if ids not in seen:
-            seen[ids] = images
-    return [Copy(seen[ids], ids) for ids in sorted(seen)]
+    above = [[] for _ in order]
+    for i, perm in _automorphisms(j):
+        above[perm[i]].append(i)   # images[i] < images[perm[i]]
+    copies = []
+    for images in _embeddings(*_host(g), j, plan, above=above):
+        ids = sorted(pair_index(*sorted((images[a], images[b])), g.n) for a, b in pat_edges)
+        copies.append(Copy(images, tuple(ids)))
+    return sorted(copies, key=lambda c: c.edge_ids)
 
 
 def copies_sharing_edge(g: LabeledGraph, j: PatternGraph, h: LabeledGraph) -> int:

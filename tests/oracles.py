@@ -4,8 +4,10 @@ Each oracle deliberately takes a different route than the library code it
 checks: densities by enumerating every (vertex subset, edge subset) pair,
 copies by trying every injective vertex map, set cover by enumerating
 element partitions, the covering LP by rational enumeration of basic
-feasible solutions, edge ids by peeling the lowest set bit, and mu and p_c
-by realizing every coupled table at every probed p and searching it whole.
+feasible solutions, edge ids by peeling the lowest set bit, mu and p_c
+by realizing every coupled table at every probed p and searching it whole,
+copy lists by walking every automorphic image of every copy and keeping the
+first, and random family members by setting one big-int bit per drawn pair.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from fractions import Fraction
 
 from ffree.graphs import LabeledGraph, PatternGraph, pair_index
 from ffree.sampling import EdgeThresholdTable, Seed, coupled_realize, sample_gnp
-from ffree.subiso import contains_copy
+from ffree.subiso import Copy, _embeddings, _host, _search_order, contains_copy
 from ffree.thresholds import MuEstimate, ThresholdEstimate, wilson_interval
 
 
@@ -59,6 +61,35 @@ def copies_oracle(g: LabeledGraph, j: PatternGraph) -> set[tuple[int, ...]]:
         if ok:
             out.add(tuple(sorted(ids)))
     return out
+
+
+def enumerate_copies_oracle(g: LabeledGraph, j: PatternGraph) -> list[Copy]:
+    """enumerate_copies without order constraints: every embedding is walked
+    and the first (lexicographically least) one of each edge set is kept."""
+    if g.n < j.vertex_count:
+        return []
+    order, _ = _search_order(j)
+    pos = {v: i for i, v in enumerate(order)}
+    pat_edges = [(pos[u], pos[v]) for u, v in j.edges]
+    seen: dict[tuple[int, ...], tuple[int, ...]] = {}
+    for images in _embeddings(*_host(g), j):
+        ids = tuple(sorted(
+            pair_index(min(images[a], images[b]), max(images[a], images[b]), g.n)
+            for a, b in pat_edges
+        ))
+        if ids not in seen:
+            seen[ids] = images
+    return [Copy(seen[ids], ids) for ids in sorted(seen)]
+
+
+def random_member_oracle(n: int, edge_count: int, gen) -> LabeledGraph:
+    """random_member by or-ing one bit per drawn pair into a growing int."""
+    pairs = n * (n - 1) // 2
+    chosen = gen.choice(pairs, size=edge_count, replace=False)
+    bits = 0
+    for k in chosen:
+        bits |= 1 << int(k)
+    return LabeledGraph(n, bits)
 
 
 def partition_cover_oracle(elements: list[int], m: int, p: Fraction) -> Fraction:

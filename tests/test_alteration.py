@@ -18,11 +18,14 @@ from ffree.alteration import (
     lemma_constants,
     min_family_edges,
     random_family,
+    random_member,
     refute_certificate,
 )
 from ffree.graphs import LabeledGraph, PRESETS, parse_pattern
 from ffree.sampling import Seed, sample_gnp
 from ffree.subiso import contains_copy, enumerate_copies
+
+from oracles import random_member_oracle
 
 
 TRIANGLE = PRESETS["triangle"]
@@ -164,7 +167,6 @@ def test_refute_produces_escape_graph(monkeypatch):
     full = n * (n - 1) // 2
     gen = Seed(23).stream("refute-fam")
     # members whose complements have at least e_min edges
-    from ffree.alteration import random_member
     members = tuple(random_member(n, full - e_min, gen) for _ in range(k))
     fam = WeightedFamily.unit(members)
     res = refute_certificate(fam, TRIANGLE, n, p, 30, Seed(23))
@@ -193,3 +195,16 @@ def test_clique_union_family_members_shape():
     fam = clique_union_family(9, parts=[3, 3, 3])
     assert len(fam.members) == 1
     assert fam.members[0].edge_count == 9
+
+
+@pytest.mark.parametrize("n, edge_count", [
+    (1, 0), (2, 0), (2, 1), (7, 0), (7, 10), (7, 21), (40, 300), (240, 24793),
+])
+def test_random_member_matches_bit_loop(n, edge_count):
+    for i in range(3):
+        got = random_member(n, edge_count, Seed(41).stream("member", i))
+        want = random_member_oracle(n, edge_count, Seed(41).stream("member", i))
+        assert got == want
+        assert got.edge_count == edge_count
+    with pytest.raises(ValueError):
+        random_member(n, n * (n - 1) // 2 + 1, Seed(41).stream("member"))

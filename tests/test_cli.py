@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -154,6 +155,24 @@ def test_reruns_byte_identical(capsys, argv):
     code2, out2 = run(capsys, *argv)
     assert code1 == code2 == 0
     assert out1 == out2
+
+
+# stdout SHA-256 pinned at the commit before copies were found once each: a
+# change in the copy order would change the greedy packing and these bytes
+@pytest.mark.parametrize("argv, digest", [
+    (["lemma2", "--pattern", "K4", "--n", "60", "--p", "0.3", "--family-size", "4",
+      "--trials", "3", "--seed", "5"],
+     "7168d32fa6f495d6fa3015783873b8810a9c5db0bd4bf120dd68c8f3eb083268"),
+    (["lemma2", "--pattern", "C4", "--n", "100", "--p", "0.08", "--family-size", "4",
+      "--trials", "4", "--seed", "5"],
+     "59ba63b7b4fec79301f205e3c736af6fa2388a950e306364aabae62e817e9722"),
+    (["alter", "--pattern", "0-1 1-2 3-4", "--n", "200", "--p", "0.02", "--seed", "5"],
+     "6169c390eca2f6d6883d32cccabd0566ea3f016a1b97588aa94aa17559a47cf3"),
+], ids=["lemma2-K4", "lemma2-C4", "alter-P3+K2"])
+def test_alteration_golden_digests(capsys, argv, digest):
+    code, out = run(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def _ffree_subprocess(*argv):

@@ -1,10 +1,14 @@
+import math
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from ffree.graphs import LabeledGraph, PRESETS, parse_pattern
-from ffree.subiso import contains_copy, copies_sharing_edge, enumerate_copies
+from ffree.sampling import Seed, sample_gnp
+from ffree.subiso import (Copy, _edge_roots, contains_copy, copies_sharing_edge,
+                          enumerate_copies)
 
-from oracles import copies_oracle
+from oracles import copies_oracle, enumerate_copies_oracle
 
 TRIANGLE = PRESETS["triangle"]
 C5_GRAPH = LabeledGraph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)])
@@ -48,9 +52,66 @@ def test_enumeration_matches_permutation_oracle(n, data, pattern_name):
     pat = PRESETS[pattern_name]
     bits = data.draw(st.integers(0, (1 << (n * (n - 1) // 2)) - 1))
     g = LabeledGraph(n, bits)
-    got = {c.edge_ids for c in enumerate_copies(g, pat)}
+    copies = enumerate_copies(g, pat)
+    got = {c.edge_ids for c in copies}
     assert got == copies_oracle(g, pat)
     assert contains_copy(g, pat) == bool(got)
+    assert copies == enumerate_copies_oracle(g, pat)
+
+
+# every preset, plus disconnected patterns whose automorphisms swap components
+ALL_PATTERNS = {**PRESETS, "0-1 2-3": parse_pattern("0-1 2-3"),
+                "0-1 1-2 3-4": parse_pattern("0-1 1-2 3-4")}
+
+
+@pytest.mark.parametrize("pattern_name", sorted(ALL_PATTERNS))
+@settings(max_examples=25, deadline=None)
+@given(st.data(), st.floats(0.3, 0.7), st.integers(0, 2**62))
+def test_enumeration_matches_automorphism_walk(pattern_name, data, p, master):
+    # one embedding per copy, the least image tuple, in edge-id order
+    pat = ALL_PATTERNS[pattern_name]
+    n = data.draw(st.integers(pat.vertex_count, 10))
+    g = sample_gnp(n, p, Seed(master), purpose="enum-oracle")
+    copies = enumerate_copies(g, pat)
+    assert copies == enumerate_copies_oracle(g, pat)
+    assert len({c.edge_ids for c in copies}) == len(copies)
+
+
+def _dense(p, master):
+    return sample_gnp(10, p, Seed(master), purpose="dense-host")
+
+
+def test_enumeration_in_dense_hosts():
+    petersen = LabeledGraph.from_edges(10, PRESETS["petersen"].edges)
+    cases = [(LabeledGraph.complete(7), "K5", math.comb(7, 5)),
+             (LabeledGraph.complete(7), "C5", math.comb(7, 5) * 12),
+             (LabeledGraph.complete(6), "0-1 2-3", 3 * math.comb(6, 4)),
+             (LabeledGraph.complete(5), "0-1 1-2 3-4", 5 * math.comb(4, 2)),
+             (petersen, "petersen", 1),
+             (_dense(0.85, 4), "K5", 42),
+             (LabeledGraph(10, petersen.bits | _dense(0.5, 3).bits),
+              "petersen", 24)]
+    for g, name, count in cases:
+        copies = enumerate_copies(g, ALL_PATTERNS[name])
+        assert len(copies) == count, name
+        assert copies == enumerate_copies_oracle(g, ALL_PATTERNS[name])
+
+
+@pytest.mark.parametrize("name, roots", [
+    ("triangle", 1), ("C4", 1), ("K4", 1), ("C5", 1), ("petersen", 1),
+    ("K5", 1), ("P3", 2), ("P4", 3), ("0-1 2-3", 1), ("0-1 1-2 3-4", 3),
+])
+def test_edge_roots_one_per_edge_orbit(name, roots):
+    assert len(_edge_roots(ALL_PATTERNS[name])) == roots
+
+
+def test_copy_edge_mask_is_computed_once():
+    c = Copy((0, 1, 2), (0, 1, 2))
+    assert c.edge_mask == 0b111
+    assert c == Copy((0, 1, 2), (0, 1, 2))
+    assert repr(c) == "Copy(vertex_image=(0, 1, 2), edge_ids=(0, 1, 2))"
+    assert hash(c) == hash(Copy((0, 1, 2), (0, 1, 2)))
+    assert "edge_mask" in vars(c)
 
 
 def test_sharing_examples():
