@@ -70,7 +70,7 @@ class WeightedFamily:
     def __post_init__(self):
         if len(self.members) != len(self.weights):
             raise ValueError("members and weights must have equal length")
-        if any(w < 0 for w in self.weights):
+        if any(not w >= 0 for w in self.weights):
             raise ValueError("weights must be nonnegative")
         ns = {g.n for g in self.members}
         if len(ns) > 1:
@@ -101,7 +101,7 @@ def require_family_condition(family: WeightedFamily, p: float, delta: float,
     """Raise InapplicableFamilyError, stating the total weight, p and delta,
     unless the family condition holds."""
     total = family_weight(family, p, delta)
-    if total > 0.5:
+    if not total <= 0.5:
         raise InapplicableFamilyError(
             f"{name} weight {total:.4g} > 1/2 at p={p:.6g}, delta={delta:.4g}")
 
@@ -240,6 +240,8 @@ def refute_certificate(gfam: WeightedFamily, f: PatternGraph, n: int, p: float,
     yields a graph sharing a non-edge with every certificate member, hence
     outside the down-closure.  The escape is verified directly.
     """
+    if trial_budget < 0:
+        raise ValueError(f"trial budget must be >= 0, got {trial_budget}")
     if not gfam.members:
         return RefutationResult(True, LabeledGraph.empty(n), ())
     consts = lemma_constants(f, n)
@@ -299,6 +301,8 @@ def random_family(n: int, k: int, edge_count: int, seed: Seed,
                   weights: tuple[float, ...] | None = None,
                   purpose: str = "family") -> WeightedFamily:
     """k seeded random graphs with a prescribed edge count each."""
+    if k < 0:
+        raise ValueError(f"family size must be >= 0, got {k}")
     members = tuple(random_member(n, edge_count, seed.stream(purpose, i))
                     for i in range(k))
     if weights is None:

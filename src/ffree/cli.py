@@ -22,8 +22,11 @@ SCHEMA = "ffree/1"
 
 def _emit(args, text: str):
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ValueError(f"cannot write {args.out}: {exc.strerror}") from exc
     else:
         sys.stdout.write(text)
 
@@ -134,6 +137,8 @@ def _generated_family(args, f, n, p, weight=None):
 
 
 def cmd_lemma2(args) -> int:
+    if args.trials < 0:
+        raise ValueError(f"trials must be >= 0, got {args.trials}")
     f = _pattern(args)
     family, _, delta = _generated_family(args, f, args.n, args.p,
                                          args.family_weight)
@@ -174,17 +179,11 @@ def cmd_refute(args) -> int:
     return 0 if result.success else 1
 
 
-def cmd_exact_q(args) -> int:
-    val = exact_tiny.q_exact(args.n, _pattern(args), args.tol)
-    _emit_json(args, {"command": "exact-q", "pattern": args.pattern, "n": args.n,
-                      "value": val.value, "degenerate": val.degenerate,
-                      "tolerance": val.tolerance})
-    return 0
-
-
-def cmd_exact_qf(args) -> int:
-    val = exact_tiny.qf_exact(args.n, _pattern(args), args.tol)
-    _emit_json(args, {"command": "exact-qf", "pattern": args.pattern, "n": args.n,
+def cmd_exact(args) -> int:
+    # looked up at call time, so a wrapper bound into the module is used
+    solve = getattr(exact_tiny, {"exact-q": "q_exact", "exact-qf": "qf_exact"}[args.command])
+    val = solve(args.n, _pattern(args), args.tol)
+    _emit_json(args, {"command": args.command, "pattern": args.pattern, "n": args.n,
                       "value": val.value, "degenerate": val.degenerate,
                       "tolerance": val.tolerance})
     return 0
@@ -268,7 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
             sp.add_argument("--budget", type=int, default=50)
         sp.set_defaults(func=func)
 
-    for name, func in [("exact-q", cmd_exact_q), ("exact-qf", cmd_exact_qf),
+    for name, func in [("exact-q", cmd_exact), ("exact-qf", cmd_exact),
                        ("gap", cmd_gap)]:
         sp = sub.add_parser(name, help=f"exact tiny-n {name}")
         common(sp)

@@ -74,10 +74,6 @@ def m_density(f: PatternGraph) -> Fraction:
     return _m(f)[0]
 
 
-def m_witness(f: PatternGraph) -> PatternGraph:
-    return _induced_on(f, _m(f)[1])
-
-
 def m2_density(f: PatternGraph) -> Fraction:
     """Exact m2(F) = max (e_J - 1) / (v_J - 2) over subgraphs with v_J >= 3."""
     if f.vertex_count < 3:

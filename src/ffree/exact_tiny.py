@@ -139,12 +139,6 @@ def _instance(n: int, pattern_text: str) -> _Instance:
         packing)
 
 
-def _candidates(n: int, f: PatternGraph) -> tuple[list[int], list[int]]:
-    """(elements, candidates): maximal F-free bitmasks and their union closure."""
-    inst = _instance(n, f.to_text())
-    return list(inst.elements), list(inst.candidates)
-
-
 def _branch_and_bound(inst: _Instance, weights: list[float], incumbent: float,
                       stop_at: float) -> float:
     """Least cover cost below `incumbent`, else `incumbent`; returns at the
@@ -353,16 +347,10 @@ def mu_exact(n: int, p: float, f: PatternGraph) -> float:
 def pc_exact(n: int, f: PatternGraph, tolerance: float = 1e-12) -> float:
     """Unique p with mu_p = 1/2, by bisection on the exact polynomial."""
     _check_cap(n)
-    if mu_exact(n, 1.0, f) >= 0.5:
+    pc = _bisect_budget(lambda p: mu_exact(n, p, f) < 0.5, tolerance)
+    if pc.degenerate:
         raise ValueError("mu_p never drops below 1/2: threshold undefined at this n")
-    lo, hi = 0.0, 1.0
-    while hi - lo > tolerance:
-        mid = 0.5 * (lo + hi)
-        if mu_exact(n, mid, f) >= 0.5:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return pc.value
 
 
 @dataclass(frozen=True)

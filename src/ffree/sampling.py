@@ -69,8 +69,6 @@ def coupled_realize(table: EdgeThresholdTable, p: float) -> LabeledGraph:
     t = _p_to_grid(p)
     if t >= _GRID:
         present = np.ones(table.u.shape, dtype=bool)
-    elif t <= 0:
-        present = np.zeros(table.u.shape, dtype=bool)
     else:
         present = table.u < np.uint64(t)
     packed = np.packbits(present, bitorder="little")

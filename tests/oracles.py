@@ -7,7 +7,8 @@ element partitions, the covering LP by rational enumeration of basic
 feasible solutions, edge ids by peeling the lowest set bit, mu and p_c
 by realizing every coupled table at every probed p and searching it whole,
 copy lists by walking every automorphic image of every copy and keeping the
-first, and random family members by setting one big-int bit per drawn pair.
+first, random family members by setting one big-int bit per drawn pair, and
+the exact p_c by a bisection loop of its own.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
+from ffree.exact_tiny import mu_exact
 from ffree.graphs import LabeledGraph, PatternGraph, pair_index
 from ffree.sampling import EdgeThresholdTable, Seed, coupled_realize, sample_gnp
 from ffree.subiso import Copy, _embeddings, _host, _search_order, contains_copy
@@ -226,3 +228,18 @@ def pc_bisection_oracle(n: int, f: PatternGraph, trials: int, tolerance: float,
     return ThresholdEstimate(n, f.to_text(), p_hat,
                              MuEstimate(free / trials, ci_lo, ci_hi, trials),
                              trials, seed.master, tolerance, tuple(trace))
+
+
+def pc_exact_oracle(n: int, f: PatternGraph, tolerance: float = 1e-12) -> float:
+    """pc_exact by its own bisection on mu_exact, without the p = 0 probe:
+    for an edgeless F it returns a bisection artefact near 0, not 0.0."""
+    if mu_exact(n, 1.0, f) >= 0.5:
+        raise ValueError("mu_p never drops below 1/2: threshold undefined at this n")
+    lo, hi = 0.0, 1.0
+    while hi - lo > tolerance:
+        mid = 0.5 * (lo + hi)
+        if mu_exact(n, mid, f) >= 0.5:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)

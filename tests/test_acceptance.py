@@ -31,7 +31,7 @@ from ffree.density import (
     minimal_m2_subgraph,
 )
 from ffree.exact_tiny import (
-    _candidates,
+    _instance,
     gap_report,
     lp_min_cost,
     pc_exact,
@@ -161,7 +161,8 @@ def test_exact_tiny_chain():
     # LP optimum against rational basic-feasible-solution enumeration
     for n, pat, p in [(3, TRIANGLE, Fraction(7, 10)),
                       (4, TRIANGLE, Fraction(1, 2))]:
-        elements, candidates = _candidates(n, pat)
+        inst = _instance(n, pat.to_text())
+        elements, candidates = inst.elements, inst.candidates
         want = lp_bfs_oracle(elements, candidates, n * (n - 1) // 2, p)
         got, _ = lp_min_cost(n, float(p), pat)
         assert got == pytest.approx(float(want), abs=1e-9)

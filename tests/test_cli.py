@@ -2,6 +2,8 @@ import hashlib
 import json
 import math
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -9,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import ffree
-from ffree.cli import main
+from ffree.cli import build_parser, main
 
 
 def run(capsys, *argv):
@@ -130,6 +132,61 @@ def test_out_file(tmp_path, capsys):
     assert code == 0
     doc = json.loads(dest.read_text())
     assert doc["m2"] == "5/2"
+
+
+def test_out_to_missing_directory_exits_2(tmp_path, capsys):
+    dest = tmp_path / "missing" / "x.json"
+    assert main(["sample", "--n", "5", "--p", "0.5", "--out", str(dest)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: cannot write {dest}: No such file or directory\n"
+
+
+_FAMILY = ["--pattern", "triangle", "--n", "40", "--p", "0.2"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["lemma2", *_FAMILY, "--family-size", "2", "--family-weight", "nan",
+      "--trials", "2"], "weights must be nonnegative"),
+    (["lemma2", *_FAMILY, "--family-size", "-1", "--trials", "2"],
+     "family size must be >= 0, got -1"),
+    (["refute", *_FAMILY, "--family-size", "-1", "--budget", "2"],
+     "family size must be >= 0, got -1"),
+    (["refute", *_FAMILY, "--family-size", "3", "--budget", "-1"],
+     "trial budget must be >= 0, got -1"),
+    (["lemma2", *_FAMILY, "--family-size", "2", "--trials", "-1"],
+     "trials must be >= 0, got -1"),
+], ids=["lemma2-nan-weight", "lemma2-negative-size", "refute-negative-size",
+        "refute-negative-budget", "lemma2-negative-trials"])
+def test_bad_family_arguments_exit_2(argv, message):
+    proc = _ffree_subprocess(*argv)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == f"error: {message}\n"
+
+
+def _readme_commands():
+    """argv of every `ffree` call in the README's sh blocks; a loop variable
+    stands for the first value it takes."""
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    for block in re.findall(r"```sh\n(.*?)```", readme.read_text(), re.S):
+        block = block.replace("\\\n", " ")
+        first = dict(re.findall(r"for (\w+) in (\S+)", block))
+        for segment in re.split(r"[;\n]", block):
+            words = shlex.split(segment, comments=True)
+            if "ffree" in words:
+                yield [first.get(w[1:], w) if w.startswith("$") else w
+                       for w in words[words.index("ffree") + 1:]]
+
+
+def test_readme_commands_parse():
+    commands = list(_readme_commands())
+    assert {argv[0] for argv in commands} >= {
+        "density", "sample", "alter", "mu-sweep", "pc", "scaling", "lemma2",
+        "refute", "exact-q", "exact-qf", "gap"}
+    parser = build_parser()
+    for argv in commands:
+        parser.parse_args(argv)
 
 
 @pytest.mark.parametrize("argv", [

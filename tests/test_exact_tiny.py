@@ -21,7 +21,7 @@ from ffree.exact_tiny import (
 )
 from ffree.graphs import LabeledGraph, PRESETS, parse_pattern
 from ffree.subiso import contains_copy
-from oracles import lp_bfs_oracle, partition_cover_oracle
+from oracles import lp_bfs_oracle, partition_cover_oracle, pc_exact_oracle
 
 TRIANGLE = PRESETS["triangle"]
 C4 = PRESETS["C4"]
@@ -110,8 +110,8 @@ def test_lp_at_most_integral():
 
 
 def test_lp_matches_rational_bfs_oracle_n3():
-    from ffree.exact_tiny import _candidates
-    elements, candidates = _candidates(3, TRIANGLE)
+    inst = exact_tiny._instance(3, TRIANGLE.to_text())
+    elements, candidates = inst.elements, inst.candidates
     p = Fraction(7, 10)
     want = lp_bfs_oracle(elements, candidates, 3, p)
     assert want == Fraction(9, 10)  # 3 * (1 - 7/10)
@@ -123,12 +123,12 @@ def test_lp_matches_scipy_linprog():
     # independent floating-point solver on the same covering LP; C4 and P3
     # at n = 5, p = 1/4 and 1/2 are where a float-tie simplex can cycle
     from scipy.optimize import linprog
-    from ffree.exact_tiny import _candidates
     cases = [(4, TRIANGLE, (0.2, 0.5, 0.8)), (4, C4, (0.2, 0.5, 0.8)),
              (5, C4, (0.25, 0.5)), (5, P3, (0.25, 0.5))]
     for n, pattern, ps in cases:
         m = n * (n - 1) // 2
-        elements, candidates = _candidates(n, pattern)
+        inst = exact_tiny._instance(n, pattern.to_text())
+        elements, candidates = inst.elements, inst.candidates
         for p in ps:
             costs = [(1 - p) ** (m - c.bit_count()) for c in candidates]
             a_ub = [[-1.0 if e & ~c == 0 else 0.0 for c in candidates]
@@ -150,10 +150,10 @@ def test_candidates_are_unions_of_covered_elements():
     # a candidate covering strictly more elements is a strictly larger set,
     # so for 0 < p < 1 it is strictly heavier and no candidate dominates
     # another: the covering instance needs no domination pruning
-    from ffree.exact_tiny import _candidates
     for pattern in PRESETS.values():
         for n in range(2, 6):
-            elements, candidates = _candidates(n, pattern)
+            inst = exact_tiny._instance(n, pattern.to_text())
+            elements, candidates = inst.elements, inst.candidates
             assert len(set(candidates)) == len(candidates)
             for c in candidates:
                 union = 0
@@ -197,6 +197,27 @@ def test_mu_exact_closed_form_n3():
 def test_pc_exact_known_values():
     assert pc_exact(3, TRIANGLE) == pytest.approx(0.5 ** (1 / 3), abs=1e-9)
     assert pc_exact(4, TRIANGLE) == pytest.approx(0.579539, abs=1e-4)
+
+
+@pytest.mark.parametrize("text", [*PRESETS, "0-1 2-3", "n=4 0-1 1-2"])
+def test_pc_exact_matches_bisection_oracle(text):
+    pattern = parse_pattern(text)
+    for n in range(2, 6):
+        try:
+            want = pc_exact_oracle(n, pattern)
+        except ValueError:
+            with pytest.raises(ValueError, match="never drops below 1/2"):
+                pc_exact(n, pattern)
+            continue
+        assert pc_exact(n, pattern) == want
+
+
+def test_pc_exact_edgeless_pattern_is_zero():
+    # every graph on n >= 2 vertices holds two isolated vertices: mu_p = 0
+    edgeless = parse_pattern("n=2")
+    for n in range(2, 6):
+        assert pc_exact(n, edgeless) == 0.0
+        assert 0.0 < pc_exact_oracle(n, edgeless) < 1e-12
 
 
 def test_scale_cap():
