@@ -81,9 +81,6 @@ class WeightedFamily:
         members = tuple(members)
         return WeightedFamily(members, (1.0,) * len(members))
 
-    def __len__(self) -> int:
-        return len(self.members)
-
 
 def family_weight(family: WeightedFamily, p: float, delta: float) -> float:
     """sum_H w(H) exp(-delta e(H) p), the total the family condition bounds."""
@@ -289,12 +286,13 @@ def min_family_edges(k: int, p: float, delta: float) -> int:
 def random_member(n: int, edge_count: int, gen) -> LabeledGraph:
     """Uniform labeled graph on [n] with exactly edge_count edges."""
     pairs = n * (n - 1) // 2
+    if edge_count < 0:
+        raise ValueError(f"edge_count must be >= 0, got {edge_count}")
     if edge_count > pairs:
         raise ValueError(f"edge_count {edge_count} exceeds {pairs} pairs")
     present = np.zeros(pairs, dtype=bool)
     present[gen.choice(pairs, size=edge_count, replace=False)] = True
-    packed = np.packbits(present, bitorder="little")
-    return LabeledGraph(n, int.from_bytes(packed.tobytes(), "little"))
+    return LabeledGraph.from_mask(n, present)
 
 
 def random_family(n: int, k: int, edge_count: int, seed: Seed,

@@ -63,8 +63,6 @@ def _best_subset(f: PatternGraph, min_vertices: int, shift: int):
 
 def _m(f: PatternGraph):
     """(m(F), vertex mask of its witness)."""
-    if f.vertex_count < 1:
-        raise UndefinedDensityError("m(F) undefined for empty vertex set")
     _check_size(f)
     return _best_subset(f, 1, 0)
 

@@ -3,8 +3,8 @@ r"""Exact tiny-n expectation thresholds.
 At n <= 5 the ground set X (all pairs) has at most 10 elements, so the
 F-free down-set can be handled exhaustively:
 
-* one pass over the 2^{|X|} graphs on [n] finds the edge-maximal F-free
-  graphs and the edge-count profile of the F-free graphs;
+* one pass over the 2^{|X|} graphs on [n], tested against the copies of F in
+  K_n, finds the edge-maximal F-free graphs and the F-free edge-count profile;
 * the coverage universe shrinks to the edge-maximal F-free graphs (every
   F-free graph is a subgraph of one, and down-closure membership is
   inherited by subgraphs);
@@ -30,8 +30,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .graphs import LabeledGraph, PatternGraph, parse_pattern
-from .subiso import contains_copy
+from .graphs import LabeledGraph, PatternGraph
+from .subiso import enumerate_copies
 
 N_CAP = 5
 SIMPLEX_TOL = 1e-9
@@ -57,12 +57,14 @@ def _check_cap(n: int, p: float = 0.0):
 
 
 @lru_cache(maxsize=None)
-def _ffree_census(n: int, pattern_text: str) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """One pass over all graphs on [n]: (sorted edge-maximal F-free bitmasks,
-    number of F-free graphs with e edges for e = 0..n(n-1)/2)."""
-    f = parse_pattern(pattern_text)
+def _ffree_census(n: int, f: PatternGraph) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(sorted edge-maximal F-free bitmasks, number of F-free graphs with e edges
+    for e = 0..n(n-1)/2); a graph is F-free iff it misses an edge of every copy
+    of F in K_n, and an edgeless F that fits on [n] has one copy, with no edges."""
     m = n * (n - 1) // 2
-    ffree = {g for g in range(1 << m) if not contains_copy(LabeledGraph(n, g), f)}
+    copies = ([c.edge_mask for c in enumerate_copies(LabeledGraph.complete(n), f)]
+              if f.edge_count else [0] * (n >= f.vertex_count))
+    ffree = {g for g in range(1 << m) if all(c & ~g for c in copies)}
     profile = [0] * (m + 1)
     for g in ffree:
         profile[g.bit_count()] += 1
@@ -75,7 +77,7 @@ def _ffree_census(n: int, pattern_text: str) -> tuple[tuple[int, ...], tuple[int
 def enumerate_maximal_ffree(n: int, f: PatternGraph) -> list[LabeledGraph]:
     """All edge-maximal F-free graphs on [n] (brute force over 2^{n(n-1)/2})."""
     _check_cap(n)
-    return [LabeledGraph(n, b) for b in _ffree_census(n, f.to_text())[0]]
+    return [LabeledGraph(n, b) for b in _ffree_census(n, f)[0]]
 
 
 @dataclass(frozen=True)
@@ -93,13 +95,14 @@ class Certificate:
 
 def verify_certificate(cert: Certificate, f: PatternGraph, n: int) -> bool:
     """Weight budget <= 1/2 and every maximal F-free graph lies under a member."""
+    _check_cap(n)
     for g in cert.members:
         if g.n != n:
             raise ValueError("certificate member on wrong vertex count")
     if cert.total_weight > 0.5:
         return False
     member_bits = [g.bits for g in cert.members]
-    for mb in _ffree_census(n, f.to_text())[0]:
+    for mb in _ffree_census(n, f)[0]:
         if not any(mb & ~s == 0 for s in member_bits):
             return False
     return True
@@ -120,8 +123,8 @@ class _Instance:
 
 
 @lru_cache(maxsize=None)
-def _instance(n: int, pattern_text: str) -> _Instance:
-    elements = _ffree_census(n, pattern_text)[0]
+def _instance(n: int, f: PatternGraph) -> _Instance:
+    elements = _ffree_census(n, f)[0]
     closure, frontier = set(elements), set(elements)
     while frontier:
         frontier = {a | b for a in frontier for b in elements} - closure
@@ -149,6 +152,8 @@ def _branch_and_bound(inst: _Instance, weights: list[float], incumbent: float,
     cover, covers_by_elem = inst.cover, inst.covers_by_elem
     nc = len(cover)
     full = (1 << len(inst.elements)) - 1
+    # branch on the uncovered element with fewest covering candidates
+    order = sorted(range(len(covers_by_elem)), key=lambda i: len(covers_by_elem[i]))
     covered, greedy = 0, 0.0
     while covered != full:
         i = min((c for c in range(nc) if cover[c] & ~covered),
@@ -189,15 +194,7 @@ def _branch_and_bound(inst: _Instance, weights: list[float], incumbent: float,
         seen[uncovered] = cost
         if cost + lower_bound(uncovered) >= best - 1e-15:
             return False
-        # branch on the uncovered element with fewest covering candidates
-        target, fewest = None, None
-        u = uncovered
-        while u:
-            low = u & -u
-            i = low.bit_length() - 1
-            if fewest is None or len(covers_by_elem[i]) < fewest:
-                target, fewest = i, len(covers_by_elem[i])
-            u ^= low
+        target = next(i for i in order if uncovered >> i & 1)
         return any(branch(uncovered & ~cover[c], cost + weights[c])
                    for c in sorted(covers_by_elem[target], key=lambda c: weights[c]))
 
@@ -209,7 +206,7 @@ def _branch_and_bound(inst: _Instance, weights: list[float], incumbent: float,
 def min_cover_cost(n: int, p: float, f: PatternGraph) -> float:
     """Exact minimum certificate weight covering all maximal F-free graphs."""
     _check_cap(n, p)
-    inst = _instance(n, f.to_text())
+    inst = _instance(n, f)
     return _branch_and_bound(inst, inst.weights(p), float("inf"), -1.0)
 
 
@@ -218,7 +215,7 @@ def _cover_within(n: int, p: float, f: PatternGraph) -> bool:
     below (SIMPLEX_TOL keeps float error from flipping a no); otherwise the
     search stops at the first cover within 1/2, from an incumbent 2e-15 above
     1/2 so that a branch bounded by exactly 1/2 survives the 1e-15 cut."""
-    inst = _instance(n, f.to_text())
+    inst = _instance(n, f)
     weights = inst.weights(p)
     return (_packing_simplex(inst.packing, weights)[0] <= 0.5 + SIMPLEX_TOL
             and _branch_and_bound(inst, weights, 0.5 + 2e-15, 0.5) <= 0.5)
@@ -319,7 +316,7 @@ def lp_min_cost(n: int, p: float, f: PatternGraph) -> tuple[float, FractionalCer
     remaining constraints are implied.
     """
     _check_cap(n, p)
-    inst = _instance(n, f.to_text())
+    inst = _instance(n, f)
     opt, lam = _packing_simplex(inst.packing, inst.weights(p))
     support = tuple((LabeledGraph(n, c), float(x))
                     for c, x in zip(inst.candidates, lam) if x > SIMPLEX_TOL)
@@ -338,9 +335,9 @@ def qf_exact(n: int, f: PatternGraph, tolerance: float = DEFAULT_P_TOL) -> Thres
 
 def mu_exact(n: int, p: float, f: PatternGraph) -> float:
     """Exact mu_p of the F-free down-set by summing the product measure."""
-    _check_cap(n)
+    _check_cap(n, p)
     m = n * (n - 1) // 2
-    counts = _ffree_census(n, f.to_text())[1]
+    counts = _ffree_census(n, f)[1]
     return sum(counts[e] * p ** e * (1.0 - p) ** (m - e) for e in range(m + 1))
 
 

@@ -9,12 +9,12 @@ Two representations are used throughout the project:
   bit vector over the n(n-1)/2 unordered pairs in colexicographic order.
 
 The pair index convention is fixed project-wide: pair (u, v) with u < v has
-index v(v-1)/2 + u.  Everything that serializes edge ids relies on it.
+index v(v-1)/2 + u.  Everything that serializes edge ids relies on it; only
+this module decodes pair indices or packs pair arrays into bits.
 """
 
 from __future__ import annotations
 
-import math
 import re
 from dataclasses import dataclass
 
@@ -38,14 +38,20 @@ def pair_index(u: int, v: int, n: int) -> int:
     return v * (v - 1) // 2 + u
 
 
+def pair_endpoints(ids) -> tuple[list[int], list[int]]:
+    """Inverse of :func:`pair_index` over a sequence of pair indices:
+    (u of each pair, v of each pair)."""
+    k = np.asarray(ids, dtype=np.int64)
+    # floor(sqrt(8k + 1)) is 2v - 1 or 2v; float64 finds it for every v <= 9e7
+    v = (np.sqrt(8 * k + 1).astype(np.int64) + 1) >> 1
+    return (k - (v * (v - 1) >> 1)).tolist(), v.tolist()
+
+
 def pair_from_index(k: int, n: int) -> tuple[int, int]:
     """Inverse of :func:`pair_index`."""
     if not (0 <= k < n * (n - 1) // 2):
         raise ValueError(f"edge id {k} out of range for n={n}")
-    v = (math.isqrt(8 * k + 1) + 1) // 2
-    if v * (v - 1) // 2 > k:
-        v -= 1
-    u = k - v * (v - 1) // 2
+    (u,), (v,) = pair_endpoints([k])
     return u, v
 
 
@@ -57,8 +63,8 @@ class PatternGraph:
     edges: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
-        if self.vertex_count < 0:
-            raise ValueError("vertex_count must be nonnegative")
+        if self.vertex_count < 1:
+            raise ValueError("pattern must have at least one vertex")
         seen = set()
         for u, v in self.edges:
             if u == v:
@@ -214,6 +220,12 @@ class LabeledGraph:
             bits |= 1 << pair_index(min(u, v), max(u, v), n)
         return LabeledGraph(n, bits)
 
+    @staticmethod
+    def from_mask(n: int, present: np.ndarray) -> "LabeledGraph":
+        """Graph whose edges are the pair indices where `present` is true."""
+        packed = np.packbits(present, bitorder="little")
+        return LabeledGraph(n, int.from_bytes(packed.tobytes(), "little"))
+
     @property
     def pair_count(self) -> int:
         return self.n * (self.n - 1) // 2
@@ -236,7 +248,7 @@ class LabeledGraph:
         return np.flatnonzero(bits).tolist()
 
     def edges(self) -> list[tuple[int, int]]:
-        return [pair_from_index(k, self.n) for k in self.edge_ids()]
+        return list(zip(*pair_endpoints(self.edge_ids())))
 
     def complement(self) -> "LabeledGraph":
         return LabeledGraph(self.n, self.bits ^ self.full_mask)

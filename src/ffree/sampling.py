@@ -71,8 +71,7 @@ def coupled_realize(table: EdgeThresholdTable, p: float) -> LabeledGraph:
         present = np.ones(table.u.shape, dtype=bool)
     else:
         present = table.u < np.uint64(t)
-    packed = np.packbits(present, bitorder="little")
-    return LabeledGraph(table.n, int.from_bytes(packed.tobytes(), "little"))
+    return LabeledGraph.from_mask(table.n, present)
 
 
 def sample_gnp(n: int, p: float, seed: Seed, purpose: str = "gnp", index: int = 0) -> LabeledGraph:

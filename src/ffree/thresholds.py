@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .density import m_density
-from .graphs import PatternGraph
+from .graphs import PatternGraph, pair_endpoints
 from .sampling import _GRID, EdgeThresholdTable, Seed, _p_to_grid
 from .subiso import first_completing_edge
 
@@ -34,16 +34,12 @@ def hitting_time(table: EdgeThresholdTable, f: PatternGraph) -> int:
     -1 when F has no edges (every graph on enough vertices contains it) and
     2^64 (never) when the table has fewer vertices than F.
     """
-    if f.vertex_count < 1:
-        raise ValueError("pattern must have at least one vertex")
     if table.n < f.vertex_count:
         return _GRID
     if f.edge_count == 0:
         return -1
     order = np.argsort(table.u, kind="stable")
-    v = np.repeat(np.arange(table.n), np.arange(table.n))[order]
-    u = order - v * (v - 1) // 2
-    i = first_completing_edge(table.n, zip(u.tolist(), v.tolist()), f)
+    i = first_completing_edge(table.n, zip(*pair_endpoints(order)), f)
     # a copy on at most n vertices is completed by the time every edge arrives
     assert i is not None
     return int(table.u[order[i]])

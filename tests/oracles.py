@@ -7,13 +7,15 @@ element partitions, the covering LP by rational enumeration of basic
 feasible solutions, edge ids by peeling the lowest set bit, mu and p_c
 by realizing every coupled table at every probed p and searching it whole,
 copy lists by walking every automorphic image of every copy and keeping the
-first, random family members by setting one big-int bit per drawn pair, and
-the exact p_c by a bisection loop of its own.
+first, random family members by setting one big-int bit per drawn pair,
+the exact p_c by a bisection loop of its own, pair ids by an integer square
+root per id, and the tiny-n F-free census by searching every graph on [n].
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 
 from ffree.exact_tiny import mu_exact
@@ -82,6 +84,27 @@ def enumerate_copies_oracle(g: LabeledGraph, j: PatternGraph) -> list[Copy]:
         if ids not in seen:
             seen[ids] = images
     return [Copy(seen[ids], ids) for ids in sorted(seen)]
+
+
+def pair_from_index_oracle(k: int) -> tuple[int, int]:
+    """The pair (u, v) with index k, from one integer square root."""
+    v = (math.isqrt(8 * k + 1) + 1) // 2
+    if v * (v - 1) // 2 > k:
+        v -= 1
+    return k - v * (v - 1) // 2, v
+
+
+def ffree_census_oracle(n: int, f: PatternGraph) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """_ffree_census by one subgraph search per graph on [n]."""
+    m = n * (n - 1) // 2
+    ffree = {g for g in range(1 << m) if not contains_copy(LabeledGraph(n, g), f)}
+    profile = [0] * (m + 1)
+    for g in ffree:
+        profile[g.bit_count()] += 1
+    maximal = sorted(g for g in ffree
+                     if not any((g | 1 << e) in ffree
+                                for e in range(m) if not g >> e & 1))
+    return tuple(maximal), tuple(profile)
 
 
 def random_member_oracle(n: int, edge_count: int, gen) -> LabeledGraph:

@@ -161,7 +161,7 @@ def test_exact_tiny_chain():
     # LP optimum against rational basic-feasible-solution enumeration
     for n, pat, p in [(3, TRIANGLE, Fraction(7, 10)),
                       (4, TRIANGLE, Fraction(1, 2))]:
-        inst = _instance(n, pat.to_text())
+        inst = _instance(n, pat)
         elements, candidates = inst.elements, inst.candidates
         want = lp_bfs_oracle(elements, candidates, n * (n - 1) // 2, p)
         got, _ = lp_min_cost(n, float(p), pat)

@@ -208,3 +208,5 @@ def test_random_member_matches_bit_loop(n, edge_count):
         assert got.edge_count == edge_count
     with pytest.raises(ValueError):
         random_member(n, n * (n - 1) // 2 + 1, Seed(41).stream("member"))
+    with pytest.raises(ValueError, match="got -1"):
+        random_member(n, -1, Seed(41).stream("member"))

@@ -32,6 +32,20 @@ def test_density_bad_pattern_exits_2(capsys):
     assert main(["density", "--pattern", "0-0"]) == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["density"],
+    ["alter", "--n", "10", "--p", "0.1"],
+    ["gap", "--n", "4"],
+    ["exact-q", "--n", "4"],
+    ["exact-qf", "--n", "4"],
+], ids=lambda argv: argv[0])
+def test_vertexless_pattern_exits_2(capsys, argv):
+    assert main([*argv, "--pattern", "n=0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: pattern must have at least one vertex\n"
+
+
 def test_sample_deterministic(capsys):
     _, a = run(capsys, "sample", "--n", "20", "--p", "0.3", "--seed", "11")
     _, b = run(capsys, "sample", "--n", "20", "--p", "0.3", "--seed", "11")
@@ -156,8 +170,13 @@ _FAMILY = ["--pattern", "triangle", "--n", "40", "--p", "0.2"]
      "trial budget must be >= 0, got -1"),
     (["lemma2", *_FAMILY, "--family-size", "2", "--trials", "-1"],
      "trials must be >= 0, got -1"),
+    (["lemma2", *_FAMILY, "--family-edges", "-5", "--family-size", "2", "--trials", "2"],
+     "edge_count must be >= 0, got -5"),
+    (["refute", *_FAMILY, "--family-edges", "-5", "--family-size", "2", "--budget", "2"],
+     "edge_count must be >= 0, got -5"),
 ], ids=["lemma2-nan-weight", "lemma2-negative-size", "refute-negative-size",
-        "refute-negative-budget", "lemma2-negative-trials"])
+        "refute-negative-budget", "lemma2-negative-trials", "lemma2-negative-edges",
+        "refute-negative-edges"])
 def test_bad_family_arguments_exit_2(argv, message):
     proc = _ffree_subprocess(*argv)
     assert proc.returncode == 2

@@ -21,7 +21,7 @@ from ffree.exact_tiny import (
 )
 from ffree.graphs import LabeledGraph, PRESETS, parse_pattern
 from ffree.subiso import contains_copy
-from oracles import lp_bfs_oracle, partition_cover_oracle, pc_exact_oracle
+from oracles import ffree_census_oracle, lp_bfs_oracle, partition_cover_oracle, pc_exact_oracle
 
 TRIANGLE = PRESETS["triangle"]
 C4 = PRESETS["C4"]
@@ -58,6 +58,14 @@ def test_maximal_members_verified_by_brute_force_n4():
             grew = any(not contains_copy(LabeledGraph(4, bits | (1 << e)), pattern)
                        for e in LabeledGraph(4, full & ~bits).edge_ids())
             assert grew
+
+
+@pytest.mark.parametrize("text", [*PRESETS, "0-1 2-3", "n=4 0-1 1-2", "n=3",
+                                  "n=6 0-1 1-2"])
+def test_census_matches_per_graph_search(text):
+    pattern = parse_pattern(text)
+    for n in range(2, 6):
+        assert exact_tiny._ffree_census(n, pattern) == ffree_census_oracle(n, pattern)
 
 
 def test_min_cover_closed_form_n3():
@@ -110,7 +118,7 @@ def test_lp_at_most_integral():
 
 
 def test_lp_matches_rational_bfs_oracle_n3():
-    inst = exact_tiny._instance(3, TRIANGLE.to_text())
+    inst = exact_tiny._instance(3, TRIANGLE)
     elements, candidates = inst.elements, inst.candidates
     p = Fraction(7, 10)
     want = lp_bfs_oracle(elements, candidates, 3, p)
@@ -127,7 +135,7 @@ def test_lp_matches_scipy_linprog():
              (5, C4, (0.25, 0.5)), (5, P3, (0.25, 0.5))]
     for n, pattern, ps in cases:
         m = n * (n - 1) // 2
-        inst = exact_tiny._instance(n, pattern.to_text())
+        inst = exact_tiny._instance(n, pattern)
         elements, candidates = inst.elements, inst.candidates
         for p in ps:
             costs = [(1 - p) ** (m - c.bit_count()) for c in candidates]
@@ -152,7 +160,7 @@ def test_candidates_are_unions_of_covered_elements():
     # another: the covering instance needs no domination pruning
     for pattern in PRESETS.values():
         for n in range(2, 6):
-            inst = exact_tiny._instance(n, pattern.to_text())
+            inst = exact_tiny._instance(n, pattern)
             elements, candidates = inst.elements, inst.candidates
             assert len(set(candidates)) == len(candidates)
             for c in candidates:
@@ -223,6 +231,15 @@ def test_pc_exact_edgeless_pattern_is_zero():
 def test_scale_cap():
     with pytest.raises(ScaleError):
         q_exact(6, TRIANGLE)
+    # a census at n = 8 would walk 2^28 graphs
+    with pytest.raises(ScaleError):
+        verify_certificate(Certificate((LabeledGraph.empty(8),), 0.99), TRIANGLE, 8)
+
+
+def test_mu_exact_rejects_p_outside_unit_interval():
+    for p in (2.0, -0.5, math.nan):
+        with pytest.raises(ValueError, match="outside"):
+            mu_exact(4, p, TRIANGLE)
 
 
 def test_verify_certificate_examples():
@@ -281,7 +298,7 @@ def test_cover_within_branch_and_bound(monkeypatch, per_missing, within):
     # branch and bound seeded at the budget decides
     monkeypatch.setattr(exact_tiny._Instance, "weights",
                         lambda self, p: [per_missing[e] / 64 for e in self.missing])
-    inst = exact_tiny._instance(4, TRIANGLE.to_text())
+    inst = exact_tiny._instance(4, TRIANGLE)
     greedy = exact_tiny._branch_and_bound(inst, inst.weights(0.5), math.inf, math.inf)
     assert greedy == 33 / 64
     assert lp_min_cost(4, 0.5, TRIANGLE)[0] <= 0.5

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -6,12 +7,13 @@ from ffree.graphs import (
     PatternGraph,
     PRESETS,
     PatternParseError,
+    pair_endpoints,
     pair_from_index,
     pair_index,
     parse_pattern,
 )
 
-from oracles import edge_ids_oracle
+from oracles import edge_ids_oracle, pair_from_index_oracle
 
 
 def test_pair_index_examples():
@@ -36,6 +38,28 @@ def test_pair_index_roundtrip(n, data):
     k = pair_index(u, v, n)
     assert 0 <= k < n * (n - 1) // 2
     assert pair_from_index(k, n) == (u, v)
+
+
+def test_pair_endpoints_match_isqrt_oracle_n3000():
+    m = 3000 * 2999 // 2
+    want_u, want_v = zip(*map(pair_from_index_oracle, range(m)))
+    assert pair_endpoints(np.arange(m)) == (list(want_u), list(want_v))
+
+
+def test_pair_endpoints_near_triangular_numbers():
+    # float64 sqrt(8k + 1) is checked where it is tightest: the first and
+    # last ids of rows v, up to v = 9e7
+    rows = sorted({*range(1, 200), *np.geomspace(200, 9e7, 400).astype(int).tolist()})
+    ids = [k for v in rows for t in [v * (v - 1) // 2]
+           for k in (t, t + 1, t + v - 2, t + v - 1) if t <= k < t + v]
+    assert list(zip(*pair_endpoints(ids))) == [pair_from_index_oracle(k) for k in ids]
+    assert pair_endpoints([]) == ([], [])
+
+
+def test_pair_from_index_rejects_out_of_range():
+    for k in (-1, 10):
+        with pytest.raises(ValueError, match="out of range"):
+            pair_from_index(k, 5)
 
 
 def test_pair_index_bijection_small():
@@ -95,6 +119,8 @@ def test_induced_rejects_foreign_vertices():
 
 
 def test_pattern_invariants_enforced():
+    with pytest.raises(ValueError, match="pattern must have at least one vertex"):
+        PatternGraph.from_edges([])
     with pytest.raises(ValueError):
         PatternGraph(2, ((0, 0),))
     with pytest.raises(ValueError):
@@ -108,6 +134,16 @@ def test_labeled_graph_edges_roundtrip():
     assert g.edge_count == 3
     assert LabeledGraph.from_edges(5, g.edges()) == g
     assert g.has_edge(4, 2) and not g.has_edge(0, 4)
+
+
+@given(st.integers(1, 40), st.integers(0, 2**800))
+def test_from_mask_matches_from_edges(n, raw):
+    pairs = [(u, v) for v in range(n) for u in range(v)]   # colex order
+    present = np.array([raw >> k & 1 for k in range(len(pairs))], dtype=bool)
+    edges = [e for e, x in zip(pairs, present) if x]
+    g = LabeledGraph.from_mask(n, present)
+    assert g == LabeledGraph.from_edges(n, edges)
+    assert g.edges() == edges
 
 
 @given(st.integers(1, 40), st.integers(0, 2**800))
