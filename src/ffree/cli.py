@@ -102,7 +102,7 @@ def cmd_mu_sweep(args) -> int:
 def cmd_pc(args) -> int:
     est = thresholds.estimate_pc(args.n, _pattern(args), args.trials, args.tol,
                                  _seed(args))
-    _emit_json(args, {"command": "pc", "pattern": args.pattern, **est.to_dict()})
+    _emit_json(args, {"command": "pc", **est.to_dict()})
     return 0
 
 
@@ -191,8 +191,7 @@ def cmd_exact(args) -> int:
 
 def cmd_gap(args) -> int:
     report = exact_tiny.gap_report(args.n, _pattern(args), args.tol)
-    _emit_json(args, {"command": "gap", "pattern": args.pattern,
-                      **report.to_dict()})
+    _emit_json(args, {"command": "gap", **report.to_dict()})
     return 0 if report.chain_holds else 1
 
 

@@ -16,8 +16,9 @@ F-free down-set can be handled exhaustively:
   no candidate dominates another;
 * elements, candidates and coverage are built once per (n, F), only the
   weights per p; q_f comes from the covering LP, solved through its packing
-  dual; each probe of q asks only whether a cover costs <= 1/2: an LP
-  screen, a greedy cover, then a branch and bound seeded at the budget;
+  dual; each probe of q asks only whether a cover costs <= 1/2: a greedy
+  cover, then a branch and bound seeded at the budget and priced by the
+  LP's optimal packing;
 * both optima are non-increasing in p (each weight is), so bisection on p
   against the 1/2 budget is valid.
 """
@@ -95,7 +96,7 @@ class Certificate:
 
 def verify_certificate(cert: Certificate, f: PatternGraph, n: int) -> bool:
     """Weight budget <= 1/2 and every maximal F-free graph lies under a member."""
-    _check_cap(n)
+    _check_cap(n, cert.p)
     for g in cert.members:
         if g.n != n:
             raise ValueError("certificate member on wrong vertex count")
@@ -114,8 +115,6 @@ class _Instance:
     elements: tuple[int, ...]        # edge-maximal F-free bitmasks
     candidates: tuple[int, ...]      # their union closure, sorted
     missing: tuple[int, ...]         # |X \ S| per candidate S
-    cover: tuple[int, ...]           # bitmask of the elements each candidate covers
-    covers_by_elem: tuple[tuple[int, ...], ...]   # candidates covering each element
     packing: np.ndarray              # candidates x elements 0/1 coverage matrix
 
     def weights(self, p: float) -> list[float]:
@@ -130,75 +129,70 @@ def _instance(n: int, f: PatternGraph) -> _Instance:
         frontier = {a | b for a in frontier for b in elements} - closure
         closure |= frontier
     candidates = tuple(sorted(closure))
-    covered = [[e & ~c == 0 for e in elements] for c in candidates]
-    cover = tuple(sum(1 << i for i, hit in enumerate(row) if hit) for row in covered)
-    packing = np.array(covered, dtype=float).reshape(len(candidates), len(elements))
+    packing = np.array([[e & ~c == 0 for e in elements] for c in candidates],
+                       dtype=float).reshape(len(candidates), len(elements))
     packing.flags.writeable = False   # cached and shared by every probe
     m = n * (n - 1) // 2
-    return _Instance(
-        elements, candidates, tuple(m - c.bit_count() for c in candidates), cover,
-        tuple(tuple(j for j, row in enumerate(covered) if row[i])
-              for i in range(len(elements))),
-        packing)
+    return _Instance(elements, candidates,
+                     tuple(m - c.bit_count() for c in candidates), packing)
 
 
 def _branch_and_bound(inst: _Instance, weights: list[float], incumbent: float,
                       stop_at: float) -> float:
     """Least cover cost below `incumbent`, else `incumbent`; returns at the
     first cover costing <= stop_at.  A greedy cover (least weight per new
-    element) comes first; branches split the uncovered element with fewest
-    covering candidates and are cut once partial cost plus a per-element
-    lower bound comes within 1e-15 of the best cost so far."""
-    cover, covers_by_elem = inst.cover, inst.covers_by_elem
-    nc = len(cover)
-    full = (1 << len(inst.elements)) - 1
-    # branch on the uncovered element with fewest covering candidates
-    order = sorted(range(len(covers_by_elem)), key=lambda i: len(covers_by_elem[i]))
-    covered, greedy = 0, 0.0
-    while covered != full:
-        i = min((c for c in range(nc) if cover[c] & ~covered),
-                key=lambda c: weights[c] / (cover[c] & ~covered).bit_count())
-        covered |= cover[i]
+    element) comes first.  The search is priced by the LP's optimal packing
+    y, shrunk so that a.y <= w survives float error: a node still needs
+    y(live) for its uncovered elements, so it is cut once that comes within
+    1e-15 of the best cost, and only candidates whose reduced weight
+    w - a.y_live fits the room left are tried, on the live element with the
+    fewest of them, least reduced weight first."""
+    a = inst.packing
+    covers = a > 0
+    w = np.array(weights)
+    live = np.ones(a.shape[1], dtype=bool)
+    greedy = 0.0
+    while live.any():
+        new = a @ live
+        i = int(np.argmin(np.divide(w, new, out=np.full_like(w, np.inf),
+                                    where=new > 0)))
+        live &= ~covers[i]
         greedy += weights[i]
     best = min(incumbent, greedy)
     if best <= stop_at:
         return best
 
-    def lower_bound(uncovered: int) -> float:
-        # amortized: a set of weight w covering c live elements pays >= w/c each
-        per_cand = [None] * nc
-        for c in range(nc):
-            cu = (cover[c] & uncovered).bit_count()
-            if cu:
-                per_cand[c] = weights[c] / cu
-        lb = 0.0
-        u = uncovered
-        while u:
-            low = u & -u
-            i = low.bit_length() - 1
-            lb += min(per_cand[c] for c in covers_by_elem[i]
-                      if per_cand[c] is not None)
-            u ^= low
-        return lb
+    y = np.maximum(_packing_simplex(a, weights)[2], 0.0)
+    load = a @ y
+    fit = np.divide(w, load, out=np.ones_like(w), where=load > 0)
+    y *= fit.min(initial=1.0) * (1.0 - SIMPLEX_TOL)
+    seen: dict[bytes, float] = {}
 
-    seen: dict[int, float] = {}
-
-    def branch(uncovered: int, cost: float) -> bool:
+    def branch(live: np.ndarray, cost: float) -> bool:
         nonlocal best
-        if uncovered == 0:
+        if not live.any():
             best = min(best, cost)
             return best <= stop_at
-        prev = seen.get(uncovered)
+        key = live.tobytes()
+        prev = seen.get(key)
         if prev is not None and cost >= prev:
             return False
-        seen[uncovered] = cost
-        if cost + lower_bound(uncovered) >= best - 1e-15:
+        seen[key] = cost
+        y_live = np.where(live, y, 0.0)
+        room = best - 1e-15 - cost - y_live.sum()
+        if room <= 0:
             return False
-        target = next(i for i in order if uncovered >> i & 1)
-        return any(branch(uncovered & ~cover[c], cost + weights[c])
-                   for c in sorted(covers_by_elem[target], key=lambda c: weights[c]))
+        reduced = w - a @ y_live
+        useful = reduced < room
+        counts = np.where(live, useful @ a, np.inf)
+        target = int(np.argmin(counts))
+        if counts[target] == 0:
+            return False
+        picks = np.flatnonzero(useful & covers[:, target])
+        return any(branch(live & ~covers[c], cost + weights[c])
+                   for c in picks[np.argsort(reduced[picks], kind="stable")])
 
-    branch(full, 0.0)
+    branch(np.ones(a.shape[1], dtype=bool), 0.0)
     del branch   # a self-referencing closure: free the memo now, not at the next GC
     return best
 
@@ -211,14 +205,11 @@ def min_cover_cost(n: int, p: float, f: PatternGraph) -> float:
 
 
 def _cover_within(n: int, p: float, f: PatternGraph) -> bool:
-    """Whether min_cover_cost(n, p, f) <= 1/2.  The LP optimum bounds it from
-    below (SIMPLEX_TOL keeps float error from flipping a no); otherwise the
-    search stops at the first cover within 1/2, from an incumbent 2e-15 above
-    1/2 so that a branch bounded by exactly 1/2 survives the 1e-15 cut."""
+    """Whether min_cover_cost(n, p, f) <= 1/2.  The search stops at the first
+    cover within 1/2, from an incumbent 2e-15 above 1/2 so that a branch
+    bounded by exactly 1/2 survives the 1e-15 cut."""
     inst = _instance(n, f)
-    weights = inst.weights(p)
-    return (_packing_simplex(inst.packing, weights)[0] <= 0.5 + SIMPLEX_TOL
-            and _branch_and_bound(inst, weights, 0.5 + 2e-15, 0.5) <= 0.5)
+    return _branch_and_bound(inst, inst.weights(p), 0.5 + 2e-15, 0.5) <= 0.5
 
 
 @dataclass(frozen=True)
@@ -266,29 +257,33 @@ class FractionalCertificate:
     total_cost: float
 
 
-def _packing_simplex(a: np.ndarray, w: list[float]) -> tuple[float, np.ndarray]:
+def _packing_simplex(a: np.ndarray, w: list[float]
+                     ) -> tuple[float, np.ndarray, np.ndarray]:
     """max 1.y s.t. a y <= w, y >= 0, for a 0/1 matrix a and w >= 0.
 
     Primal simplex from the feasible origin (slack basis): no phase 1.
     Dantzig's entering rule; the ratio test takes the lexicographically least
     row of (rhs, slack columns) / pivot entry.  The slack columns hold B^-1,
     whose rows are independent, so no basis repeats (Dantzig, Orden and
-    Wolfe 1955).  Returns (optimum, lambda), lambda being the slack reduced
-    costs: an optimal solution of min w.lambda s.t. a^T lambda >= 1.
+    Wolfe 1955).  Returns (optimum, lambda, y), lambda being the slack
+    reduced costs: an optimal solution of min w.lambda s.t. a^T lambda >= 1.
     """
     rows, cols = a.shape
     if not cols:   # nothing to cover
-        return 0.0, np.zeros(rows)
+        return 0.0, np.zeros(rows), np.zeros(0)
     tab = np.zeros((rows + 1, cols + rows + 1))
     tab[:rows, :cols] = a
     tab[np.arange(rows), cols + np.arange(rows)] = 1.0
     tab[:rows, -1] = w
     tab[rows, :cols] = -1.0
     lex = [cols + rows, *range(cols, cols + rows)]   # rhs, then slack columns
+    basis = list(range(cols, cols + rows))
     for pivots in itertools.count():
         col = int(np.argmin(tab[rows, :-1]))
         if tab[rows, col] >= -SIMPLEX_TOL:
-            return float(tab[rows, -1]), tab[rows, cols:-1].copy()
+            y = np.zeros(cols + rows)
+            y[basis] = tab[:rows, -1]   # nonbasic columns are 0
+            return float(tab[rows, -1]), tab[rows, cols:-1].copy(), y[:cols]
         if pivots == PIVOT_CAP:
             raise PivotCapError(
                 f"exact_tiny: packing simplex reached PIVOT_CAP={PIVOT_CAP} "
@@ -300,6 +295,7 @@ def _packing_simplex(a: np.ndarray, w: list[float]) -> tuple[float, np.ndarray]:
             ratio = tab[ties, j] / tab[ties, col]
             ties = ties[ratio <= ratio.min() + SIMPLEX_TOL]
         row = ties[0]
+        basis[row] = col
         tab[row] /= tab[row, col]
         # eliminate only where both the pivot column and pivot row are nonzero
         hit = np.flatnonzero(tab[:, col])
@@ -317,7 +313,7 @@ def lp_min_cost(n: int, p: float, f: PatternGraph) -> tuple[float, FractionalCer
     """
     _check_cap(n, p)
     inst = _instance(n, f)
-    opt, lam = _packing_simplex(inst.packing, inst.weights(p))
+    opt, lam, _ = _packing_simplex(inst.packing, inst.weights(p))
     support = tuple((LabeledGraph(n, c), float(x))
                     for c, x in zip(inst.candidates, lam) if x > SIMPLEX_TOL)
     return opt, FractionalCertificate(support, p, opt)

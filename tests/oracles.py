@@ -9,7 +9,9 @@ by realizing every coupled table at every probed p and searching it whole,
 copy lists by walking every automorphic image of every copy and keeping the
 first, random family members by setting one big-int bit per drawn pair,
 the exact p_c by a bisection loop of its own, pair ids by an integer square
-root per id, and the tiny-n F-free census by searching every graph on [n].
+root per id, the tiny-n F-free census by searching every graph on [n], and
+the least cover cost by a branch and bound with a per-element amortized
+bound in place of LP prices.
 """
 
 from __future__ import annotations
@@ -146,6 +148,62 @@ def partition_cover_oracle(elements: list[int], m: int, p: Fraction) -> Fraction
             cost += (1 - p) ** (m - union.bit_count())
         if best is None or cost < best:
             best = cost
+    return best
+
+
+def min_cover_cost_oracle(elements: tuple[int, ...], candidates: tuple[int, ...],
+                          weights: list[float]) -> float:
+    """Least weight of candidates covering every element (e <= c as bitmasks),
+    by a branch and bound cut by an amortized bound: a candidate of weight w
+    covering k uncovered elements pays at least w/k for each."""
+    cover = [sum(1 << i for i, e in enumerate(elements) if e & ~c == 0)
+             for c in candidates]
+    covers_by_elem = [[j for j, cv in enumerate(cover) if cv >> i & 1]
+                      for i in range(len(elements))]
+    nc = len(cover)
+    full = (1 << len(elements)) - 1
+    order = sorted(range(len(covers_by_elem)), key=lambda i: len(covers_by_elem[i]))
+    covered, best = 0, 0.0
+    while covered != full:   # greedy: least weight per newly covered element
+        i = min((c for c in range(nc) if cover[c] & ~covered),
+                key=lambda c: weights[c] / (cover[c] & ~covered).bit_count())
+        covered |= cover[i]
+        best += weights[i]
+
+    def lower_bound(uncovered: int) -> float:
+        per_cand = [None] * nc
+        for c in range(nc):
+            cu = (cover[c] & uncovered).bit_count()
+            if cu:
+                per_cand[c] = weights[c] / cu
+        lb = 0.0
+        u = uncovered
+        while u:
+            low = u & -u
+            i = low.bit_length() - 1
+            lb += min(per_cand[c] for c in covers_by_elem[i]
+                      if per_cand[c] is not None)
+            u ^= low
+        return lb
+
+    seen: dict[int, float] = {}
+
+    def branch(uncovered: int, cost: float):
+        nonlocal best
+        if uncovered == 0:
+            best = min(best, cost)
+            return
+        prev = seen.get(uncovered)
+        if prev is not None and cost >= prev:
+            return
+        seen[uncovered] = cost
+        if cost + lower_bound(uncovered) >= best - 1e-15:
+            return
+        target = next(i for i in order if uncovered >> i & 1)
+        for c in sorted(covers_by_elem[target], key=lambda c: weights[c]):
+            branch(uncovered & ~cover[c], cost + weights[c])
+
+    branch(full, 0.0)
     return best
 
 

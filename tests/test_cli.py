@@ -281,6 +281,18 @@ def test_gap_c4_n5_terminates():
     assert json.loads(proc.stdout)["chain_holds"] is True
 
 
+def test_exact_q_c4_n5_default_tol_terminates():
+    proc = _ffree_subprocess("exact-q", "--pattern", "C4", "--n", "5")
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["value"] == 0.662872314453125
+
+
+def test_gap_c4_n5_default_tol_terminates():
+    proc = _ffree_subprocess("gap", "--pattern", "C4", "--n", "5")
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["chain_holds"] is True
+
+
 def test_exact_zero_tolerance_exits_2():
     proc = _ffree_subprocess("exact-q", "--pattern", "triangle", "--n", "4",
                              "--tol", "0")

@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from ffree import exact_tiny
@@ -21,7 +22,13 @@ from ffree.exact_tiny import (
 )
 from ffree.graphs import LabeledGraph, PRESETS, parse_pattern
 from ffree.subiso import contains_copy
-from oracles import ffree_census_oracle, lp_bfs_oracle, partition_cover_oracle, pc_exact_oracle
+from oracles import (
+    ffree_census_oracle,
+    lp_bfs_oracle,
+    min_cover_cost_oracle,
+    partition_cover_oracle,
+    pc_exact_oracle,
+)
 
 TRIANGLE = PRESETS["triangle"]
 C4 = PRESETS["C4"]
@@ -92,6 +99,19 @@ def test_min_cover_matches_partition_oracle():
         assert got == pytest.approx(float(want), abs=1e-9)
 
 
+@pytest.mark.parametrize("text", [*PRESETS, "0-1 2-3", "n=4 0-1 1-2", "n=3"])
+def test_min_cover_cost_matches_amortized_oracle(text):
+    # the oracle prunes by per-element amortized weights, not by LP prices
+    f = parse_pattern(text)
+    cases = [(n, k / 64) for n in (3, 4) for k in range(65)]
+    if text in ("P4", "K4", "K5", "0-1 2-3"):
+        cases += [(5, k / 16) for k in range(17)]
+    for n, p in cases:
+        inst = exact_tiny._instance(n, f)
+        want = min_cover_cost_oracle(inst.elements, inst.candidates, inst.weights(p))
+        assert min_cover_cost(n, p, f) == want, (n, p)
+
+
 def test_q_exact_known_values():
     q3 = q_exact(3, TRIANGLE)
     assert not q3.degenerate
@@ -152,6 +172,23 @@ def test_lp_matches_scipy_linprog():
             for e in elements:
                 assert sum(lam for g, lam in cert.support
                            if e & ~g.bits == 0) >= 1 - 1e-8
+
+
+@pytest.mark.parametrize("text", list(PRESETS))
+def test_packing_simplex_returns_optimal_packing(text):
+    # y is feasible for max 1.y s.t. a y <= w, y >= 0, and both it and lambda
+    # attain the optimum, so y prices the branch and bound soundly
+    f = PRESETS[text]
+    for n in range(2, 6):
+        inst = exact_tiny._instance(n, f)
+        for k in range(9):
+            weights = inst.weights(k / 8)
+            opt, lam, y = exact_tiny._packing_simplex(inst.packing, weights)
+            w = np.array(weights)
+            assert (y >= -1e-12).all(), (n, k)
+            assert (inst.packing @ y <= w + 1e-9).all(), (n, k)
+            assert y.sum() == pytest.approx(opt, abs=1e-9), (n, k)
+            assert w @ lam == pytest.approx(opt, abs=1e-9), (n, k)
 
 
 def test_candidates_are_unions_of_covered_elements():
@@ -240,6 +277,11 @@ def test_mu_exact_rejects_p_outside_unit_interval():
     for p in (2.0, -0.5, math.nan):
         with pytest.raises(ValueError, match="outside"):
             mu_exact(4, p, TRIANGLE)
+    # p = 3 gave these members a total weight of -20, and a NaN p compared false
+    members = tuple(enumerate_maximal_ffree(4, TRIANGLE))
+    for p in (3.0, math.nan):
+        with pytest.raises(ValueError, match="outside"):
+            verify_certificate(Certificate(members, p), TRIANGLE, 4)
 
 
 def test_verify_certificate_examples():
@@ -266,7 +308,7 @@ def test_gap_chain_holds():
 
 @pytest.mark.parametrize("n, pattern", [
     *((n, k) for n in (3, 4) for k in (*PRESETS, "0-1 2-3")),
-    *((5, k) for k in ("triangle", "C5", "P4", "K4")),
+    *((5, k) for k in ("triangle", "C5", "P4", "K4", "P3", "0-1 2-3")),
 ])
 def test_cover_within_matches_min_cover_cost(monkeypatch, n, pattern):
     # dyadic p makes many weights exact (at p = 1/2 all are powers of 2), so
@@ -294,8 +336,8 @@ def test_cover_within_matches_min_cover_cost(monkeypatch, n, pattern):
 ])
 def test_cover_within_branch_and_bound(monkeypatch, per_missing, within):
     # weights in 64ths by number of missing edges on the triangle instance at
-    # n = 4: the LP screen passes and the greedy cover costs 33/64, so the
-    # branch and bound seeded at the budget decides
+    # n = 4: the LP optimum is within the budget and the greedy cover costs
+    # 33/64, so the search below the LP-priced root decides
     monkeypatch.setattr(exact_tiny._Instance, "weights",
                         lambda self, p: [per_missing[e] / 64 for e in self.missing])
     inst = exact_tiny._instance(4, TRIANGLE)
@@ -304,3 +346,21 @@ def test_cover_within_branch_and_bound(monkeypatch, per_missing, within):
     assert lp_min_cost(4, 0.5, TRIANGLE)[0] <= 0.5
     assert (min_cover_cost(4, 0.5, TRIANGLE) <= 0.5) is within
     assert exact_tiny._cover_within(4, 0.5, TRIANGLE) is within
+
+
+@pytest.mark.parametrize("p, within", [
+    (0.66259765625, False),   # optimum 0.50137, LP optimum below 1/2
+    (0.6630859375, True),     # optimum 0.49895
+])
+def test_cover_within_c4_n5_matches_milp(p, within):
+    # the probes of q for C4 at n = 5 nearest its threshold, checked against
+    # an independent integer program solved to a zero optimality gap
+    from scipy.optimize import Bounds, LinearConstraint, milp
+    inst = exact_tiny._instance(5, C4)
+    w = inst.weights(p)
+    res = milp(w, constraints=LinearConstraint(inst.packing.T, lb=1),
+               integrality=np.ones(len(w)), bounds=Bounds(0, 1),
+               options={"mip_rel_gap": 0})
+    assert res.success
+    assert bool(res.fun <= 0.5) is within
+    assert exact_tiny._cover_within(5, p, C4) is within
