@@ -288,6 +288,9 @@ def main(argv=None) -> int:
     except (PatternParseError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
+        return 2
     except (AssertionError, alteration.InapplicableFamilyError,
             exact_tiny.PivotCapError) as exc:
         print(f"failure: {exc}", file=sys.stderr)

@@ -31,13 +31,14 @@ class Copy:
         object.__setattr__(self, "edge_mask", sum(1 << k for k in self.edge_ids))
 
 
-def _search_order(pattern: PatternGraph,
-                  first_edge: tuple[int, ...] = ()) -> tuple[list[int], list[list[int]]]:
+def _search_order(pattern: PatternGraph, first_edge: tuple[int, ...] = ()
+                  ) -> tuple[list[int], list[list[int]], list[int]]:
     """Order non-isolated pattern vertices connected-first by degree.
 
     The order starts with the endpoints of `first_edge` when one is given.
-    Returns (order, prior_neighbors) where prior_neighbors[i] lists the
-    positions j < i whose vertex is adjacent to order[i].
+    Returns (order, prior_neighbors, need) where prior_neighbors[i] lists the
+    positions j < i whose vertex is adjacent to order[i] and need[i] is the
+    degree of order[i], the least host degree of its image.
     """
     deg = pattern.degrees()
     verts = [v for v in range(pattern.vertex_count) if deg[v] > 0]
@@ -55,7 +56,7 @@ def _search_order(pattern: PatternGraph,
         placed.add(candidates[0])
     pos = {v: i for i, v in enumerate(order)}
     prior = [[pos[w] for w in adj[v] if pos[w] < i] for i, v in enumerate(order)]
-    return order, prior
+    return order, prior, [deg[v] for v in order]
 
 
 def _iter_bits(mask: int):
@@ -81,12 +82,11 @@ def _embeddings(adj: list[int], gdeg: list[int], pattern: PatternGraph,
     `root` fixes the images of its first len(root) positions; `above[i]`
     lists earlier positions j whose image must be below images[i].
     """
-    order, prior = plan or _search_order(pattern)
+    order, prior, need = plan or _search_order(pattern)
     k = len(order)
     if k == 0:
         yield ()
         return
-    pdeg = pattern.degrees()
     all_mask = (1 << len(adj)) - 1
     images = [0] * k
     used = 0
@@ -108,9 +108,8 @@ def _embeddings(adj: list[int], gdeg: list[int], pattern: PatternGraph,
         if above and above[i]:
             for j in above[i]:
                 dom &= ~((2 << images[j]) - 1)
-        need = pdeg[order[i]]
         for v in _iter_bits(dom):
-            if gdeg[v] < need:
+            if gdeg[v] < need[i]:
                 continue
             images[i] = v
             used |= 1 << v
@@ -138,7 +137,7 @@ def _automorphisms(f: PatternGraph) -> tuple[tuple[int, tuple[int, ...]], ...]:
     other w in the orbit of i under the automorphisms fixing the positions
     before i, one of them, perm[i] == w, as a permutation of positions.
     They generate Aut(F) without listing it (K8 has 40320 automorphisms)."""
-    order, _ = plan = _search_order(f)
+    plan = order, _, _ = _search_order(f)
     pos = {v: i for i, v in enumerate(order)}
     host = _host(LabeledGraph.from_edges(f.vertex_count, f.edges))
     # embeddings of F into itself are automorphisms
@@ -149,21 +148,20 @@ def _automorphisms(f: PatternGraph) -> tuple[tuple[int, tuple[int, ...]], ...]:
 
 @functools.lru_cache(maxsize=64)
 def _edge_roots(f: PatternGraph) -> tuple:
-    """(plan, deg a, deg b) for one oriented edge (a, b) per orbit of Aut(F),
-    each plan a search order starting a, b.
+    """Search plans starting a, b, for one oriented edge (a, b) per orbit of
+    Aut(F).
 
     A host edge (u, v) lies in a copy of F iff some root's plan embeds with
     its first two positions at (u, v): an automorphism carrying (a, b) to
     (c, d) turns an embedding with c, d at u, v into one with a, b there.
     """
-    order, _ = _search_order(f)
+    order, _, _ = _search_order(f)
     gens = [{order[i]: order[w] for i, w in enumerate(perm)} for _, perm in _automorphisms(f)]
-    deg = f.degrees()
     roots = []
     covered: set[tuple[int, int]] = set()
     for x, y in (e for u, v in f.edges for e in ((u, v), (v, u))):
         if (x, y) not in covered:
-            roots.append((_search_order(f, (x, y)), deg[x], deg[y]))
+            roots.append(_search_order(f, (x, y)))
             orbit = [(x, y)]
             for a, b in orbit:   # the orbit grows while it is scanned
                 new = {(s[a], s[b]) for s in gens} - covered
@@ -191,8 +189,9 @@ def first_completing_edge(n: int, pairs, f: PatternGraph) -> int | None:
         adj[v] |= 1 << u
         gdeg[u] += 1
         gdeg[v] += 1
-        for plan, need_u, need_v in roots:
-            if gdeg[u] < need_u or gdeg[v] < need_v:
+        for plan in roots:
+            need = plan[2]
+            if gdeg[u] < need[0] or gdeg[v] < need[1]:
                 continue
             for _ in _embeddings(adj, gdeg, f, plan, root=(u, v)):
                 return i
@@ -205,7 +204,7 @@ def enumerate_copies(g: LabeledGraph, j: PatternGraph) -> list[Copy]:
         raise ValueError("pattern must have at least one edge")
     if g.n < j.vertex_count:
         return []
-    plan = order, _ = _search_order(j)
+    plan = order, _, _ = _search_order(j)
     pos = {v: i for i, v in enumerate(order)}
     pat_edges = [(pos[u], pos[v]) for u, v in j.edges]
     above = [[] for _ in order]

@@ -10,7 +10,10 @@ Newman-Ziff single pass).  For every p,
     contains_copy(coupled_realize(table, p), F)  ==  T < grid(p),
 
 so mu_hat(p) is the count #{T_i >= grid(p)} / N over one battery of tables.
-Each table is generated, scanned once and dropped.  The bisection for p_c
+Each table is generated, scanned once and dropped.  The scan sorts and
+decodes the marks band by band, each band of marks [lo, hi) in (mark, id)
+order, and stops at T: a triangle or C4 appears after about n of the
+n(n-1)/2 arrivals, so most marks are never sorted.  The bisection for p_c
 probes that count, which makes its trace exactly non-increasing in p; fresh
 seeds across repeats quantify sampling error.
 """
@@ -19,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -26,6 +30,29 @@ from .density import m_density
 from .graphs import PatternGraph, pair_endpoints
 from .sampling import _GRID, EdgeThresholdTable, Seed, _p_to_grid
 from .subiso import first_completing_edge
+
+
+def _arrival_bands(table: EdgeThresholdTable):
+    """Pair ids in increasing (mark, id) order, as a stable argsort of the
+    marks has them, sorted one band of marks [lo, hi) at a time.
+
+    The first band holds ~2n pairs, past the ~n arrivals after which a
+    triangle or C4 typically appears, and each cut doubles the last.  Once a
+    cut would pass a quarter of the grid the band takes every mark left, so
+    tables of at most 8n pairs (n <= 17) are sorted at once: there a band's
+    fixed cost outweighs the sorting it saves.
+    """
+    u = table.u
+    lo, hi = 0, 2 * table.n * _GRID // len(u)
+    while 4 * hi < _GRID:
+        band = np.flatnonzero((u >= lo) & (u < hi))
+        yield band[np.argsort(u[band], kind="stable")]
+        lo, hi = hi, 2 * hi
+    if lo == 0:
+        yield np.argsort(u, kind="stable")
+    else:
+        band = np.flatnonzero(u >= lo)
+        yield band[np.argsort(u[band], kind="stable")]
 
 
 def hitting_time(table: EdgeThresholdTable, f: PatternGraph) -> int:
@@ -38,11 +65,17 @@ def hitting_time(table: EdgeThresholdTable, f: PatternGraph) -> int:
         return _GRID
     if f.edge_count == 0:
         return -1
-    order = np.argsort(table.u, kind="stable")
-    i = first_completing_edge(table.n, zip(*pair_endpoints(order)), f)
+    arrived = []
+
+    def decode(band):
+        arrived.append(band)
+        return zip(*pair_endpoints(band))
+
+    pairs = chain.from_iterable(map(decode, _arrival_bands(table)))
+    i = first_completing_edge(table.n, pairs, f)
     # a copy on at most n vertices is completed by the time every edge arrives
     assert i is not None
-    return int(table.u[order[i]])
+    return int(table.u[np.concatenate(arrived)[i]])
 
 
 def hitting_times(n: int, f: PatternGraph, trials: int, seed: Seed,

@@ -9,9 +9,10 @@ by realizing every coupled table at every probed p and searching it whole,
 copy lists by walking every automorphic image of every copy and keeping the
 first, random family members by setting one big-int bit per drawn pair,
 the exact p_c by a bisection loop of its own, pair ids by an integer square
-root per id, the tiny-n F-free census by searching every graph on [n], and
+root per id, the tiny-n F-free census by searching every graph on [n],
 the least cover cost by a branch and bound with a per-element amortized
-bound in place of LP prices.
+bound in place of LP prices, and the hitting time by one stable argsort
+and decode of every mark before the first arrival.
 """
 
 from __future__ import annotations
@@ -20,10 +21,13 @@ import itertools
 import math
 from fractions import Fraction
 
+import numpy as np
+
 from ffree.exact_tiny import mu_exact
-from ffree.graphs import LabeledGraph, PatternGraph, pair_index
+from ffree.graphs import LabeledGraph, PatternGraph, pair_endpoints, pair_index
 from ffree.sampling import EdgeThresholdTable, Seed, coupled_realize, sample_gnp
-from ffree.subiso import Copy, _embeddings, _host, _search_order, contains_copy
+from ffree.subiso import (Copy, _embeddings, _host, _search_order, contains_copy,
+                          first_completing_edge)
 from ffree.thresholds import MuEstimate, ThresholdEstimate, wilson_interval
 
 
@@ -74,7 +78,7 @@ def enumerate_copies_oracle(g: LabeledGraph, j: PatternGraph) -> list[Copy]:
     and the first (lexicographically least) one of each edge set is kept."""
     if g.n < j.vertex_count:
         return []
-    order, _ = _search_order(j)
+    order, _, _ = _search_order(j)
     pos = {v: i for i, v in enumerate(order)}
     pat_edges = [(pos[u], pos[v]) for u, v in j.edges]
     seen: dict[tuple[int, ...], tuple[int, ...]] = {}
@@ -324,3 +328,16 @@ def pc_exact_oracle(n: int, f: PatternGraph, tolerance: float = 1e-12) -> float:
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+def hitting_time_oracle(table: EdgeThresholdTable, f: PatternGraph) -> int:
+    """hitting_time from one stable argsort of every mark, every pair decoded
+    before the first arrival is read."""
+    if table.n < f.vertex_count:
+        return 1 << 64
+    if f.edge_count == 0:
+        return -1
+    order = np.argsort(table.u, kind="stable")
+    i = first_completing_edge(table.n, zip(*pair_endpoints(order)), f)
+    assert i is not None
+    return int(table.u[order[i]])

@@ -12,6 +12,7 @@ import pytest
 
 import ffree
 from ffree.cli import build_parser, main
+from ffree.sampling import EdgeThresholdTable
 
 
 def run(capsys, *argv):
@@ -249,6 +250,41 @@ def test_alteration_golden_digests(capsys, argv, digest):
     code, out = run(capsys, *argv)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# stdout SHA-256 pinned at the commit before hitting times sorted only the
+# bands of marks they reach: a change in the arrival order would move a
+# hitting time and these bytes
+@pytest.mark.parametrize("argv, digest", [
+    (["scaling", "--pattern", "triangle", "--n-list", "16,32,64,128", "--trials", "40",
+      "--tol", "0.05", "--seed", "5"],
+     "22c48f6fcc3a966ebf8fc09e96748275987410a537f626ed60152df1b7e889a9"),
+    (["scaling", "--pattern", "C4", "--n-list", "16,32,64,128", "--trials", "40",
+      "--tol", "0.05", "--seed", "5"],
+     "c29281405777876bde142b44d5caad13568c38966defe8e26e078d493818036c"),
+    (["pc", "--pattern", "K4", "--n", "60", "--trials", "40", "--tol", "0.05", "--seed", "5"],
+     "678f6cb9a1150daa691ae6f0b58643b3810d5d27f183f657fa06a8e91578f78a"),
+    (["mu-sweep", "--pattern", "C4", "--n", "64", "--p-grid", "0.01,0.02,0.03,0.05",
+      "--trials", "40", "--seed", "5"],
+     "8ed67ae9f4f8926ae07772677128db830760786b720c0ddee494191a94c4266f"),
+], ids=["scaling-triangle", "scaling-C4", "pc-K4", "mu-sweep-C4"])
+def test_monte_carlo_golden_digests(capsys, argv, digest):
+    code, out = run(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_out_of_memory_exits_2(capsys, monkeypatch):
+    # a table of n(n-1)/2 marks at n = 100000 needs 37 GiB; fail as numpy would
+    def generate(n, gen):
+        raise MemoryError(f"Unable to allocate 37.3 GiB for {n * (n - 1) // 2} marks")
+
+    monkeypatch.setattr(EdgeThresholdTable, "generate", staticmethod(generate))
+    assert main(["pc", "--pattern", "triangle", "--n", "100000", "--trials", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: out of memory: Unable to allocate 37.3 GiB")
+    assert captured.err.count("\n") == 1
 
 
 def _ffree_subprocess(*argv):

@@ -1,12 +1,14 @@
 import math
 
+import numpy as np
 import pytest
 
-from ffree.graphs import PRESETS, parse_pattern
+from ffree.graphs import PRESETS, PatternGraph, parse_pattern
 from ffree.sampling import EdgeThresholdTable, Seed, _p_to_grid, coupled_realize
 from ffree.subiso import contains_copy
 from ffree.thresholds import (
     BracketError,
+    _arrival_bands,
     estimate_mu,
     estimate_pc,
     hitting_time,
@@ -15,7 +17,7 @@ from ffree.thresholds import (
     wilson_interval,
 )
 
-from oracles import mu_oracle, pc_bisection_oracle
+from oracles import hitting_time_oracle, mu_oracle, pc_bisection_oracle
 
 TRIANGLE = PRESETS["triangle"]
 
@@ -99,6 +101,81 @@ def test_hitting_time_matches_realized_search(text):
                 probes += [near, math.nextafter(near, 1.0)]
             for p in probes:
                 assert contains_copy(coupled_realize(table, p), f) == (t < _p_to_grid(p)), (n, i, p)
+
+
+def _table(n: int, marks) -> EdgeThresholdTable:
+    u = np.array(marks, dtype=np.uint64)
+    assert len(u) == n * (n - 1) // 2
+    return EdgeThresholdTable(n, u)
+
+
+def _assert_arrivals_stable_argsort(table: EdgeThresholdTable):
+    bands = list(_arrival_bands(table))
+    assert np.array_equal(np.concatenate(bands), np.argsort(table.u, kind="stable"))
+
+
+@pytest.mark.parametrize("text", HITTING_PATTERNS)
+def test_hitting_time_equals_full_sort_oracle(text):
+    # n = 17 is the largest table sorted at once; n >= 18 cuts bands
+    f = parse_pattern(text)
+    for n in (1, 2, 3, 5, 8, 17, 18, 24, 40, 64, 128):
+        for i in range(6 if n < 64 else 3):
+            table = EdgeThresholdTable.generate(n, Seed(12).stream(f"oracle-{n}", i))
+            assert hitting_time(table, f) == hitting_time_oracle(table, f), (n, i)
+            if n > 1:
+                _assert_arrivals_stable_argsort(table)
+
+
+def test_hitting_time_equals_oracle_p3_n300():
+    for i in range(3):
+        table = EdgeThresholdTable.generate(300, Seed(12).stream("oracle-300", i))
+        assert hitting_time(table, PRESETS["P3"]) == hitting_time_oracle(table, PRESETS["P3"])
+
+
+def _tied_tables(n: int):
+    """Tables of coarse marks, so many tie, with a tenth of the pairs on a
+    band cut (2n/size of the grid, doubling), next to one, at 0 or 2^64 - 1."""
+    size = n * (n - 1) // 2
+    cuts = [(2 * n << 64) // size << k for k in range(3)]
+    special = [0, (1 << 64) - 1, *(c + d for c in cuts for d in (-1, 0, 1) if c + d < 1 << 64)]
+    gen = Seed(21).stream(f"ties-{n}")
+    for levels in (8, 64, 512, 4096):
+        u = gen.integers(0, levels, size, dtype=np.uint64) * np.uint64((1 << 64) // levels)
+        at = gen.choice(size, size // 10, replace=False)
+        u[at] = gen.choice(np.array(special, dtype=np.uint64), len(at))
+        yield _table(n, u)
+
+
+@pytest.mark.parametrize("n", [18, 24, 40, 64])
+def test_hitting_time_ties_and_band_cuts(n):
+    for table in _tied_tables(n):
+        _assert_arrivals_stable_argsort(table)
+        for text in ("triangle", "C4", "K4", "P3", "0-1 2-3", "petersen"):
+            f = parse_pattern(text)
+            assert hitting_time(table, f) == hitting_time_oracle(table, f), text
+
+
+@pytest.mark.parametrize("n", [5, 8, 18, 24, 33])
+def test_hitting_time_complete_pattern_is_last_arrival(n):
+    # F = K_n on n vertices completes only with the last arrival, which the
+    # open-ended last band holds.  From n = 18 the last vertex's pairs get
+    # the top marks: a random order would leave full-degree vertices that
+    # the rooted search tries in every order before each arrival
+    f = PatternGraph.from_edges([(i, j) for j in range(n) for i in range(j)])
+    size = n * (n - 1) // 2
+    for i in range(3):
+        gen = Seed(13).stream(f"kn-{n}", i)
+        u = gen.integers(0, 1 << 64, size, dtype=np.uint64)
+        if n >= 18:
+            u.sort()
+            gen.shuffle(u[:size - n + 1])
+            gen.shuffle(u[size - n + 1:])
+        table = _table(n, u)
+        assert hitting_time(table, f) == hitting_time_oracle(table, f) == int(u.max())
+    # all marks tied: the last arrival is the last pair id
+    table = _table(n, [7] * size)
+    assert hitting_time(table, f) == hitting_time_oracle(table, f) == 7
+    _assert_arrivals_stable_argsort(table)
 
 
 @pytest.mark.parametrize("text", ["triangle", "C4", "K4", "0-1 2-3", "n=4 0-1 1-2"])
