@@ -8,7 +8,7 @@ p_c <= q_f <= q.
 
 from .graphs import LabeledGraph, PatternGraph, PRESETS, pair_from_index, pair_index, parse_pattern
 from .density import DensityReport, density_gap_check, m2_density, m_density, minimal_m2_subgraph
-from .subiso import Copy, contains_copy, copies_sharing_edge, enumerate_copies
+from .subiso import Copy, contains_copy, enumerate_copies
 from .sampling import EdgeThresholdTable, Seed, chernoff_tail_bound, coupled_realize, sample_gnp
 from .alteration import (
     EPSILON,

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from json.encoder import encode_basestring_ascii
 
 from . import alteration, density, exact_tiny, thresholds
 from .graphs import PatternParseError, parse_pattern
@@ -31,9 +32,25 @@ def _emit(args, text: str):
         sys.stdout.write(text)
 
 
+_scalar = json.JSONEncoder(allow_nan=False).encode   # ValueError on NaN or inf
+
+
+def _json(o, indent: str = "") -> str:
+    """json.dumps(o, indent=2, sort_keys=True) for str-keyed documents,
+    without json's pure-Python encoder loop, refusing NaN and infinities."""
+    inner = indent + "  "
+    if isinstance(o, dict) and o:
+        items = [f"{encode_basestring_ascii(k)}: {_json(v, inner)}" for k, v in sorted(o.items())]
+    elif isinstance(o, (list, tuple)) and o:
+        items = [repr(v) if type(v) is int else _json(v, inner) for v in o]
+    else:
+        return _scalar(o)
+    start, end = "{}" if isinstance(o, dict) else "[]"
+    return f"{start}\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}{end}"
+
+
 def _emit_json(args, payload: dict):
-    payload = {"schema": SCHEMA, **payload}
-    _emit(args, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    _emit(args, _json({"schema": SCHEMA, **payload}) + "\n")
 
 
 def _emit_csv(args, header: list[str], rows: list[list]):

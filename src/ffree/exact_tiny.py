@@ -221,8 +221,8 @@ class ThresholdValue:
 
 def _bisect_budget(within, tolerance: float) -> ThresholdValue:
     """Least p at which within(p) holds, for a predicate monotone in p."""
-    if not tolerance > 0:
-        raise ValueError(f"tolerance must be positive, got {tolerance}")
+    if not 0 < tolerance < float("inf"):
+        raise ValueError(f"tolerance must be positive and finite, got {tolerance}")
     if not within(1.0):
         return ThresholdValue(1.0, True, tolerance)
     if within(0.0):

@@ -4,31 +4,33 @@ A copy of pattern J in G is a subgraph of G isomorphic to J, identified by
 its edge set (one Copy per distinct edge set; automorphisms of J do not
 multiply-count).  Copies are not required to be induced.
 
-The search is plain backtracking over the non-isolated pattern vertices in a
-connected-first, descending-degree order, pruning candidate images through
-neighbor bitmasks.  Fast enough for the sparse graphs this project samples
-(n up to a few hundred, patterns up to ~10 vertices).
-
-enumerate_copies finds each copy once: symmetry-breaking order constraints
-(Grochow & Kellis, RECOMB 2007) pass only its lexicographically least embedding.
+Every search runs one kernel, _embeddings: backtracking in a single frame
+over the non-isolated pattern vertices in a connected-first,
+descending-degree order, each position's candidates one bitmask of host
+vertices.  Symmetry-breaking order constraints (Grochow & Kellis, RECOMB
+2007) pass only the least embedding in each orbit of Aut(J), or of the
+automorphisms fixing a rooted search's first edge, so enumerate_copies
+finds each copy once and existence searches skip symmetric dead ends.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
-from .graphs import LabeledGraph, PatternGraph, pair_index
+from .graphs import LabeledGraph, PatternGraph
 
 
 @dataclass(frozen=True)
 class Copy:
     vertex_image: tuple[int, ...]   # images of the pattern's non-isolated vertices
     edge_ids: tuple[int, ...]       # sorted pair indices covered by the copy
+    # the bits of edge_ids, computed here when not given; eq, hash and repr ignore it
+    edge_mask: int | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
-        # edge_mask is set once here, not a field: eq, hash and repr ignore it
-        object.__setattr__(self, "edge_mask", sum(1 << k for k in self.edge_ids))
+        if self.edge_mask is None:
+            object.__setattr__(self, "edge_mask", sum(1 << k for k in self.edge_ids))
 
 
 def _search_order(pattern: PatternGraph, first_edge: tuple[int, ...] = ()
@@ -59,64 +61,75 @@ def _search_order(pattern: PatternGraph, first_edge: tuple[int, ...] = ()
     return order, prior, [deg[v] for v in order]
 
 
-def _iter_bits(mask: int):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
-def _host(g: LabeledGraph) -> tuple[list[int], list[int]]:
-    """Neighbor bitmasks and degrees of G, the host arguments of _embeddings."""
+def _host(g: LabeledGraph, top: int) -> tuple[list[int], list[int]]:
+    """Host arguments of _embeddings: the neighbor bitmasks of G and, for each
+    d <= top, the mask of the vertices of degree >= d."""
     adj = g.adjacency_masks()
-    return adj, [m.bit_count() for m in adj]
+    deg = [m.bit_count() for m in adj]
+    return adj, [sum(1 << v for v, dv in enumerate(deg) if dv >= d) for d in range(top + 1)]
 
 
-def _embeddings(adj: list[int], gdeg: list[int], pattern: PatternGraph,
-                plan: tuple[list[int], list[list[int]]] | None = None,
-                root: tuple[int, ...] = (), above: list[list[int]] | None = None):
+def _embeddings(adj: list[int], ge: list[int], plan, root: tuple[int, ...] = (), above=None):
     """Yield injective maps (as tuples of images per search position).
 
-    The host is given by its neighbor bitmasks `adj` and degrees `gdeg`.
-    `plan` is the search order from _search_order (computed when omitted);
-    `root` fixes the images of its first len(root) positions; `above[i]`
-    lists earlier positions j whose image must be below images[i].
+    The host is given by its neighbor bitmasks `adj` and `ge`, where ge[d]
+    masks its vertices of degree >= d.  `plan` is from _search_order; `root`
+    fixes the images of its first len(root) positions; `above[i]` lists
+    earlier positions j whose image must be below images[i].  rest[i] holds
+    the untried candidates of position i, tried lowest first.
     """
-    order, prior, need = plan or _search_order(pattern)
-    k = len(order)
-    if k == 0:
-        yield ()
-        return
-    all_mask = (1 << len(adj)) - 1
-    images = [0] * k
-    used = 0
-
-    def extend(i: int):
-        nonlocal used
-        if i == k:
-            yield tuple(images)
-            return
-        if prior[i]:
-            dom = all_mask
+    _, prior, need = plan
+    last = len(need) - 1
+    images = [0] * (last + 1)
+    rest = images[:]
+    rest[0] = ge[need[0]] & (1 << root[0]) if root else ge[need[0]]
+    used = i = 0   # used: the images of positions 0..i-1
+    while True:
+        cand = rest[i]
+        if cand:
+            low = cand & -cand
+            rest[i] = cand ^ low
+            images[i] = low.bit_length() - 1
+            if i == last:
+                yield tuple(images)
+                continue
+            used |= low
+            i += 1
+            dom = ge[need[i]] & ~used
             for j in prior[i]:
                 dom &= adj[images[j]]
-            dom &= ~used
+            if i < len(root):
+                dom &= 1 << root[i]
+            if above:
+                for j in above[i]:
+                    dom &= -2 << images[j]   # clears bits 0..images[j]
+            rest[i] = dom
+        elif i:
+            i -= 1
+            used ^= 1 << images[i]
         else:
-            dom = all_mask & ~used
-        if i < len(root):
-            dom &= 1 << root[i]
-        if above and above[i]:
-            for j in above[i]:
-                dom &= ~((2 << images[j]) - 1)
-        for v in _iter_bits(dom):
-            if gdeg[v] < need[i]:
-                continue
-            images[i] = v
-            used |= 1 << v
-            yield from extend(i + 1)
-            used ^= 1 << v
+            return
 
-    yield from extend(0)
+
+@functools.lru_cache(maxsize=256)
+def _plan(f: PatternGraph, first_edge: tuple[int, ...] = ()) -> tuple:
+    """(plan, above, gens) for plan = _search_order(F, first_edge).  gens holds
+    pairs (i, perm) over the positions i >= len(first_edge): for each other w
+    in the orbit of i under the automorphisms fixing the positions before i,
+    one of them, perm[i] == w, as a permutation of positions.  They generate
+    the automorphisms fixing `first_edge` without listing them (K8 has 40320);
+    `above` passes only the least embedding in each of their orbits."""
+    plan = order, _, need = _search_order(f, first_edge)
+    pos = {v: i for i, v in enumerate(order)}
+    host = _host(LabeledGraph.from_edges(f.vertex_count, f.edges), max(need))
+    # embeddings of F into itself are automorphisms
+    maps = ((i, next(_embeddings(*host, plan, (*order[:i], order[w])), None))
+            for i in range(len(first_edge), len(order)) for w in range(i + 1, len(order)))
+    gens = tuple((i, tuple(pos[v] for v in images)) for i, images in maps if images)
+    above = [[] for _ in order]
+    for i, perm in gens:
+        above[perm[i]].append(i)   # images[i] < images[perm[i]]
+    return plan, above, gens
 
 
 def contains_copy(g: LabeledGraph, f: PatternGraph) -> bool:
@@ -126,42 +139,28 @@ def contains_copy(g: LabeledGraph, f: PatternGraph) -> bool:
         return False
     if f.edge_count == 0:
         return True
-    for _ in _embeddings(*_host(g), f):
+    plan, above, _ = _plan(f)
+    for _ in _embeddings(*_host(g, max(plan[2])), plan, above=above):
         return True
     return False
 
 
 @functools.lru_cache(maxsize=64)
-def _automorphisms(f: PatternGraph) -> tuple[tuple[int, tuple[int, ...]], ...]:
-    """Pairs (i, perm) over the positions i of _search_order(F): for each
-    other w in the orbit of i under the automorphisms fixing the positions
-    before i, one of them, perm[i] == w, as a permutation of positions.
-    They generate Aut(F) without listing it (K8 has 40320 automorphisms)."""
-    plan = order, _, _ = _search_order(f)
-    pos = {v: i for i, v in enumerate(order)}
-    host = _host(LabeledGraph.from_edges(f.vertex_count, f.edges))
-    # embeddings of F into itself are automorphisms
-    maps = ((i, next(_embeddings(*host, f, plan, root=(*order[:i], order[w])), None))
-            for i in range(len(order)) for w in range(i + 1, len(order)))
-    return tuple((i, tuple(pos[v] for v in images)) for i, images in maps if images)
-
-
-@functools.lru_cache(maxsize=64)
 def _edge_roots(f: PatternGraph) -> tuple:
-    """Search plans starting a, b, for one oriented edge (a, b) per orbit of
-    Aut(F).
+    """Pairs (plan, above) from _plan(F, (a, b)), for one oriented edge
+    (a, b) per orbit of Aut(F).
 
     A host edge (u, v) lies in a copy of F iff some root's plan embeds with
     its first two positions at (u, v): an automorphism carrying (a, b) to
     (c, d) turns an embedding with c, d at u, v into one with a, b there.
     """
-    order, _, _ = _search_order(f)
-    gens = [{order[i]: order[w] for i, w in enumerate(perm)} for _, perm in _automorphisms(f)]
+    (order, _, _), _, gens = _plan(f)
+    gens = [{order[i]: order[w] for i, w in enumerate(perm)} for _, perm in gens]
     roots = []
     covered: set[tuple[int, int]] = set()
     for x, y in (e for u, v in f.edges for e in ((u, v), (v, u))):
         if (x, y) not in covered:
-            roots.append(_search_order(f, (x, y)))
+            roots.append(_plan(f, (x, y))[:2])
             orbit = [(x, y)]
             for a, b in orbit:   # the orbit grows while it is scanned
                 new = {(s[a], s[b]) for s in gens} - covered
@@ -182,18 +181,20 @@ def first_completing_edge(n: int, pairs, f: PatternGraph) -> int | None:
     if n < f.vertex_count:
         return None
     roots = _edge_roots(f)
+    top = max(f.degrees())
     adj = [0] * n
-    gdeg = [0] * n
+    ge = [(1 << n) - 1] + [0] * top   # ge[d]: the vertices of degree >= d
     for i, (u, v) in enumerate(pairs):
         adj[u] |= 1 << v
         adj[v] |= 1 << u
-        gdeg[u] += 1
-        gdeg[v] += 1
-        for plan in roots:
+        du, dv = adj[u].bit_count(), adj[v].bit_count()
+        ge[min(du, top)] |= 1 << u
+        ge[min(dv, top)] |= 1 << v
+        for plan, above in roots:
             need = plan[2]
-            if gdeg[u] < need[0] or gdeg[v] < need[1]:
+            if du < need[0] or dv < need[1]:
                 continue
-            for _ in _embeddings(adj, gdeg, f, plan, root=(u, v)):
+            for _ in _embeddings(adj, ge, plan, (u, v), above):
                 return i
     return None
 
@@ -204,21 +205,17 @@ def enumerate_copies(g: LabeledGraph, j: PatternGraph) -> list[Copy]:
         raise ValueError("pattern must have at least one edge")
     if g.n < j.vertex_count:
         return []
-    plan = order, _, _ = _search_order(j)
-    pos = {v: i for i, v in enumerate(order)}
+    plan, above, _ = _plan(j)
+    pos = {v: i for i, v in enumerate(plan[0])}
     pat_edges = [(pos[u], pos[v]) for u, v in j.edges]
-    above = [[] for _ in order]
-    for i, perm in _automorphisms(j):
-        above[perm[i]].append(i)   # images[i] < images[perm[i]]
     copies = []
-    for images in _embeddings(*_host(g), j, plan, above=above):
-        ids = sorted(pair_index(*sorted((images[a], images[b])), g.n) for a, b in pat_edges)
-        copies.append(Copy(images, tuple(ids)))
+    for images in _embeddings(*_host(g, max(plan[2])), plan, above=above):
+        ids, mask = [], 0
+        for a, b in pat_edges:
+            x, y = images[a], images[b]
+            k = y * (y - 1) // 2 + x if x < y else x * (x - 1) // 2 + y   # pair_index
+            ids.append(k)
+            mask |= 1 << k
+        ids.sort()
+        copies.append(Copy(images, tuple(ids), mask))
     return sorted(copies, key=lambda c: c.edge_ids)
-
-
-def copies_sharing_edge(g: LabeledGraph, j: PatternGraph, h: LabeledGraph) -> int:
-    """Number of edge-set-distinct J-copies in G touching an edge of H."""
-    if g.n != h.n:
-        raise ValueError(f"dimension mismatch: G on {g.n} vertices, H on {h.n}")
-    return sum(1 for c in enumerate_copies(g, j) if c.edge_mask & h.bits)

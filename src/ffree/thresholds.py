@@ -167,8 +167,8 @@ def estimate_pc(n: int, f: PatternGraph, trials: int, tolerance: float,
     """Bisection for the p with mu_p = 1/2 on a shared coupled battery."""
     if n < f.vertex_count:
         raise ValueError(f"n={n} < pattern vertex count {f.vertex_count}: mu is constant 1")
-    if not tolerance > 0:
-        raise ValueError(f"tolerance must be positive, got {tolerance}")
+    if not 0 < tolerance < float("inf"):
+        raise ValueError(f"tolerance must be positive and finite, got {tolerance}")
     times = hitting_times(n, f, trials, seed, f"pc-table-n{n}")
 
     def mu_hat(p: float) -> float:

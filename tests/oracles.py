@@ -3,8 +3,9 @@
 Each oracle deliberately takes a different route than the library code it
 checks: densities by enumerating every (vertex subset, edge subset) pair,
 copies by trying every injective vertex map, set cover by enumerating
-element partitions, the covering LP by rational enumeration of basic
-feasible solutions, edge ids by peeling the lowest set bit, mu and p_c
+element partitions, embeddings by one recursive generator per search
+position, the covering LP by rational enumeration of basic feasible
+solutions, edge ids by peeling the lowest set bit, mu and p_c
 by realizing every coupled table at every probed p and searching it whole,
 copy lists by walking every automorphic image of every copy and keeping the
 first, random family members by setting one big-int bit per drawn pair,
@@ -26,8 +27,7 @@ import numpy as np
 from ffree.exact_tiny import mu_exact
 from ffree.graphs import LabeledGraph, PatternGraph, pair_endpoints, pair_index
 from ffree.sampling import EdgeThresholdTable, Seed, coupled_realize, sample_gnp
-from ffree.subiso import (Copy, _embeddings, _host, _search_order, contains_copy,
-                          first_completing_edge)
+from ffree.subiso import Copy, _search_order, contains_copy, first_completing_edge
 from ffree.thresholds import MuEstimate, ThresholdEstimate, wilson_interval
 
 
@@ -73,16 +73,44 @@ def copies_oracle(g: LabeledGraph, j: PatternGraph) -> set[tuple[int, ...]]:
     return out
 
 
+def embeddings_oracle(adj: list[int], gdeg: list[int], plan, root: tuple[int, ...] = (),
+                      above=None):
+    """subiso._embeddings by a recursive generator per search position, one
+    degree test per candidate; host degrees `gdeg` in place of its masks."""
+    _, prior, need = plan
+    k = len(need)
+    images = [0] * k
+
+    def extend(i: int, used: int):
+        if i == k:
+            yield tuple(images)
+            return
+        dom = ((1 << len(adj)) - 1) & ~used
+        for j in prior[i]:
+            dom &= adj[images[j]]
+        if i < len(root):
+            dom &= 1 << root[i]
+        for j in (above[i] if above else ()):
+            dom &= ~((2 << images[j]) - 1)
+        for v in range(len(adj)):
+            if dom >> v & 1 and gdeg[v] >= need[i]:
+                images[i] = v
+                yield from extend(i + 1, used | 1 << v)
+
+    yield from extend(0, 0)
+
+
 def enumerate_copies_oracle(g: LabeledGraph, j: PatternGraph) -> list[Copy]:
     """enumerate_copies without order constraints: every embedding is walked
     and the first (lexicographically least) one of each edge set is kept."""
     if g.n < j.vertex_count:
         return []
-    order, _, _ = _search_order(j)
+    plan = order, _, _ = _search_order(j)
     pos = {v: i for i, v in enumerate(order)}
     pat_edges = [(pos[u], pos[v]) for u, v in j.edges]
+    adj = g.adjacency_masks()
     seen: dict[tuple[int, ...], tuple[int, ...]] = {}
-    for images in _embeddings(*_host(g), j):
+    for images in embeddings_oracle(adj, [m.bit_count() for m in adj], plan):
         ids = tuple(sorted(
             pair_index(min(images[a], images[b]), max(images[a], images[b]), g.n)
             for a, b in pat_edges

@@ -9,10 +9,13 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import ffree
-from ffree.cli import build_parser, main
+from ffree.cli import _json, build_parser, main
 from ffree.sampling import EdgeThresholdTable
+
+from test_acceptance import CLI_RUNS
 
 
 def run(capsys, *argv):
@@ -366,3 +369,42 @@ def test_family_p_outside_unit_interval_exits_2(capsys, command, p):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith(f"error: p={float(p)} outside (0, 1)")
+
+
+_SCALARS = (st.none() | st.booleans() | st.integers()
+            | st.floats(allow_nan=False, allow_infinity=False) | st.text())
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.recursive(_SCALARS, lambda kids: st.lists(kids) | st.tuples(kids, kids)
+                    | st.dictionaries(st.text(), kids), max_leaves=30))
+def test_json_writer_matches_json_dumps(doc):
+    assert _json(doc) == json.dumps(doc, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize("argv", CLI_RUNS, ids=[a[0] for a in CLI_RUNS])
+def test_json_documents_equal_json_dumps(capsys, argv):
+    # the writer prints what json.dumps(indent=2, sort_keys=True) prints
+    main(argv + ["--format", "json"] if argv[0] == "mu-sweep" else argv)
+    out = capsys.readouterr().out
+    assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_json_writer_refuses_non_finite(value):
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        _json({"a": [1, {"b": value}]})
+
+
+@pytest.mark.parametrize("command, extra", [
+    ("exact-q", ["--n", "4"]), ("exact-qf", ["--n", "4"]), ("gap", ["--n", "4"]),
+    ("pc", ["--n", "5", "--trials", "5"]),
+    ("scaling", ["--n-list", "4,5,6", "--trials", "5"]),
+])
+@pytest.mark.parametrize("tol", ["inf", "-inf", "nan"])
+def test_non_finite_tolerance_exits_2(capsys, command, extra, tol):
+    assert main([command, "--pattern", "triangle", *extra, f"--tol={tol}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert re.fullmatch(r"error: tolerance must be positive and finite, got -?(inf|nan)\n",
+                        captured.err)

@@ -1,14 +1,16 @@
+import itertools
 import math
 
+import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ffree.graphs import LabeledGraph, PRESETS, parse_pattern
+from ffree.graphs import LabeledGraph, PatternGraph, PRESETS, parse_pattern
 from ffree.sampling import Seed, sample_gnp
-from ffree.subiso import (Copy, _edge_roots, contains_copy, copies_sharing_edge,
-                          enumerate_copies)
+from ffree.subiso import (Copy, _edge_roots, _embeddings, _host, _plan, _search_order,
+                          contains_copy, enumerate_copies)
 
-from oracles import copies_oracle, enumerate_copies_oracle
+from oracles import copies_oracle, embeddings_oracle, enumerate_copies_oracle
 
 TRIANGLE = PRESETS["triangle"]
 C5_GRAPH = LabeledGraph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)])
@@ -75,6 +77,7 @@ def test_enumeration_matches_automorphism_walk(pattern_name, data, p, master):
     copies = enumerate_copies(g, pat)
     assert copies == enumerate_copies_oracle(g, pat)
     assert len({c.edge_ids for c in copies}) == len(copies)
+    assert all(c.edge_mask == sum(1 << k for k in c.edge_ids) for c in copies)
 
 
 def _dense(p, master):
@@ -114,20 +117,6 @@ def test_copy_edge_mask_is_computed_once():
     assert "edge_mask" in vars(c)
 
 
-def test_sharing_examples():
-    k4 = LabeledGraph.complete(4)
-    h_edge = LabeledGraph.from_edges(4, [(0, 1)])
-    assert copies_sharing_edge(k4, TRIANGLE, h_edge) == 2  # 012 and 013
-    assert copies_sharing_edge(k4, TRIANGLE, LabeledGraph.empty(4)) == 0
-    assert copies_sharing_edge(C5_GRAPH, TRIANGLE, C5_GRAPH) == 0
-
-
-def test_sharing_dimension_mismatch():
-    with pytest.raises(ValueError):
-        copies_sharing_edge(LabeledGraph.complete(4), TRIANGLE,
-                            LabeledGraph.complete(5))
-
-
 @settings(max_examples=30, deadline=None)
 @given(st.integers(4, 7), st.data())
 def test_sharing_counting_envelope(n, data):
@@ -136,6 +125,72 @@ def test_sharing_counting_envelope(n, data):
     npairs = n * (n - 1) // 2
     g = LabeledGraph(n, data.draw(st.integers(0, (1 << npairs) - 1)))
     h = LabeledGraph(n, data.draw(st.integers(0, (1 << npairs) - 1)))
-    cnt = copies_sharing_edge(g, pat, h)
+    cnt = sum(1 for c in enumerate_copies(g, pat) if c.edge_mask & h.bits)
     c_j = pat.edge_count * 1  # (v_J - 2)! = 1 for the triangle
     assert cnt <= c_j * h.edge_count * n ** (pat.vertex_count - 2)
+
+
+@st.composite
+def _patterns(draw, max_vertices=6):
+    nv = draw(st.integers(2, max_vertices))
+    pairs = list(itertools.combinations(range(nv), 2))
+    edges = draw(st.lists(st.sampled_from(pairs), min_size=1, max_size=8, unique=True))
+    return PatternGraph(nv, tuple(sorted(edges)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_patterns(), st.integers(2, 9), st.floats(0.2, 0.9), st.integers(0, 2**62), st.data())
+def test_embeddings_equal_recursive_oracle(f, n, p, master, data):
+    # the same embeddings in the same order, with and without root and above
+    g = sample_gnp(n, p, Seed(master), purpose="kernel-oracle")
+    first_edge = data.draw(st.sampled_from([(), *f.edges, *(e[::-1] for e in f.edges)]))
+    plan = _search_order(f, first_edge)
+    k = len(plan[0])
+    root = tuple(data.draw(st.lists(st.integers(0, n - 1), max_size=min(k, n, 3), unique=True)))
+    above = data.draw(st.sampled_from(["none", "symmetry", "random"]))
+    if above == "none":
+        above = None
+    elif above == "symmetry":
+        above = _plan(f, first_edge)[1]
+    else:
+        above = [data.draw(st.lists(st.integers(0, i - 1), max_size=2)) if i else []
+                 for i in range(k)]
+    adj, ge = _host(g, max(plan[2]))
+    got = list(_embeddings(adj, ge, plan, root, above))
+    assert got == list(embeddings_oracle(adj, [m.bit_count() for m in adj], plan, root, above))
+
+
+def _complete(k: int) -> PatternGraph:
+    return PatternGraph.from_edges(list(itertools.combinations(range(k), 2)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(3, 8), st.integers(0, 2), st.data())
+def test_contains_copy_near_complete_matches_networkx(k, extra, data):
+    # near-complete hosts and patterns: many full-degree vertices, so the
+    # search relies on its symmetry breaking; networkx's VF2 checks the answer
+    n = k + extra
+    pairs = list(itertools.combinations(range(n), 2))
+    missing = set(data.draw(st.lists(st.sampled_from(pairs), max_size=3)))
+    g = LabeledGraph.from_edges(n, [e for e in pairs if e not in missing])
+    kpairs = list(itertools.combinations(range(k), 2))
+    gone = set(data.draw(st.lists(st.sampled_from(kpairs), max_size=2)))
+    f = PatternGraph.from_edges([e for e in kpairs if e not in gone], vertex_count=k)
+    host = nx.Graph(g.edges())
+    host.add_nodes_from(range(n))
+    pat = nx.Graph(f.edges)
+    pat.add_nodes_from(range(f.vertex_count))
+    want = nx.algorithms.isomorphism.GraphMatcher(host, pat).subgraph_is_monomorphic()
+    assert contains_copy(g, f) == want
+
+
+def test_contains_copy_dense_terminates(deadline):
+    # K11 - e in K11 is absent and K11 in itself present; without symmetry
+    # breaking the absent case tried the full-degree vertices in every order
+    deadline(5)
+    k11 = _complete(11)
+    minus = PatternGraph.from_edges(k11.edges[1:])
+    assert not contains_copy(LabeledGraph.from_edges(11, minus.edges), k11)
+    assert contains_copy(LabeledGraph.complete(11), minus)
+    assert contains_copy(LabeledGraph.complete(16), _complete(16))
+    assert not contains_copy(LabeledGraph.from_edges(16, _complete(16).edges[1:]), _complete(16))

@@ -160,7 +160,7 @@ def test_hitting_time_complete_pattern_is_last_arrival(n):
     # F = K_n on n vertices completes only with the last arrival, which the
     # open-ended last band holds.  From n = 18 the last vertex's pairs get
     # the top marks: a random order would leave full-degree vertices that
-    # the rooted search tries in every order before each arrival
+    # the rooted search tries in every increasing run before each arrival
     f = PatternGraph.from_edges([(i, j) for j in range(n) for i in range(j)])
     size = n * (n - 1) // 2
     for i in range(3):
@@ -176,6 +176,19 @@ def test_hitting_time_complete_pattern_is_last_arrival(n):
     table = _table(n, [7] * size)
     assert hitting_time(table, f) == hitting_time_oracle(table, f) == 7
     _assert_arrivals_stable_argsort(table)
+
+
+def test_hitting_time_complete_pattern_random_marks_under_time_limit(deadline):
+    # F = K_k on k vertices with unsorted random marks: before the last
+    # arrival up to k - 2 vertices have full degree, and each rooted search
+    # must place them in one order only (K16 did not finish in 30 s before)
+    deadline(10)
+    for k in range(3, 17):
+        f = PatternGraph.from_edges([(i, j) for j in range(k) for i in range(j)])
+        for i in range(3):
+            u = Seed(17).stream(f"kk-{k}", i).integers(0, 1 << 64, k * (k - 1) // 2,
+                                                        dtype=np.uint64)
+            assert hitting_time(_table(k, u), f) == int(u.max()), (k, i)
 
 
 @pytest.mark.parametrize("text", ["triangle", "C4", "K4", "0-1 2-3", "n=4 0-1 1-2"])
