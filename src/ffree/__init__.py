@@ -29,7 +29,6 @@ from .exact_tiny import (
     Certificate,
     FractionalCertificate,
     GapReport,
-    enumerate_maximal_ffree,
     gap_report,
     lp_min_cost,
     min_cover_cost,

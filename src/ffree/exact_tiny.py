@@ -19,6 +19,12 @@ F-free down-set can be handled exhaustively:
   dual; each probe of q asks only whether a cover costs <= 1/2: a greedy
   cover, then a branch and bound seeded at the budget and priced by the
   LP's optimal packing;
+* the LP is solved on S_n-orbits: relabeling [n] permutes elements and
+  candidates and keeps each weight, so some optimal y and lambda are
+  constant on orbits, and the LP with one row per candidate orbit and one
+  column per element orbit has the same optimum (Boedi, Herr and Joswig,
+  Math. Program. 137:65, 2013); at n <= 5 it is at most 20 x 3, against up to
+  578 x 87 labeled;
 * both optima are non-increasing in p (each weight is), so bisection on p
   against the 1/2 budget is valid.
 """
@@ -31,12 +37,12 @@ from functools import lru_cache
 
 import numpy as np
 
-from .graphs import LabeledGraph, PatternGraph
+from .graphs import LabeledGraph, PatternGraph, pair_index
 from .subiso import enumerate_copies
 
 N_CAP = 5
 SIMPLEX_TOL = 1e-9
-PIVOT_CAP = 20_000   # the largest LPs at n <= 5 take a few hundred pivots
+PIVOT_CAP = 20_000   # the orbit LPs at n <= 5 take at most 4 pivots (labeled: 483)
 DEFAULT_P_TOL = 1e-4
 
 
@@ -75,12 +81,6 @@ def _ffree_census(n: int, f: PatternGraph) -> tuple[tuple[int, ...], tuple[int, 
     return tuple(maximal), tuple(profile)
 
 
-def enumerate_maximal_ffree(n: int, f: PatternGraph) -> list[LabeledGraph]:
-    """All edge-maximal F-free graphs on [n] (brute force over 2^{n(n-1)/2})."""
-    _check_cap(n)
-    return [LabeledGraph(n, b) for b in _ffree_census(n, f)[0]]
-
-
 @dataclass(frozen=True)
 class Certificate:
     members: tuple[LabeledGraph, ...]
@@ -116,9 +116,35 @@ class _Instance:
     candidates: tuple[int, ...]      # their union closure, sorted
     missing: tuple[int, ...]         # |X \ S| per candidate S
     packing: np.ndarray              # candidates x elements 0/1 coverage matrix
+    element_orbit: np.ndarray        # S_n-orbit of each element, numbered from 0
+    candidate_orbit: np.ndarray      # S_n-orbit of each candidate, numbered from 0
+    representatives: np.ndarray      # least candidate of each candidate orbit
+    orbit_packing: np.ndarray        # candidate x element orbits: elements of
+                                     # orbit E under a candidate of C, over |E|
 
     def weights(self, p: float) -> list[float]:
         return [(1.0 - p) ** e for e in self.missing]
+
+
+def _orbits(masks: tuple[int, ...], tables: list[list[int]]) -> np.ndarray:
+    """Orbit of each mask of an S_n-invariant set, numbered by least member:
+    each orbit is closed under the images by the pair-bit permutation tables
+    of generators of S_n."""
+    index = {s: i for i, s in enumerate(masks)}
+    orbit = np.full(len(masks), -1, dtype=np.intp)
+    count = 0
+    for i, s in enumerate(masks):
+        if orbit[i] >= 0:
+            continue
+        orbit[i], members = count, [s]
+        for t in members:   # grows while it is walked
+            for table in tables:
+                j = index[sum(1 << b for k, b in enumerate(table) if t >> k & 1)]
+                if orbit[j] < 0:
+                    orbit[j] = count
+                    members.append(masks[j])
+        count += 1
+    return orbit
 
 
 @lru_cache(maxsize=None)
@@ -131,10 +157,33 @@ def _instance(n: int, f: PatternGraph) -> _Instance:
     candidates = tuple(sorted(closure))
     packing = np.array([[e & ~c == 0 for e in elements] for c in candidates],
                        dtype=float).reshape(len(candidates), len(elements))
-    packing.flags.writeable = False   # cached and shared by every probe
+    # S_n is generated by the transposition (0 1) and the n-cycle
+    pairs = [(u, v) for v in range(n) for u in range(v)]   # pair_index order
+    tables = [[pair_index(*sorted((g[u], g[v])), n) for u, v in pairs]
+              for g in ([1, 0, *range(2, n)], [*range(1, n), 0])]
+    element_orbit = _orbits(elements, tables)
+    candidate_orbit = _orbits(candidates, tables)
+    representatives = np.unique(candidate_orbit, return_index=True)[1]
+    in_orbit = element_orbit[:, None] == np.unique(element_orbit)
+    orbit_packing = packing[representatives] @ in_orbit / in_orbit.sum(axis=0)
+    for a in (packing, orbit_packing):
+        a.flags.writeable = False   # cached and shared by every probe
     m = n * (n - 1) // 2
     return _Instance(elements, candidates,
-                     tuple(m - c.bit_count() for c in candidates), packing)
+                     tuple(m - c.bit_count() for c in candidates), packing,
+                     element_orbit, candidate_orbit, representatives, orbit_packing)
+
+
+def _packing(inst: _Instance, weights: list[float]
+             ) -> tuple[float, np.ndarray, np.ndarray]:
+    """(optimum, lambda, y) of the covering LP and its packing dual for
+    S_n-invariant weights, read at each candidate orbit's representative:
+    _packing_simplex solves the orbit LP, and its solutions (mu, z) expand to
+    the labeled instance as lambda(S) = mu_C / |C| and y(M) = z_E / |E|."""
+    opt, mu, z = _packing_simplex(inst.orbit_packing,
+                                  [weights[r] for r in inst.representatives])
+    c, e = inst.candidate_orbit, inst.element_orbit
+    return opt, (mu / np.bincount(c))[c], (z / np.bincount(e))[e]
 
 
 def _branch_and_bound(inst: _Instance, weights: list[float], incumbent: float,
@@ -162,7 +211,7 @@ def _branch_and_bound(inst: _Instance, weights: list[float], incumbent: float,
     if best <= stop_at:
         return best
 
-    y = np.maximum(_packing_simplex(a, weights)[2], 0.0)
+    y = np.maximum(_packing(inst, weights)[2], 0.0)
     load = a @ y
     fit = np.divide(w, load, out=np.ones_like(w), where=load > 0)
     y *= fit.min(initial=1.0) * (1.0 - SIMPLEX_TOL)
@@ -259,11 +308,12 @@ class FractionalCertificate:
 
 def _packing_simplex(a: np.ndarray, w: list[float]
                      ) -> tuple[float, np.ndarray, np.ndarray]:
-    """max 1.y s.t. a y <= w, y >= 0, for a 0/1 matrix a and w >= 0.
+    """max 1.y s.t. a y <= w, y >= 0, for a matrix a >= 0 and w >= 0.
 
     Primal simplex from the feasible origin (slack basis): no phase 1.
     Dantzig's entering rule; the ratio test takes the lexicographically least
-    row of (rhs, slack columns) / pivot entry.  The slack columns hold B^-1,
+    row of (rhs, slack columns) / pivot entry, tying values within a relative
+    SIMPLEX_TOL (an absolute one ties every ratio once all weights are tiny).  The slack columns hold B^-1,
     whose rows are independent, so no basis repeats (Dantzig, Orden and
     Wolfe 1955).  Returns (optimum, lambda, y), lambda being the slack
     reduced costs: an optimal solution of min w.lambda s.t. a^T lambda >= 1.
@@ -293,7 +343,7 @@ def _packing_simplex(a: np.ndarray, w: list[float]
             if len(ties) == 1:
                 break
             ratio = tab[ties, j] / tab[ties, col]
-            ties = ties[ratio <= ratio.min() + SIMPLEX_TOL]
+            ties = ties[ratio <= ratio.min() + SIMPLEX_TOL * abs(ratio.min())]
         row = ties[0]
         basis[row] = col
         tab[row] /= tab[row, col]
@@ -313,7 +363,7 @@ def lp_min_cost(n: int, p: float, f: PatternGraph) -> tuple[float, FractionalCer
     """
     _check_cap(n, p)
     inst = _instance(n, f)
-    opt, lam, _ = _packing_simplex(inst.packing, inst.weights(p))
+    opt, lam, _ = _packing(inst, inst.weights(p))
     support = tuple((LabeledGraph(n, c), float(x))
                     for c, x in zip(inst.candidates, lam) if x > SIMPLEX_TOL)
     return opt, FractionalCertificate(support, p, opt)

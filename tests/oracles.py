@@ -12,8 +12,10 @@ first, random family members by setting one big-int bit per drawn pair,
 the exact p_c by a bisection loop of its own, pair ids by an integer square
 root per id, the tiny-n F-free census by searching every graph on [n],
 the least cover cost by a branch and bound with a per-element amortized
-bound in place of LP prices, and the hitting time by one stable argsort
-and decode of every mark before the first arrival.
+bound in place of LP prices, the hitting time by one stable argsort
+and decode of every mark before the first arrival, and the covering LP's
+float optimum by the packing simplex on the labeled instance instead of
+its S_n-orbits.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from ffree.exact_tiny import mu_exact
+from ffree.exact_tiny import _packing_simplex, mu_exact
 from ffree.graphs import LabeledGraph, PatternGraph, pair_endpoints, pair_index
 from ffree.sampling import EdgeThresholdTable, Seed, coupled_realize, sample_gnp
 from ffree.subiso import Copy, _search_order, contains_copy, first_completing_edge
@@ -291,6 +293,14 @@ def lp_bfs_oracle(elements: list[int], candidates: list[int], m: int,
             best = cost
     assert best is not None, "LP oracle found no feasible basis"
     return best
+
+
+def labeled_packing_oracle(packing: np.ndarray, weights: list[float]
+                           ) -> tuple[float, np.ndarray, np.ndarray]:
+    """(optimum, lambda, y) of the covering LP and its packing dual, solved on
+    the labeled instance: one row per candidate set, one column per
+    edge-maximal F-free graph."""
+    return _packing_simplex(packing, weights)
 
 
 def edge_ids_oracle(g: LabeledGraph) -> list[int]:

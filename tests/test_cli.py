@@ -277,6 +277,94 @@ def test_monte_carlo_golden_digests(capsys, argv, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+# stdout SHA-256 pinned at the commit before the covering LP was solved on
+# S_n-orbits: every q_f and q probe at n = 5 must decide as the labeled LP did;
+# keys are (subcommand, pattern, --tol), None for the default tolerance
+_EXACT_DIGESTS = {
+    ("gap", "triangle", "0.01"):
+        "de16e52ba71e9d6cb42fe26f864d5cd69590b4099a75cb29bf79dcef1c36ba90",
+    ("exact-qf", "triangle", "0.01"):
+        "6c5e4c3609bf1d2788fad9b073ff8012623a354764eac1e37ac51e424ca2fa4a",
+    ("exact-q", "triangle", "0.01"):
+        "b10a73806dcea9c3b6d33bd46860c8bd63c52e6f164d3071dc7846ae565ecfc4",
+    ("gap", "K4", "0.01"):
+        "78349a7875d076feada672e8b03ff7cd87466a77daaacc7beff8ab434c3f66f9",
+    ("exact-qf", "K4", "0.01"):
+        "033dd7b885d7d0a023dddd1f3e00dedabc08431b4eeb04b4142139d802c5aa37",
+    ("exact-q", "K4", "0.01"):
+        "858ec36e62ae5500c93ffba020e1fec2ffaa0583866eda5309cf4605b7f28f88",
+    ("gap", "K5", "0.01"):
+        "79f4d479c32f2636bd5536232c7fcd9fcadfbb5b31ca025c555b78fc7261abb8",
+    ("exact-qf", "K5", "0.01"):
+        "643d0331f476408a8ec65951ac614c5434c7f78aeb83dbb08c9e2868eac94fc0",
+    ("exact-q", "K5", "0.01"):
+        "d859412d5886e248b92e3a9164d405ef55d845a60e9a8d846d510b2bf801d0f4",
+    ("gap", "C4", "0.01"):
+        "b2acbc5e3edbedfaaf242a0ade6e7b313979ef46103bd193312fa568325d86a1",
+    ("exact-qf", "C4", "0.01"):
+        "0259b5081640f60a58c50967afa00ce99ba1f1890f33b6982ed5c00e7b6ba533",
+    ("exact-q", "C4", "0.01"):
+        "a6f98f2b4c20266fcd684b33e07dace481a2307765965faa5ea8f758f8fd2a5e",
+    ("gap", "C5", "0.01"):
+        "84068202ce6550698ce4ec4c31c82bca360022ac90efe23f3ddd95f182f3cefe",
+    ("exact-qf", "C5", "0.01"):
+        "ca589cc0052101a8ef6b232f26a415dc313b68db06b63ff194626fd255e2b58a",
+    ("exact-q", "C5", "0.01"):
+        "c13f5d21ff513efb310ae651dcfaa50b13ad022e7c072bba1298cf70e57addf6",
+    ("gap", "P3", "0.01"):
+        "dc741e3b129542f27ab45f123a5d8e40c3934ff5e895adc94ae30ce7ca6324c2",
+    ("exact-qf", "P3", "0.01"):
+        "21fbd60db64149f8e25e64ef019a5205f524804e2feeeec0b32302b3661884e0",
+    ("exact-q", "P3", "0.01"):
+        "e657f3d62af0fc498736845640f7bf45256441c15f80b2150280874dc183e213",
+    ("gap", "P4", "0.01"):
+        "ca36dc511a2a2830f10073eb45e782bd6438726e50bbdb97da09fc4ff84edd1e",
+    ("exact-qf", "P4", "0.01"):
+        "db0d6b713a18f4db8f9e05e3eadff1475f576cee5d331a220a726c7b57f0bd0c",
+    ("exact-q", "P4", "0.01"):
+        "950ee5850966c7d81852adf8095039da1e7802f296c64fafe9406c8a6061ff40",
+    ("exact-qf", "petersen", "0.01"):
+        "b094a712d1d82e532ec9654adfde5201557bd7f6f400f8eb6425c526ecda83bc",
+    ("exact-q", "petersen", "0.01"):
+        "c165713a6a6ee865c9356a0c025784b6da6c501de24fe0049fe4b0c89bf91af9",
+    ("gap", "0-1 2-3", "0.01"):
+        "db445fd478b0ba5d872e856fc37c6b68ff7ba120dac276aa464aefe4d4e9f565",
+    ("exact-qf", "0-1 2-3", "0.01"):
+        "6c520b930dcfc6b12160c612080f04f1eb8ebb8d7dc6e5e7f3f3683b69edbb8e",
+    ("exact-q", "0-1 2-3", "0.01"):
+        "87d8ff393a4860699e20cbd88a13179f577f4ef8b2a321dde5ac5fbb199a898b",
+    ("exact-qf", "triangle", None):
+        "17649ca6678a1e2b7dea0e1bfbf523cb2c648b8cadbc7e7eb459c3c10accc849",
+    ("gap", "triangle", None):
+        "ad7ca8789d9c62cab12c1577924d93bee9b7978e3bb6564d211a55d037df0848",
+    ("exact-qf", "C4", None):
+        "720d9b053d45fbfe6dbd5eb2d1fb083f18d8f7dd63bfc8d714cf3a14c525513e",
+    ("gap", "C4", None):
+        "67a6ed7f8aac2ec859a8b9110f7f9022d95b84c50d107c7f9a510f7a74f9a593",
+    ("exact-qf", "P3", None):
+        "56e1b0507f5e4737bfd3f5b1dfbbeb8af523168a18cd235133c46ed05eb0798e",
+    ("gap", "P3", None):
+        "960344cdc5a0cd4e05cf4f041a2be2b901d8adc7d46c2f9f8b3e72315157141c",
+}
+
+
+@pytest.mark.parametrize("command, pattern, tol", list(_EXACT_DIGESTS),
+                         ids=lambda v: str(v).replace(" ", "+"))
+def test_exact_golden_digests(capsys, command, pattern, tol):
+    argv = [command, "--pattern", pattern, "--n", "5", *(("--tol", tol) if tol else ())]
+    code, out = run(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == _EXACT_DIGESTS[command, pattern, tol]
+
+
+def test_exact_golden_petersen_gap_exits_2(capsys):
+    # Petersen does not fit on 5 vertices: mu_p = 1 at every p, so p_c is undefined
+    assert main(["gap", "--pattern", "petersen", "--n", "5", "--tol", "0.01"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: mu_p never drops below 1/2: threshold undefined at this n\n"
+
+
 def test_out_of_memory_exits_2(capsys, monkeypatch):
     # a table of n(n-1)/2 marks at n = 100000 needs 37 GiB; fail as numpy would
     def generate(n, gen):

@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -10,7 +11,6 @@ from ffree.exact_tiny import (
     Certificate,
     PivotCapError,
     ScaleError,
-    enumerate_maximal_ffree,
     gap_report,
     lp_min_cost,
     min_cover_cost,
@@ -24,6 +24,7 @@ from ffree.graphs import LabeledGraph, PRESETS, parse_pattern
 from ffree.subiso import contains_copy
 from oracles import (
     ffree_census_oracle,
+    labeled_packing_oracle,
     lp_bfs_oracle,
     min_cover_cost_oracle,
     partition_cover_oracle,
@@ -35,15 +36,20 @@ C4 = PRESETS["C4"]
 P3 = PRESETS["P3"]
 
 
+def maximal_ffree(n, f):
+    # the edge-maximal F-free graphs on [n], as the census lists them
+    return [LabeledGraph(n, b) for b in exact_tiny._ffree_census(n, f)[0]]
+
+
 def test_maximal_triangle_free_n3():
-    maxs = enumerate_maximal_ffree(3, TRIANGLE)
+    maxs = maximal_ffree(3, TRIANGLE)
     # the three 2-edge paths on 3 labeled vertices
     assert len(maxs) == 3
     assert all(g.edge_count == 2 for g in maxs)
 
 
 def test_maximal_c4_free_n3():
-    maxs = enumerate_maximal_ffree(3, C4)
+    maxs = maximal_ffree(3, C4)
     # no 4-cycle fits on 3 vertices, so the complete graph is the
     # unique maximal member
     assert maxs == [LabeledGraph.complete(3)]
@@ -51,7 +57,7 @@ def test_maximal_c4_free_n3():
 
 def test_maximal_members_verified_by_brute_force_n4():
     for pattern in (TRIANGLE, C4):
-        maxs = set(enumerate_maximal_ffree(4, pattern))
+        maxs = set(maximal_ffree(4, pattern))
         full = LabeledGraph.complete(4).bits
         for g in maxs:
             assert not contains_copy(g, pattern)
@@ -92,7 +98,7 @@ def test_min_cover_matches_partition_oracle():
     # reach for the oracle, so it is checked only at n=3
     cases = [(3, TRIANGLE, 3), (3, C4, 3), (4, TRIANGLE, 6)]
     for n, pattern, m in cases:
-        maxs = enumerate_maximal_ffree(n, pattern)
+        maxs = maximal_ffree(n, pattern)
         got = min_cover_cost(n, 0.9, pattern)
         want = partition_cover_oracle([g.bits for g in maxs], m,
                                       Fraction(9, 10))
@@ -191,6 +197,81 @@ def test_packing_simplex_returns_optimal_packing(text):
             assert w @ lam == pytest.approx(opt, abs=1e-9), (n, k)
 
 
+@pytest.mark.parametrize("text", [*PRESETS, "0-1 2-3", "n=4 0-1 1-2", "n=3"])
+def test_orbit_lp_matches_labeled_oracle(text):
+    # the LP solved on S_n-orbits has the labeled LP's optimum, and its
+    # solutions expanded to labeled sets are feasible and optimal there
+    f = parse_pattern(text)
+    for n in range(2, 6):
+        inst = exact_tiny._instance(n, f)
+        a = inst.packing
+        for k in range(65):
+            weights = inst.weights(k / 64)
+            w = np.array(weights)
+            want = labeled_packing_oracle(a, weights)[0]
+            opt, lam, y = exact_tiny._packing(inst, weights)
+            assert opt == pytest.approx(want, abs=1e-8), (n, k)
+            assert (opt <= 0.5) == (want <= 0.5), (n, k)
+            assert (y >= -1e-12).all() and (lam >= -1e-12).all(), (n, k)
+            assert (a @ y <= w + 1e-12).all(), (n, k)
+            assert (a.T @ lam >= 1 - 1e-12).all(), (n, k)
+            assert w @ lam == pytest.approx(opt, abs=1e-12), (n, k)
+            assert y.sum() == pytest.approx(opt, abs=1e-12), (n, k)
+
+
+def test_packing_exact_at_tiny_weights():
+    # P3 at n = 5: the maximal F-free graphs are the 15 two-edge matchings,
+    # one orbit E, so y is uniform and the optimum is min_S w(S) |E| / c(S),
+    # c(S) the number of them under S.  Near p = 1 every ratio the simplex
+    # compares is below 1e-9: ties taken at an absolute 1e-9 there gave 4.475e-09 for
+    # 3.4964e-10 at p = 61/64 on the labeled LP, and an infeasible y from
+    # p = 62/64 on the orbit LP
+    inst = exact_tiny._instance(5, P3)
+    assert [e.bit_count() for e in inst.elements] == [2] * 15
+    for k in (61, 62, 63):
+        p = Fraction(k, 64)
+        exact = min((1 - p) ** missing * 15 / int(covered)
+                    for missing, covered in zip(inst.missing, inst.packing.sum(axis=1)))
+        weights = inst.weights(float(p))
+        assert exact_tiny._packing(inst, weights)[0] == pytest.approx(float(exact), abs=1e-15)
+        assert labeled_packing_oracle(inst.packing, weights)[0] == pytest.approx(
+            float(exact), abs=1e-15)
+        if k == 61:
+            assert float(exact) == pytest.approx(3.4964e-10, rel=1e-4)
+
+
+@pytest.mark.parametrize("text", [*PRESETS, "0-1 2-3"])
+def test_lp_certificate_is_constant_on_orbits(text):
+    # lp_min_cost's lambda is the orbit LP's, spread evenly over each
+    # candidate orbit: every relabeling of [n] maps the support onto itself
+    # with equal values, and it covers every element at cost opt
+    f = parse_pattern(text)
+    for n in (4, 5):
+        m = n * (n - 1) // 2
+        for p in (0.25, 0.5, 0.75):
+            opt, cert = lp_min_cost(n, p, f)
+            lam = {g.bits: x for g, x in cert.support}
+            for g, x in cert.support:
+                for perm in itertools.permutations(range(n)):
+                    image = LabeledGraph.from_edges(n, [(perm[u], perm[v]) for u, v in g.edges()])
+                    assert lam.get(image.bits) == x, (n, p, g.bits, perm)
+            for e in exact_tiny._instance(n, f).elements:
+                assert sum(x for s, x in lam.items() if e & ~s == 0) >= 1 - 1e-12
+            assert sum(x * (1 - p) ** (m - g.edge_count)
+                       for g, x in cert.support) == pytest.approx(opt, abs=1e-12)
+
+
+def test_qf_exact_solves_each_probe_through_lp_min_cost(monkeypatch):
+    # the benchmark's tracer counts LP solves by rebinding the module's
+    # lp_min_cost, so every q_f probe must reach the LP through that name
+    calls = []
+    solve = exact_tiny.lp_min_cost
+    monkeypatch.setattr(exact_tiny, "lp_min_cost",
+                        lambda *args: calls.append(args) or solve(*args))
+    qf_exact(5, C4, 0.01)
+    assert len(calls) == 9
+
+
 def test_candidates_are_unions_of_covered_elements():
     # a candidate covering strictly more elements is a strictly larger set,
     # so for 0 < p < 1 it is strictly heavier and no candidate dominates
@@ -278,7 +359,7 @@ def test_mu_exact_rejects_p_outside_unit_interval():
         with pytest.raises(ValueError, match="outside"):
             mu_exact(4, p, TRIANGLE)
     # p = 3 gave these members a total weight of -20, and a NaN p compared false
-    members = tuple(enumerate_maximal_ffree(4, TRIANGLE))
+    members = tuple(maximal_ffree(4, TRIANGLE))
     for p in (3.0, math.nan):
         with pytest.raises(ValueError, match="outside"):
             verify_certificate(Certificate(members, p), TRIANGLE, 4)
@@ -290,7 +371,7 @@ def test_verify_certificate_examples():
     assert not verify_certificate(bad, TRIANGLE, 3)
     # the empty certificate covers nothing
     assert not verify_certificate(Certificate((), 0.5), TRIANGLE, 3)
-    paths = tuple(enumerate_maximal_ffree(3, TRIANGLE))
+    paths = tuple(maximal_ffree(3, TRIANGLE))
     assert verify_certificate(Certificate(paths, 5 / 6), TRIANGLE, 3)
     # weight 3(1-p) > 1/2 below the threshold point
     assert not verify_certificate(Certificate(paths, 0.5), TRIANGLE, 3)
