@@ -4,6 +4,9 @@ Library + CLI for graph densities m and m2, the random-alteration
 construction of F-free graphs hitting adversarial families, Monte Carlo
 threshold location, and exact tiny-n expectation thresholds with the chain
 p_c <= q_f <= q.
+
+numpy is imported inside the functions that use it, so importing the package,
+the densities and the exact p_c and q_f do not load it.
 """
 
 from .graphs import LabeledGraph, PatternGraph, PRESETS, pair_from_index, pair_index, parse_pattern

@@ -23,8 +23,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-import numpy as np
-
 from .density import minimal_m2_subgraph, m2_density
 from .graphs import LabeledGraph, PatternGraph
 from .sampling import Seed, sample_gnp
@@ -285,6 +283,7 @@ def min_family_edges(k: int, p: float, delta: float) -> int:
 
 def random_member(n: int, edge_count: int, gen) -> LabeledGraph:
     """Uniform labeled graph on [n] with exactly edge_count edges."""
+    import numpy as np
     pairs = n * (n - 1) // 2
     if edge_count < 0:
         raise ValueError(f"edge_count must be >= 0, got {edge_count}")

@@ -24,7 +24,8 @@ F-free down-set can be handled exhaustively:
   constant on orbits, and the LP with one row per candidate orbit and one
   column per element orbit has the same optimum (Boedi, Herr and Joswig,
   Math. Program. 137:65, 2013); at n <= 5 it is at most 20 x 3, against up to
-  578 x 87 labeled;
+  578 x 87 labeled, solved in plain Python floats: only q's branch and
+  bound builds the labeled 0/1 matrix, in numpy, so p_c and q_f never load it;
 * both optima are non-increasing in p (each weight is), so bisection on p
   against the 1/2 budget is valid.
 """
@@ -32,13 +33,11 @@ F-free down-set can be handled exhaustively:
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
-
-import numpy as np
+from functools import cached_property, lru_cache
 
 from .graphs import LabeledGraph, PatternGraph, pair_index
-from .subiso import enumerate_copies
 
 N_CAP = 5
 SIMPLEX_TOL = 1e-9
@@ -67,10 +66,11 @@ def _check_cap(n: int, p: float = 0.0):
 def _ffree_census(n: int, f: PatternGraph) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """(sorted edge-maximal F-free bitmasks, number of F-free graphs with e edges
     for e = 0..n(n-1)/2); a graph is F-free iff it misses an edge of every copy
-    of F in K_n, and an edgeless F that fits on [n] has one copy, with no edges."""
+    of F in K_n, one copy per injective map of F's vertices (isolated ones
+    too) into [n]."""
     m = n * (n - 1) // 2
-    copies = ([c.edge_mask for c in enumerate_copies(LabeledGraph.complete(n), f)]
-              if f.edge_count else [0] * (n >= f.vertex_count))
+    copies = {sum(1 << pair_index(*sorted((g[u], g[v])), n) for u, v in f.edges)
+              for g in itertools.permutations(range(n), f.vertex_count)}
     ffree = {g for g in range(1 << m) if all(c & ~g for c in copies)}
     profile = [0] * (m + 1)
     for g in ffree:
@@ -115,23 +115,31 @@ class _Instance:
     elements: tuple[int, ...]        # edge-maximal F-free bitmasks
     candidates: tuple[int, ...]      # their union closure, sorted
     missing: tuple[int, ...]         # |X \ S| per candidate S
-    packing: np.ndarray              # candidates x elements 0/1 coverage matrix
-    element_orbit: np.ndarray        # S_n-orbit of each element, numbered from 0
-    candidate_orbit: np.ndarray      # S_n-orbit of each candidate, numbered from 0
-    representatives: np.ndarray      # least candidate of each candidate orbit
-    orbit_packing: np.ndarray        # candidate x element orbits: elements of
-                                     # orbit E under a candidate of C, over |E|
+    element_orbit: tuple[int, ...]   # S_n-orbit of each element, numbered from 0
+    candidate_orbit: tuple[int, ...]  # S_n-orbit of each candidate, numbered from 0
+    representatives: tuple[int, ...]  # least candidate of each candidate orbit
+    orbit_packing: tuple[tuple[float, ...], ...]  # candidate x element orbits:
+                                     # elements of orbit E under a candidate of C, over |E|
 
     def weights(self, p: float) -> list[float]:
         return [(1.0 - p) ** e for e in self.missing]
 
+    @cached_property
+    def packing(self):
+        """Candidates x elements 0/1 coverage matrix, for q's search only."""
+        import numpy as np
+        a = np.array([[e & ~c == 0 for e in self.elements] for c in self.candidates],
+                     dtype=float).reshape(len(self.candidates), len(self.elements))
+        a.flags.writeable = False   # cached and shared by every probe
+        return a
 
-def _orbits(masks: tuple[int, ...], tables: list[list[int]]) -> np.ndarray:
+
+def _orbits(masks: tuple[int, ...], tables: list[list[int]]) -> tuple[int, ...]:
     """Orbit of each mask of an S_n-invariant set, numbered by least member:
     each orbit is closed under the images by the pair-bit permutation tables
     of generators of S_n."""
     index = {s: i for i, s in enumerate(masks)}
-    orbit = np.full(len(masks), -1, dtype=np.intp)
+    orbit = [-1] * len(masks)
     count = 0
     for i, s in enumerate(masks):
         if orbit[i] >= 0:
@@ -144,7 +152,7 @@ def _orbits(masks: tuple[int, ...], tables: list[list[int]]) -> np.ndarray:
                     orbit[j] = count
                     members.append(masks[j])
         count += 1
-    return orbit
+    return tuple(orbit)
 
 
 @lru_cache(maxsize=None)
@@ -155,35 +163,34 @@ def _instance(n: int, f: PatternGraph) -> _Instance:
         frontier = {a | b for a in frontier for b in elements} - closure
         closure |= frontier
     candidates = tuple(sorted(closure))
-    packing = np.array([[e & ~c == 0 for e in elements] for c in candidates],
-                       dtype=float).reshape(len(candidates), len(elements))
     # S_n is generated by the transposition (0 1) and the n-cycle
     pairs = [(u, v) for v in range(n) for u in range(v)]   # pair_index order
     tables = [[pair_index(*sorted((g[u], g[v])), n) for u, v in pairs]
               for g in ([1, 0, *range(2, n)], [*range(1, n), 0])]
     element_orbit = _orbits(elements, tables)
     candidate_orbit = _orbits(candidates, tables)
-    representatives = np.unique(candidate_orbit, return_index=True)[1]
-    in_orbit = element_orbit[:, None] == np.unique(element_orbit)
-    orbit_packing = packing[representatives] @ in_orbit / in_orbit.sum(axis=0)
-    for a in (packing, orbit_packing):
-        a.flags.writeable = False   # cached and shared by every probe
+    representatives = tuple(candidate_orbit.index(k) for k in sorted(set(candidate_orbit)))
+    sizes = Counter(element_orbit)
+    orbit_packing = tuple(
+        tuple(sum(e & ~candidates[r] == 0 for e, k in zip(elements, element_orbit) if k == o)
+              / sizes[o] for o in range(len(sizes)))
+        for r in representatives)
     m = n * (n - 1) // 2
-    return _Instance(elements, candidates,
-                     tuple(m - c.bit_count() for c in candidates), packing,
+    return _Instance(elements, candidates, tuple(m - c.bit_count() for c in candidates),
                      element_orbit, candidate_orbit, representatives, orbit_packing)
 
 
 def _packing(inst: _Instance, weights: list[float]
-             ) -> tuple[float, np.ndarray, np.ndarray]:
+             ) -> tuple[float, list[float], list[float]]:
     """(optimum, lambda, y) of the covering LP and its packing dual for
     S_n-invariant weights, read at each candidate orbit's representative:
     _packing_simplex solves the orbit LP, and its solutions (mu, z) expand to
     the labeled instance as lambda(S) = mu_C / |C| and y(M) = z_E / |E|."""
     opt, mu, z = _packing_simplex(inst.orbit_packing,
                                   [weights[r] for r in inst.representatives])
-    c, e = inst.candidate_orbit, inst.element_orbit
-    return opt, (mu / np.bincount(c))[c], (z / np.bincount(e))[e]
+    c, e = Counter(inst.candidate_orbit), Counter(inst.element_orbit)
+    return (opt, [mu[k] / c[k] for k in inst.candidate_orbit],
+            [z[k] / e[k] for k in inst.element_orbit])
 
 
 def _branch_and_bound(inst: _Instance, weights: list[float], incumbent: float,
@@ -196,6 +203,7 @@ def _branch_and_bound(inst: _Instance, weights: list[float], incumbent: float,
     1e-15 of the best cost, and only candidates whose reduced weight
     w - a.y_live fits the room left are tried, on the live element with the
     fewest of them, least reduced weight first."""
+    import numpy as np
     a = inst.packing
     covers = a > 0
     w = np.array(weights)
@@ -247,7 +255,10 @@ def _branch_and_bound(inst: _Instance, weights: list[float], incumbent: float,
 
 
 def min_cover_cost(n: int, p: float, f: PatternGraph) -> float:
-    """Exact minimum certificate weight covering all maximal F-free graphs."""
+    """Exact minimum certificate weight covering all maximal F-free graphs.
+
+    The search is exponential, with no time bound: min_cover_cost(5, 0.625, C4)
+    did not finish in 60 s.  q_exact does not use it (see _cover_within)."""
     _check_cap(n, p)
     inst = _instance(n, f)
     return _branch_and_bound(inst, inst.weights(p), float("inf"), -1.0)
@@ -306,9 +317,9 @@ class FractionalCertificate:
     total_cost: float
 
 
-def _packing_simplex(a: np.ndarray, w: list[float]
-                     ) -> tuple[float, np.ndarray, np.ndarray]:
-    """max 1.y s.t. a y <= w, y >= 0, for a matrix a >= 0 and w >= 0.
+def _packing_simplex(a, w: list[float]) -> tuple[float, list[float], list[float]]:
+    """max 1.y s.t. a y <= w, y >= 0, for a matrix a >= 0 (a sequence of rows)
+    and w >= 0, on a dense tableau of float lists.
 
     Primal simplex from the feasible origin (slack basis): no phase 1.
     Dantzig's entering rule; the ratio test takes the lexicographically least
@@ -318,40 +329,44 @@ def _packing_simplex(a: np.ndarray, w: list[float]
     Wolfe 1955).  Returns (optimum, lambda, y), lambda being the slack
     reduced costs: an optimal solution of min w.lambda s.t. a^T lambda >= 1.
     """
-    rows, cols = a.shape
+    rows, cols = len(a), len(a[0]) if len(a) else 0
     if not cols:   # nothing to cover
-        return 0.0, np.zeros(rows), np.zeros(0)
-    tab = np.zeros((rows + 1, cols + rows + 1))
-    tab[:rows, :cols] = a
-    tab[np.arange(rows), cols + np.arange(rows)] = 1.0
-    tab[:rows, -1] = w
-    tab[rows, :cols] = -1.0
+        return 0.0, [0.0] * rows, []
+    tab = [[*map(float, a[i]), *(float(i == k) for k in range(rows)), float(w[i])]
+           for i in range(rows)]
+    tab.append([-1.0] * cols + [0.0] * (rows + 1))
+    cost = tab[rows]
     lex = [cols + rows, *range(cols, cols + rows)]   # rhs, then slack columns
     basis = list(range(cols, cols + rows))
     for pivots in itertools.count():
-        col = int(np.argmin(tab[rows, :-1]))
-        if tab[rows, col] >= -SIMPLEX_TOL:
-            y = np.zeros(cols + rows)
-            y[basis] = tab[:rows, -1]   # nonbasic columns are 0
-            return float(tab[rows, -1]), tab[rows, cols:-1].copy(), y[:cols]
+        col = min(range(cols + rows), key=cost.__getitem__)
+        if cost[col] >= -SIMPLEX_TOL:
+            y = [0.0] * (cols + rows)
+            for i, j in enumerate(basis):   # nonbasic columns are 0
+                y[j] = tab[i][-1]
+            return cost[-1], cost[cols:-1], y[:cols]
         if pivots == PIVOT_CAP:
             raise PivotCapError(
                 f"exact_tiny: packing simplex reached PIVOT_CAP={PIVOT_CAP} "
                 f"pivots on a {rows}x{cols} LP")
-        ties = np.flatnonzero(tab[:rows, col] > SIMPLEX_TOL)
+        ties = [i for i in range(rows) if tab[i][col] > SIMPLEX_TOL]
         for j in lex:
             if len(ties) == 1:
                 break
-            ratio = tab[ties, j] / tab[ties, col]
-            ties = ties[ratio <= ratio.min() + SIMPLEX_TOL * abs(ratio.min())]
+            ratio = [tab[i][j] / tab[i][col] for i in ties]
+            least = min(ratio)
+            ties = [i for i, r in zip(ties, ratio) if r <= least + SIMPLEX_TOL * abs(least)]
         row = ties[0]
         basis[row] = col
-        tab[row] /= tab[row, col]
+        pivot = tab[row][col]
+        tab[row] = prow = [x / pivot for x in tab[row]]
         # eliminate only where both the pivot column and pivot row are nonzero
-        hit = np.flatnonzero(tab[:, col])
-        hit = hit[hit != row]
-        nz = np.flatnonzero(tab[row])
-        tab[np.ix_(hit, nz)] -= np.outer(tab[hit, col], tab[row, nz])
+        nz = [j for j, x in enumerate(prow) if x]
+        for i, r in enumerate(tab):
+            factor = r[col]
+            if factor and i != row:
+                for j in nz:
+                    r[j] -= factor * prow[j]
 
 
 def lp_min_cost(n: int, p: float, f: PatternGraph) -> tuple[float, FractionalCertificate]:

@@ -10,15 +10,14 @@ Two representations are used throughout the project:
 
 The pair index convention is fixed project-wide: pair (u, v) with u < v has
 index v(v-1)/2 + u.  Everything that serializes edge ids relies on it; only
-this module decodes pair indices or packs pair arrays into bits.
+this module decodes pair indices or packs pair arrays into bits.  Its
+decoders import numpy when first called, so importing the module does not.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-
-import numpy as np
 
 
 class PatternParseError(ValueError):
@@ -41,6 +40,7 @@ def pair_index(u: int, v: int, n: int) -> int:
 def pair_endpoints(ids) -> tuple[list[int], list[int]]:
     """Inverse of :func:`pair_index` over a sequence of pair indices:
     (u of each pair, v of each pair)."""
+    import numpy as np
     k = np.asarray(ids, dtype=np.int64)
     # floor(sqrt(8k + 1)) is 2v - 1 or 2v; float64 finds it for every v <= 9e7
     v = (np.sqrt(8 * k + 1).astype(np.int64) + 1) >> 1
@@ -221,8 +221,9 @@ class LabeledGraph:
         return LabeledGraph(n, bits)
 
     @staticmethod
-    def from_mask(n: int, present: np.ndarray) -> "LabeledGraph":
-        """Graph whose edges are the pair indices where `present` is true."""
+    def from_mask(n: int, present) -> "LabeledGraph":
+        """Graph whose edges are the pair indices where bool array `present` is true."""
+        import numpy as np
         packed = np.packbits(present, bitorder="little")
         return LabeledGraph(n, int.from_bytes(packed.tobytes(), "little"))
 
@@ -243,6 +244,7 @@ class LabeledGraph:
 
     def edge_ids(self) -> list[int]:
         """Pair indices of the edges, increasing."""
+        import numpy as np
         raw = self.bits.to_bytes((self.bits.bit_length() + 7) // 8, "little")
         bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8), bitorder="little")
         return np.flatnonzero(bits).tolist()

@@ -14,10 +14,12 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .graphs import LabeledGraph
+
+if TYPE_CHECKING:
+    import numpy as np
 
 _GRID = 1 << 64
 
@@ -33,6 +35,7 @@ class Seed:
             raise ValueError("master seed must be a 64-bit nonnegative integer")
 
     def stream(self, purpose: str, index: int = 0) -> np.random.Generator:
+        import numpy as np
         tag = int.from_bytes(hashlib.blake2b(purpose.encode(), digest_size=8).digest(), "big")
         ss = np.random.SeedSequence([self.master, tag, index])
         return np.random.Generator(np.random.Philox(ss))
@@ -57,6 +60,7 @@ class EdgeThresholdTable:
 
     @staticmethod
     def generate(n: int, gen: np.random.Generator) -> "EdgeThresholdTable":
+        import numpy as np
         if n < 1:
             raise ValueError("n must be positive")
         marks = gen.integers(0, _GRID, size=n * (n - 1) // 2, dtype=np.uint64)
@@ -66,6 +70,7 @@ class EdgeThresholdTable:
 
 def coupled_realize(table: EdgeThresholdTable, p: float) -> LabeledGraph:
     """Graph with edge e present iff mark[e] < p (on the 2^-64 grid)."""
+    import numpy as np
     t = _p_to_grid(p)
     if t >= _GRID:
         present = np.ones(table.u.shape, dtype=bool)

@@ -24,8 +24,6 @@ import math
 from dataclasses import dataclass
 from itertools import chain
 
-import numpy as np
-
 from .density import m_density
 from .graphs import PatternGraph, pair_endpoints
 from .sampling import _GRID, EdgeThresholdTable, Seed, _p_to_grid
@@ -42,6 +40,7 @@ def _arrival_bands(table: EdgeThresholdTable):
     tables of at most 8n pairs (n <= 17) are sorted at once: there a band's
     fixed cost outweighs the sorting it saves.
     """
+    import numpy as np
     u = table.u
     lo, hi = 0, 2 * table.n * _GRID // len(u)
     while 4 * hi < _GRID:
@@ -65,6 +64,7 @@ def hitting_time(table: EdgeThresholdTable, f: PatternGraph) -> int:
         return _GRID
     if f.edge_count == 0:
         return -1
+    import numpy as np
     arrived = []
 
     def decode(band):
@@ -216,6 +216,7 @@ def scaling_fit(f: PatternGraph, n_list: list[int], trials: int,
     """Least-squares slope of log p_hat against log n; target is -1/m(F)."""
     if len(n_list) < 3 or sorted(n_list) != list(n_list) or len(set(n_list)) != len(n_list):
         raise ValueError("need at least 3 strictly increasing n values")
+    import numpy as np
     points = [(n, estimate_pc(n, f, trials, tolerance, seed).p_hat) for n in n_list]
     slope, intercept = np.polyfit(np.log([n for n, _ in points]),
                                   np.log([p for _, p in points]), 1)

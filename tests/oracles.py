@@ -13,9 +13,10 @@ the exact p_c by a bisection loop of its own, pair ids by an integer square
 root per id, the tiny-n F-free census by searching every graph on [n],
 the least cover cost by a branch and bound with a per-element amortized
 bound in place of LP prices, the hitting time by one stable argsort
-and decode of every mark before the first arrival, and the covering LP's
-float optimum by the packing simplex on the labeled instance instead of
-its S_n-orbits.
+and decode of every mark before the first arrival, the covering LP's
+float optimum by a numpy tableau simplex on the labeled instance instead of
+a list tableau on its S_n-orbits, and the census's copies of F by the
+subgraph search on K_n instead of by permuting [n].
 """
 
 from __future__ import annotations
@@ -26,10 +27,11 @@ from fractions import Fraction
 
 import numpy as np
 
-from ffree.exact_tiny import _packing_simplex, mu_exact
+from ffree.exact_tiny import PIVOT_CAP, SIMPLEX_TOL, PivotCapError, mu_exact
 from ffree.graphs import LabeledGraph, PatternGraph, pair_endpoints, pair_index
 from ffree.sampling import EdgeThresholdTable, Seed, coupled_realize, sample_gnp
-from ffree.subiso import Copy, _search_order, contains_copy, first_completing_edge
+from ffree.subiso import (Copy, _search_order, contains_copy, enumerate_copies,
+                          first_completing_edge)
 from ffree.thresholds import MuEstimate, ThresholdEstimate, wilson_interval
 
 
@@ -134,6 +136,23 @@ def ffree_census_oracle(n: int, f: PatternGraph) -> tuple[tuple[int, ...], tuple
     """_ffree_census by one subgraph search per graph on [n]."""
     m = n * (n - 1) // 2
     ffree = {g for g in range(1 << m) if not contains_copy(LabeledGraph(n, g), f)}
+    profile = [0] * (m + 1)
+    for g in ffree:
+        profile[g.bit_count()] += 1
+    maximal = sorted(g for g in ffree
+                     if not any((g | 1 << e) in ffree
+                                for e in range(m) if not g >> e & 1))
+    return tuple(maximal), tuple(profile)
+
+
+def census_from_copies_oracle(n: int, f: PatternGraph
+                              ) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """_ffree_census with the copies of F in K_n found by enumerate_copies;
+    an edgeless F that fits on [n] has one copy, with no edges."""
+    m = n * (n - 1) // 2
+    copies = ([c.edge_mask for c in enumerate_copies(LabeledGraph.complete(n), f)]
+              if f.edge_count else [0] * (n >= f.vertex_count))
+    ffree = {g for g in range(1 << m) if all(c & ~g for c in copies)}
     profile = [0] * (m + 1)
     for g in ffree:
         profile[g.bit_count()] += 1
@@ -295,12 +314,48 @@ def lp_bfs_oracle(elements: list[int], candidates: list[int], m: int,
     return best
 
 
-def labeled_packing_oracle(packing: np.ndarray, weights: list[float]
+def labeled_packing_oracle(a: np.ndarray, w: list[float]
                            ) -> tuple[float, np.ndarray, np.ndarray]:
-    """(optimum, lambda, y) of the covering LP and its packing dual, solved on
-    the labeled instance: one row per candidate set, one column per
-    edge-maximal F-free graph."""
-    return _packing_simplex(packing, weights)
+    """(optimum, lambda, y) of max 1.y s.t. a y <= w, y >= 0 and its covering
+    dual, by the library's simplex on a numpy tableau: the same pivots and
+    float operations as exact_tiny._packing_simplex, so its values are
+    bit-identical to that one's.  On the labeled instance (one row per
+    candidate set, one column per edge-maximal F-free graph) it solves the
+    covering LP without the S_n-orbits."""
+    rows, cols = a.shape
+    if not cols:   # nothing to cover
+        return 0.0, np.zeros(rows), np.zeros(0)
+    tab = np.zeros((rows + 1, cols + rows + 1))
+    tab[:rows, :cols] = a
+    tab[np.arange(rows), cols + np.arange(rows)] = 1.0
+    tab[:rows, -1] = w
+    tab[rows, :cols] = -1.0
+    lex = [cols + rows, *range(cols, cols + rows)]   # rhs, then slack columns
+    basis = list(range(cols, cols + rows))
+    for pivots in itertools.count():
+        col = int(np.argmin(tab[rows, :-1]))
+        if tab[rows, col] >= -SIMPLEX_TOL:
+            y = np.zeros(cols + rows)
+            y[basis] = tab[:rows, -1]   # nonbasic columns are 0
+            return float(tab[rows, -1]), tab[rows, cols:-1].copy(), y[:cols]
+        if pivots == PIVOT_CAP:
+            raise PivotCapError(
+                f"exact_tiny: packing simplex reached PIVOT_CAP={PIVOT_CAP} "
+                f"pivots on a {rows}x{cols} LP")
+        ties = np.flatnonzero(tab[:rows, col] > SIMPLEX_TOL)
+        for j in lex:
+            if len(ties) == 1:
+                break
+            ratio = tab[ties, j] / tab[ties, col]
+            ties = ties[ratio <= ratio.min() + SIMPLEX_TOL * abs(ratio.min())]
+        row = ties[0]
+        basis[row] = col
+        tab[row] /= tab[row, col]
+        # eliminate only where both the pivot column and pivot row are nonzero
+        hit = np.flatnonzero(tab[:, col])
+        hit = hit[hit != row]
+        nz = np.flatnonzero(tab[row])
+        tab[np.ix_(hit, nz)] -= np.outer(tab[hit, col], tab[row, nz])
 
 
 def edge_ids_oracle(g: LabeledGraph) -> list[int]:

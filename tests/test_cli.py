@@ -378,14 +378,37 @@ def test_out_of_memory_exits_2(capsys, monkeypatch):
     assert captured.err.count("\n") == 1
 
 
-def _ffree_subprocess(*argv):
+def _python_subprocess(*argv):
     # a fresh interpreter under a time limit, so a hang fails the test
     # instead of stalling the suite
     src = str(Path(ffree.__file__).resolve().parents[1])
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    return subprocess.run([sys.executable, "-m", "ffree.cli", *argv], env=env,
+    return subprocess.run([sys.executable, *argv], env=env,
                           capture_output=True, text=True, timeout=60)
+
+
+def _ffree_subprocess(*argv):
+    return _python_subprocess("-m", "ffree.cli", *argv)
+
+
+def test_exact_layer_and_density_run_without_numpy():
+    # numpy is imported inside the functions that use it: a fresh interpreter
+    # imports the CLI and runs these commands without loading it
+    script = "\n".join([
+        "import contextlib, io, json, sys",
+        "import ffree.cli",
+        "assert 'numpy' not in sys.modules, 'import ffree.cli'",
+        "for argv in json.loads(sys.argv[1]):",
+        "    with contextlib.redirect_stdout(io.StringIO()):",
+        "        assert ffree.cli.main(argv) == 0, argv",
+        "    assert 'numpy' not in sys.modules, argv",
+    ])
+    argvs = [["exact-qf", "--pattern", "C4", "--n", "5", "--tol", "0.01"],
+             ["exact-qf", "--pattern", "n=3", "--n", "3"],
+             ["density", "--pattern", "C4"], ["--help"]]
+    proc = _python_subprocess("-c", script, json.dumps(argvs))
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_exact_qf_c4_n5_terminates():

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ffree import exact_tiny
 from ffree.cli import main
@@ -23,6 +24,7 @@ from ffree.exact_tiny import (
 from ffree.graphs import LabeledGraph, PRESETS, parse_pattern
 from ffree.subiso import contains_copy
 from oracles import (
+    census_from_copies_oracle,
     ffree_census_oracle,
     labeled_packing_oracle,
     lp_bfs_oracle,
@@ -79,6 +81,35 @@ def test_census_matches_per_graph_search(text):
     pattern = parse_pattern(text)
     for n in range(2, 6):
         assert exact_tiny._ffree_census(n, pattern) == ffree_census_oracle(n, pattern)
+    _census_matches_copies(pattern)
+
+
+@st.composite
+def _grammar_patterns(draw, max_vertices=6):
+    # edge-grammar text, isolated vertices and edgeless patterns included
+    nv = draw(st.integers(1, max_vertices))
+    pairs = list(itertools.combinations(range(nv), 2))
+    edges = draw(st.lists(st.sampled_from(pairs), max_size=8, unique=True)) if pairs else []
+    return parse_pattern(" ".join([f"n={nv}", *(f"{u}-{v}" for u, v in edges)]))
+
+
+def _census_matches_copies(f):
+    # the census permutes [n] over all of F's vertices, isolated ones too,
+    # which is enumerate_copies' rule that F must fit on the host's vertices
+    for n in range(2, 6):
+        census = exact_tiny._ffree_census(n, f)
+        assert census == census_from_copies_oracle(n, f), n
+        if not f.edge_count:
+            # an edgeless F that fits on [n] is in every graph, else in none
+            m, fits = n * (n - 1) // 2, n >= f.vertex_count
+            assert census == (() if fits else ((1 << m) - 1,),
+                              tuple(0 if fits else math.comb(m, e) for e in range(m + 1))), n
+
+
+@settings(max_examples=60, deadline=None)
+@given(_grammar_patterns())
+def test_census_matches_copy_enumeration(f):
+    _census_matches_copies(f)
 
 
 def test_min_cover_closed_form_n3():
@@ -190,6 +221,7 @@ def test_packing_simplex_returns_optimal_packing(text):
         for k in range(9):
             weights = inst.weights(k / 8)
             opt, lam, y = exact_tiny._packing_simplex(inst.packing, weights)
+            lam, y = np.asarray(lam), np.asarray(y)
             w = np.array(weights)
             assert (y >= -1e-12).all(), (n, k)
             assert (inst.packing @ y <= w + 1e-9).all(), (n, k)
@@ -210,6 +242,7 @@ def test_orbit_lp_matches_labeled_oracle(text):
             w = np.array(weights)
             want = labeled_packing_oracle(a, weights)[0]
             opt, lam, y = exact_tiny._packing(inst, weights)
+            lam, y = np.asarray(lam), np.asarray(y)
             assert opt == pytest.approx(want, abs=1e-8), (n, k)
             assert (opt <= 0.5) == (want <= 0.5), (n, k)
             assert (y >= -1e-12).all() and (lam >= -1e-12).all(), (n, k)
@@ -217,6 +250,25 @@ def test_orbit_lp_matches_labeled_oracle(text):
             assert (a.T @ lam >= 1 - 1e-12).all(), (n, k)
             assert w @ lam == pytest.approx(opt, abs=1e-12), (n, k)
             assert y.sum() == pytest.approx(opt, abs=1e-12), (n, k)
+
+
+@pytest.mark.parametrize("text", [*PRESETS, "0-1 2-3", "n=4 0-1 1-2", "n=3"])
+def test_list_simplex_is_bit_identical_to_numpy_tableau(text):
+    # the list tableau makes the numpy tableau's pivots with the same float
+    # operations in the same order, so every value is equal, not just close:
+    # the exact golden digests rest on this
+    f = parse_pattern(text)
+    for n in range(2, 6):
+        inst = exact_tiny._instance(n, f)
+        a = np.array(inst.orbit_packing).reshape(len(inst.representatives),
+                                                 len(set(inst.element_orbit)))
+        for k in range(65):
+            weights = [inst.weights(k / 64)[r] for r in inst.representatives]
+            opt, lam, y = exact_tiny._packing_simplex(inst.orbit_packing, weights)
+            want_opt, want_lam, want_y = labeled_packing_oracle(a, weights)
+            assert opt == want_opt, (n, k)
+            assert lam == want_lam.tolist(), (n, k)
+            assert y == want_y.tolist(), (n, k)
 
 
 def test_packing_exact_at_tiny_weights():
