@@ -20,8 +20,6 @@ from .alteration import (
     TrialRecord,
     WeightedFamily,
     alteration_graph,
-    check_family_condition,
-    fractional_trial,
     greedy_maximal_packing,
     lemma2_trial,
     lemma_constants,

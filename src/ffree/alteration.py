@@ -20,8 +20,9 @@ copy order keeps every trial reproducible.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .density import minimal_m2_subgraph, m2_density
 from .graphs import LabeledGraph, PatternGraph
@@ -47,6 +48,7 @@ class LemmaConstants:
     admissible_p_max: float
 
 
+@functools.lru_cache(maxsize=64)   # every trial asks; m2(F) walks all 2^v_F vertex subsets
 def lemma_constants(f: PatternGraph, n: int) -> LemmaConstants:
     """epsilon = 1/(6e^2), delta = 1/max{9, 4 e_F}, p cap = eps * n^(-1/m2)."""
     if f.max_degree() < 2:
@@ -86,11 +88,6 @@ def family_weight(family: WeightedFamily, p: float, delta: float) -> float:
                for g, w in zip(family.members, family.weights))
 
 
-def check_family_condition(family: WeightedFamily, p: float, delta: float) -> bool:
-    """True iff sum_H w(H) exp(-delta e(H) p) <= 1/2."""
-    return family_weight(family, p, delta) <= 0.5
-
-
 def require_family_condition(family: WeightedFamily, p: float, delta: float,
                              name: str) -> None:
     """Raise InapplicableFamilyError, stating the total weight, p and delta,
@@ -107,7 +104,6 @@ class PackingResult:
     copies: tuple[Copy, ...]
     packed_edges: int            # bitmask over pair indices
     altered: LabeledGraph
-    in_regime: bool
 
 
 def greedy_maximal_packing(g: LabeledGraph, j: PatternGraph) -> PackingResult:
@@ -121,7 +117,7 @@ def greedy_maximal_packing(g: LabeledGraph, j: PatternGraph) -> PackingResult:
             accepted.append(copy)
             packed |= copy.edge_mask
     altered = LabeledGraph(g.n, g.bits & ~packed)
-    return PackingResult(g, tuple(accepted), packed, altered, in_regime=True)
+    return PackingResult(g, tuple(accepted), packed, altered)
 
 
 def alteration_graph(n: int, p: float, f: PatternGraph, seed: Seed,
@@ -129,10 +125,10 @@ def alteration_graph(n: int, p: float, f: PatternGraph, seed: Seed,
     """Sample G(n, p), pack J-copies, delete them; result is F-free."""
     if not (0.0 < p < 1.0):
         raise ValueError(f"p={p} outside (0, 1)")
-    consts = lemma_constants(f, n)
+    lemma_constants(f, n)   # raises on a pattern or n outside the construction's scope
     j = minimal_m2_subgraph(f)
     g = sample_gnp(n, p, seed, purpose="alteration", index=index)
-    return replace(greedy_maximal_packing(g, j), in_regime=p <= consts.admissible_p_max)
+    return greedy_maximal_packing(g, j)
 
 
 @dataclass(frozen=True)
@@ -215,7 +211,8 @@ def _lemma2_trial(n: int, p: float, f: PatternGraph, family: WeightedFamily,
             missed += w
         hits.append(HitRecord(i, e_h, shared_raw, event_e, touched, event_d,
                               shared_altered))
-    return TrialRecord(seed.master, trial_index, n, p, result.in_regime,
+    in_regime = p <= lemma_constants(f, n).admissible_p_max
+    return TrialRecord(seed.master, trial_index, n, p, in_regime,
                        tuple(hits), hit_all, missed), result
 
 
@@ -258,22 +255,6 @@ def refute_certificate(gfam: WeightedFamily, f: PatternGraph, n: int, p: float,
     return RefutationResult(False, None, tuple(records))
 
 
-def fractional_trial(n: int, p: float, f: PatternGraph, family: WeightedFamily,
-                     trial_budget: int, seed: Seed) -> TrialRecord:
-    """Run trials and return the one minimizing the missed weight."""
-    consts = lemma_constants(f, n)
-    require_family_condition(family, p, consts.delta, "weighted family")
-    best: TrialRecord | None = None
-    for i in range(trial_budget):
-        rec = lemma2_trial(n, p, f, family, seed, trial_index=i)
-        if best is None or rec.missed_weight < best.missed_weight:
-            best = rec
-        if best.missed_weight == 0.0:
-            break
-    assert best is not None
-    return best
-
-
 def min_family_edges(k: int, p: float, delta: float) -> int:
     """Smallest per-member edge count making the unit-weight condition hold."""
     if k < 1:
@@ -295,33 +276,13 @@ def random_member(n: int, edge_count: int, gen) -> LabeledGraph:
 
 
 def random_family(n: int, k: int, edge_count: int, seed: Seed,
-                  weights: tuple[float, ...] | None = None,
-                  purpose: str = "family") -> WeightedFamily:
+                  weights: tuple[float, ...] | None = None) -> WeightedFamily:
     """k seeded random graphs with a prescribed edge count each."""
     if k < 0:
         raise ValueError(f"family size must be >= 0, got {k}")
-    members = tuple(random_member(n, edge_count, seed.stream(purpose, i))
+    members = tuple(random_member(n, edge_count, seed.stream("family", i))
                     for i in range(k))
     if weights is None:
         return WeightedFamily.unit(members)
     return WeightedFamily(members, weights)
 
-
-def clique_union_family(n: int, clique_sizes: list[list[int]] | None = None,
-                        parts: list[int] | None = None) -> WeightedFamily:
-    """Unit-weight family of disjoint-clique unions (deterministic adversary)."""
-    if clique_sizes is None:
-        if parts is None:
-            raise ValueError("need clique_sizes or parts")
-        clique_sizes = [parts]
-    members = []
-    for sizes in clique_sizes:
-        edges = []
-        base = 0
-        for s in sizes:
-            if base + s > n:
-                raise ValueError("cliques do not fit on [n]")
-            edges.extend((base + i, base + j) for j in range(s) for i in range(j))
-            base += s
-        members.append(LabeledGraph.from_edges(n, edges))
-    return WeightedFamily.unit(tuple(members))

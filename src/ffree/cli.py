@@ -88,9 +88,10 @@ def cmd_alter(args) -> int:
     f = _pattern(args)
     result = alteration.alteration_graph(args.n, args.p, f, _seed(args))
     j = density.minimal_m2_subgraph(f)
+    cap = alteration.lemma_constants(f, args.n).admissible_p_max
     _emit_json(args, {
         "command": "alter", "pattern": args.pattern, "n": args.n, "p": args.p,
-        "seed": args.seed, "j": j.to_text(), "in_regime": result.in_regime,
+        "seed": args.seed, "j": j.to_text(), "in_regime": args.p <= cap,
         "sampled_edges": result.source.edge_count,
         "packed_copies": len(result.copies),
         "altered_edges": result.altered.edge_count,

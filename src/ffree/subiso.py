@@ -25,12 +25,8 @@ from .graphs import LabeledGraph, PatternGraph
 class Copy:
     vertex_image: tuple[int, ...]   # images of the pattern's non-isolated vertices
     edge_ids: tuple[int, ...]       # sorted pair indices covered by the copy
-    # the bits of edge_ids, computed here when not given; eq, hash and repr ignore it
-    edge_mask: int | None = field(default=None, compare=False, repr=False)
-
-    def __post_init__(self):
-        if self.edge_mask is None:
-            object.__setattr__(self, "edge_mask", sum(1 << k for k in self.edge_ids))
+    # the bits of edge_ids; eq, hash and repr ignore it
+    edge_mask: int = field(compare=False, repr=False)
 
 
 def _search_order(pattern: PatternGraph, first_edge: tuple[int, ...] = ()

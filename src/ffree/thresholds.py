@@ -47,11 +47,8 @@ def _arrival_bands(table: EdgeThresholdTable):
         band = np.flatnonzero((u >= lo) & (u < hi))
         yield band[np.argsort(u[band], kind="stable")]
         lo, hi = hi, 2 * hi
-    if lo == 0:
-        yield np.argsort(u, kind="stable")
-    else:
-        band = np.flatnonzero(u >= lo)
-        yield band[np.argsort(u[band], kind="stable")]
+    band = np.flatnonzero(u >= lo)
+    yield band[np.argsort(u[band], kind="stable")]
 
 
 def hitting_time(table: EdgeThresholdTable, f: PatternGraph) -> int:
@@ -93,10 +90,11 @@ def _free_count(times: list[int], p: float) -> int:
     return sum(1 for t in times if t >= grid)
 
 
-def wilson_interval(successes: int, trials: int, z: float = 1.96) -> tuple[float, float]:
+def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
     """Wilson 95% score interval for a binomial proportion."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    z = 1.96   # the normal 97.5% quantile
     phat = successes / trials
     denom = 1.0 + z * z / trials
     center = (phat + z * z / (2 * trials)) / denom
@@ -216,9 +214,10 @@ def scaling_fit(f: PatternGraph, n_list: list[int], trials: int,
     """Least-squares slope of log p_hat against log n; target is -1/m(F)."""
     if len(n_list) < 3 or sorted(n_list) != list(n_list) or len(set(n_list)) != len(n_list):
         raise ValueError("need at least 3 strictly increasing n values")
+    m = m_density(f)   # refuses a too-large F before any estimate
     import numpy as np
     points = [(n, estimate_pc(n, f, trials, tolerance, seed).p_hat) for n in n_list]
     slope, intercept = np.polyfit(np.log([n for n, _ in points]),
                                   np.log([p for _, p in points]), 1)
     return ScalingFit(f.to_text(), tuple(points), float(slope), float(intercept),
-                      -1.0 / float(m_density(f)))
+                      -1.0 / float(m))

@@ -121,7 +121,7 @@ def enumerate_copies_oracle(g: LabeledGraph, j: PatternGraph) -> list[Copy]:
         ))
         if ids not in seen:
             seen[ids] = images
-    return [Copy(seen[ids], ids) for ids in sorted(seen)]
+    return [Copy(seen[ids], ids, sum(1 << k for k in ids)) for ids in sorted(seen)]
 
 
 def pair_from_index_oracle(k: int) -> tuple[int, int]:

@@ -17,7 +17,7 @@ from ffree.alteration import (
     InapplicableFamilyError,
     WeightedFamily,
     alteration_graph,
-    check_family_condition,
+    family_weight,
     lemma2_trial,
     lemma_constants,
     random_family,
@@ -96,7 +96,6 @@ def test_alteration_output_is_pattern_free():
         seed = Seed(2024)
         for i in range(runs):
             result = alteration_graph(n, p, pat, seed, index=i)
-            assert result.in_regime
             assert not contains_copy(result.altered, pat), (name, i)
     assert time.monotonic() - start < 120.0
 
@@ -112,7 +111,7 @@ def test_conditional_hit_identity_and_envelopes():
         p = consts.admissible_p_max
         fam = random_family(n, k, member_edges, Seed(31),
                             weights=(0.1,) * k)
-        assert check_family_condition(fam, p, consts.delta)
+        assert family_weight(fam, p, consts.delta) <= 0.5
         not_e = [0] * k
         not_d = [0] * k
         for i in range(runs):
@@ -183,7 +182,7 @@ def test_refutation_harness_n60():
         fam = WeightedFamily.unit(
             tuple(LabeledGraph.complete(n) for _ in range(k)))
         weight = k * math.exp(-consts.delta * (n * (n - 1) // 2) * p)
-        return p, check_family_condition(fam, p, consts.delta), weight
+        return p, family_weight(fam, p, consts.delta) <= 0.5, weight
 
     n = 218
     p, ok, weight = densest(n)

@@ -1,3 +1,4 @@
+import json
 import math
 from fractions import Fraction
 
@@ -9,10 +10,7 @@ from ffree.alteration import (
     EPSILON,
     InapplicableFamilyError,
     WeightedFamily,
-    alteration_graph,
-    check_family_condition,
-    clique_union_family,
-    fractional_trial,
+    family_weight,
     greedy_maximal_packing,
     lemma2_trial,
     lemma_constants,
@@ -21,6 +19,7 @@ from ffree.alteration import (
     random_member,
     refute_certificate,
 )
+from ffree.cli import main
 from ffree.graphs import LabeledGraph, PRESETS, parse_pattern
 from ffree.sampling import Seed, sample_gnp
 from ffree.subiso import contains_copy, enumerate_copies
@@ -84,23 +83,27 @@ def test_packing_properties(n, p, master, name):
     assert not contains_copy(result.altered, pattern)
 
 
-def test_alteration_graph_in_regime_flag():
-    s = Seed(5)
-    c = lemma_constants(TRIANGLE, 30)
-    lo = alteration_graph(30, c.admissible_p_max * 0.5, TRIANGLE, s)
-    hi = alteration_graph(30, c.admissible_p_max * 2.0, TRIANGLE, s)
-    assert lo.in_regime and not hi.in_regime
-    assert not contains_copy(lo.altered, TRIANGLE)
-    assert not contains_copy(hi.altered, TRIANGLE)
+def test_in_regime_is_p_at_most_the_cap(capsys):
+    # in_regime is p <= admissible_p_max, in a trial record and in `alter`;
+    # the cap itself is in the regime
+    n = 50
+    cap = lemma_constants(TRIANGLE, n).admissible_p_max
+    empty = WeightedFamily((), ())
+    for p, want in [(cap / 2, True), (cap, True), (2 * cap, False)]:
+        assert lemma2_trial(n, p, TRIANGLE, empty, Seed(5)).in_regime is want
+        assert main(["alter", "--pattern", "triangle", "--n", str(n),
+                     "--p", repr(p), "--seed", "5"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["p"] == p and doc["in_regime"] is want and doc["f_free"]
 
 
 def test_family_condition_examples():
     n, p = 20, 0.3
     delta = lemma_constants(TRIANGLE, n).delta
     dense = WeightedFamily.unit((LabeledGraph.complete(n),))
-    assert check_family_condition(dense, p, delta)
+    assert family_weight(dense, p, delta) <= 0.5
     edgeless = WeightedFamily.unit((LabeledGraph.empty(n),))
-    assert not check_family_condition(edgeless, p, delta)
+    assert not family_weight(edgeless, p, delta) <= 0.5
 
 
 def test_family_weight_validation():
@@ -134,7 +137,7 @@ def test_lemma2_hit_rate_on_dense_family():
     delta = lemma_constants(TRIANGLE, n).delta
     e_min = min_family_edges(k, p, delta)
     fam = random_family(n, k, e_min, Seed(17))
-    assert check_family_condition(fam, p, delta)
+    assert family_weight(fam, p, delta) <= 0.5
     hits = sum(lemma2_trial(n, p, TRIANGLE, fam, Seed(17), i).hit_all
                for i in range(50))
     assert hits >= 45
@@ -178,23 +181,10 @@ def test_refute_produces_escape_graph(monkeypatch):
         assert g.bits & ~m.bits != 0  # not a subgraph of any member
 
 
-def test_fractional_trial_reduces_to_unit_weights():
-    n, p = 30, 0.25
-    fam = WeightedFamily.unit((LabeledGraph.complete(n),))
-    rec = fractional_trial(n, p, TRIANGLE, fam, 10, Seed(3))
-    assert rec.missed_weight in (0.0, 1.0)
-
-
 def test_min_family_edges_monotone():
     delta = lemma_constants(TRIANGLE, 50).delta
     assert min_family_edges(3, 0.2, delta) == math.ceil(math.log(6) / (delta * 0.2))
     assert min_family_edges(10, 0.2, delta) >= min_family_edges(3, 0.2, delta)
-
-
-def test_clique_union_family_members_shape():
-    fam = clique_union_family(9, parts=[3, 3, 3])
-    assert len(fam.members) == 1
-    assert fam.members[0].edge_count == 9
 
 
 @pytest.mark.parametrize("n, edge_count", [

@@ -109,11 +109,11 @@ def test_edge_roots_one_per_edge_orbit(name, roots):
 
 
 def test_copy_edge_mask_is_computed_once():
-    c = Copy((0, 1, 2), (0, 1, 2))
+    c = Copy((0, 1, 2), (0, 1, 2), 0b111)
     assert c.edge_mask == 0b111
-    assert c == Copy((0, 1, 2), (0, 1, 2))
+    assert c == Copy((0, 1, 2), (0, 1, 2), 0b111)
     assert repr(c) == "Copy(vertex_image=(0, 1, 2), edge_ids=(0, 1, 2))"
-    assert hash(c) == hash(Copy((0, 1, 2), (0, 1, 2)))
+    assert hash(c) == hash(Copy((0, 1, 2), (0, 1, 2), 0b111))
     assert "edge_mask" in vars(c)
 
 

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from ffree import thresholds
 from ffree.graphs import PRESETS, PatternGraph, parse_pattern
 from ffree.sampling import EdgeThresholdTable, Seed, _p_to_grid, coupled_realize
 from ffree.subiso import contains_copy
@@ -79,6 +80,17 @@ def test_scaling_fit_input_validation():
         scaling_fit(TRIANGLE, [8, 16], 100, 0.05, Seed(0))
     with pytest.raises(ValueError):
         scaling_fit(TRIANGLE, [16, 8, 32], 100, 0.05, Seed(0))
+
+
+def test_scaling_fit_refuses_a_large_pattern_before_estimating(monkeypatch):
+    # m(F) is computed first, so a pattern past the density limit costs no trials
+    def estimate_pc(*args):
+        raise AssertionError("estimate_pc ran before the pattern size was checked")
+
+    monkeypatch.setattr(thresholds, "estimate_pc", estimate_pc)
+    path17 = PatternGraph.from_edges([(i, i + 1) for i in range(16)], 17)
+    with pytest.raises(ValueError, match="pattern too large"):
+        scaling_fit(path17, [17, 18, 19], 10, 0.05, Seed(0))
 
 
 # presets, a disconnected pattern, one with an isolated vertex, one edgeless
