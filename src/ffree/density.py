@@ -12,6 +12,7 @@ every available edge only increases the ratio), so enumeration runs over the
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -67,6 +68,13 @@ def _m(f: PatternGraph):
     return _best_subset(f, 1, 0)
 
 
+@functools.lru_cache(maxsize=64)   # the alteration layer asks on every trial
+def _m2(f: PatternGraph):
+    """(m2(F), vertex mask of its witness), for v_F >= 3."""
+    _check_size(f)
+    return _best_subset(f, 3, 2)
+
+
 def m_density(f: PatternGraph) -> Fraction:
     """Exact m(F) = max e_J / v_J over nonempty subgraphs."""
     return _m(f)[0]
@@ -76,9 +84,7 @@ def m2_density(f: PatternGraph) -> Fraction:
     """Exact m2(F) = max (e_J - 1) / (v_J - 2) over subgraphs with v_J >= 3."""
     if f.vertex_count < 3:
         raise UndefinedDensityError("m2(F) undefined: no subgraph on >= 3 vertices")
-    _check_size(f)
-    best, _ = _best_subset(f, 3, 2)
-    return best
+    return _m2(f)[0]
 
 
 def minimal_m2_subgraph(f: PatternGraph) -> PatternGraph:
@@ -90,9 +96,7 @@ def minimal_m2_subgraph(f: PatternGraph) -> PatternGraph:
     """
     if f.vertex_count < 3 or f.max_degree() < 2:
         raise UndefinedDensityError("minimal m2 subgraph needs v_F >= 3 and max degree >= 2")
-    _check_size(f)
-    _, mask = _best_subset(f, 3, 2)
-    return _induced_on(f, mask).drop_isolated()
+    return _induced_on(f, _m2(f)[1]).drop_isolated()
 
 
 @dataclass(frozen=True)
@@ -119,5 +123,5 @@ def density_gap_check(f: PatternGraph) -> DensityReport:
     m, mask = _m(f)
     if f.vertex_count < 3:
         return DensityReport(m, None, _induced_on(f, mask), None, False)
-    m2, mask2 = _best_subset(f, 3, 2)
+    m2, mask2 = _m2(f)
     return DensityReport(m, m2, _induced_on(f, mask), _induced_on(f, mask2), m2 > m)

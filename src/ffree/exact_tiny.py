@@ -17,21 +17,23 @@ F-free down-set can be handled exhaustively:
 * elements, candidates and coverage are built once per (n, F), only the
   weights per p; q_f comes from the covering LP, solved through its packing
   dual; each probe of q asks only whether a cover costs <= 1/2: a greedy
-  cover, then a branch and bound seeded at the budget and priced by the
-  LP's optimal packing;
+  cover, then the LP's optimal packing as a bound at the root, then a
+  branch and bound seeded at the budget and priced by that packing;
 * the LP is solved on S_n-orbits: relabeling [n] permutes elements and
   candidates and keeps each weight, so some optimal y and lambda are
   constant on orbits, and the LP with one row per candidate orbit and one
   column per element orbit has the same optimum (Boedi, Herr and Joswig,
   Math. Program. 137:65, 2013); at n <= 5 it is at most 20 x 3, against up to
-  578 x 87 labeled, solved in plain Python floats: only q's branch and
-  bound builds the labeled 0/1 matrix, in numpy, so p_c and q_f never load it;
+  578 x 87 labeled, solved in plain Python floats; the greedy cover and the
+  root bound run on int bitmasks and the orbit LP, so numpy loads, and the
+  labeled 0/1 matrix is built, only when a probe of q branches below the root;
 * both optima are non-increasing in p (each weight is), so bisection on p
   against the 1/2 budget is valid.
 """
 
 from __future__ import annotations
 
+import heapq
 import itertools
 from collections import Counter
 from dataclasses import dataclass
@@ -125,11 +127,20 @@ class _Instance:
         return [(1.0 - p) ** e for e in self.missing]
 
     @cached_property
+    def cover(self) -> tuple[int, ...]:
+        """Per candidate, the bitmask of the element indices it covers."""
+        return tuple(sum(1 << j for j, e in enumerate(self.elements) if e & ~c == 0)
+                     for c in self.candidates)
+
+    @cached_property
     def packing(self):
         """Candidates x elements 0/1 coverage matrix, for q's search only."""
         import numpy as np
-        a = np.array([[e & ~c == 0 for e in self.elements] for c in self.candidates],
-                     dtype=float).reshape(len(self.candidates), len(self.elements))
+        k = len(self.elements)
+        width = (k + 7) // 8   # unpacked in C: a per-bit list took ~4 ms for C4 at n = 5
+        masks = np.frombuffer(b"".join(c.to_bytes(width, "little") for c in self.cover),
+                              dtype=np.uint8).reshape(len(self.cover), width)
+        a = np.unpackbits(masks, axis=1, count=k, bitorder="little").astype(float)
         a.flags.writeable = False   # cached and shared by every probe
         return a
 
@@ -188,38 +199,76 @@ def _packing(inst: _Instance, weights: list[float]
     the labeled instance as lambda(S) = mu_C / |C| and y(M) = z_E / |E|."""
     opt, mu, z = _packing_simplex(inst.orbit_packing,
                                   [weights[r] for r in inst.representatives])
-    c, e = Counter(inst.candidate_orbit), Counter(inst.element_orbit)
-    return (opt, [mu[k] / c[k] for k in inst.candidate_orbit],
-            [z[k] / e[k] for k in inst.element_orbit])
+    return opt, _spread(mu, inst.candidate_orbit), _spread(z, inst.element_orbit)
+
+
+def _spread(values: list[float], orbit: tuple[int, ...]) -> list[float]:
+    """Each orbit's value shared evenly among its labeled members."""
+    size = Counter(orbit)
+    return [values[k] / size[k] for k in orbit]
+
+
+def _greedy_cost(inst: _Instance, weights: list[float]) -> float:
+    """Cost of the greedy cover: least weight per newly covered element, the
+    lowest index on ties.  A candidate's ratio only grows as elements get
+    covered, so a lazy heap of stale ratios serves: the popped candidate is
+    re-scored and taken only if its fresh key still heads the heap."""
+    cover = inst.cover
+    heap = [(w / c.bit_count(), i) for i, (w, c) in enumerate(zip(weights, cover))]
+    heapq.heapify(heap)
+    live = (1 << len(inst.elements)) - 1
+    cost = 0.0
+    while live:
+        i = heapq.heappop(heap)[1]
+        new = (cover[i] & live).bit_count()
+        if not new:
+            continue
+        key = (weights[i] / new, i)
+        if heap and key > heap[0]:
+            heapq.heappush(heap, key)
+            continue
+        live &= ~cover[i]
+        cost += weights[i]
+    return cost
+
+
+def _root_bound(inst: _Instance, weights: list[float]) -> tuple[float, list[float]]:
+    """(a lower bound on every cover's cost, the orbit LP's optimal packing z
+    clipped at 0).  The bound is z summed after shrinking it until every
+    candidate orbit's load fits its weight, and then by SIMPLEX_TOL, so that
+    float error cannot lift it to the LP optimum."""
+    w = [weights[r] for r in inst.representatives]
+    z = [max(x, 0.0) for x in _packing_simplex(inst.orbit_packing, w)[2]]
+    loads = (sum(a * x for a, x in zip(row, z)) for row in inst.orbit_packing)
+    fit = min([wr / load for wr, load in zip(w, loads) if load > 0], default=1.0)
+    shrink = min(1.0, fit) * (1.0 - SIMPLEX_TOL)
+    return sum(x * shrink for x in z), z
 
 
 def _branch_and_bound(inst: _Instance, weights: list[float], incumbent: float,
                       stop_at: float) -> float:
     """Least cover cost below `incumbent`, else `incumbent`; returns at the
-    first cover costing <= stop_at.  A greedy cover (least weight per new
-    element) comes first.  The search is priced by the LP's optimal packing
-    y, shrunk so that a.y <= w survives float error: a node still needs
-    y(live) for its uncovered elements, so it is cut once that comes within
-    1e-15 of the best cost, and only candidates whose reduced weight
-    w - a.y_live fits the room left are tried, on the live element with the
-    fewest of them, least reduced weight first."""
+    first cover costing <= stop_at.  Two plain-Python tests decide most
+    probes at the root: a greedy cover (_greedy_cost), then the LP bound
+    (_root_bound), which cuts once it comes within 1e-15 of the best cost.
+    Only a probe that passes both imports numpy and searches, priced by the
+    LP's optimal packing y, shrunk so that a.y <= w survives float error: a
+    node still needs y(live) for its uncovered elements, so it is cut once
+    that comes within 1e-15 of the best cost, and only candidates whose
+    reduced weight w - a.y_live fits the room left are tried, on the live
+    element with the fewest of them, least reduced weight first."""
+    best = min(incumbent, _greedy_cost(inst, weights))
+    if best <= stop_at:
+        return best
+    bound, z = _root_bound(inst, weights)
+    if best - 1e-15 - bound <= 0:
+        return best
+
     import numpy as np
     a = inst.packing
     covers = a > 0
     w = np.array(weights)
-    live = np.ones(a.shape[1], dtype=bool)
-    greedy = 0.0
-    while live.any():
-        new = a @ live
-        i = int(np.argmin(np.divide(w, new, out=np.full_like(w, np.inf),
-                                    where=new > 0)))
-        live &= ~covers[i]
-        greedy += weights[i]
-    best = min(incumbent, greedy)
-    if best <= stop_at:
-        return best
-
-    y = np.maximum(_packing(inst, weights)[2], 0.0)
+    y = np.array(_spread(z, inst.element_orbit))
     load = a @ y
     fit = np.divide(w, load, out=np.ones_like(w), where=load > 0)
     y *= fit.min(initial=1.0) * (1.0 - SIMPLEX_TOL)

@@ -15,8 +15,10 @@ the least cover cost by a branch and bound with a per-element amortized
 bound in place of LP prices, the hitting time by one stable argsort
 and decode of every mark before the first arrival, the covering LP's
 float optimum by a numpy tableau simplex on the labeled instance instead of
-a list tableau on its S_n-orbits, and the census's copies of F by the
-subgraph search on K_n instead of by permuting [n].
+a list tableau on its S_n-orbits, the census's copies of F by the
+subgraph search on K_n instead of by permuting [n], and the greedy cover by
+rescoring every candidate with a numpy product per step instead of a lazy
+heap of int masks.
 """
 
 from __future__ import annotations
@@ -434,3 +436,20 @@ def hitting_time_oracle(table: EdgeThresholdTable, f: PatternGraph) -> int:
     i = first_completing_edge(table.n, zip(*pair_endpoints(order)), f)
     assert i is not None
     return int(table.u[order[i]])
+
+
+def greedy_cover_oracle(a: np.ndarray, weights: list[float]) -> float:
+    """Cost of the greedy cover of the 0/1 matrix a (candidates x elements):
+    each step takes the least weight per newly covered element, the lowest
+    index on ties, rescoring every candidate."""
+    covers = a > 0
+    w = np.array(weights)
+    live = np.ones(a.shape[1], dtype=bool)
+    greedy = 0.0
+    while live.any():
+        new = a @ live
+        i = int(np.argmin(np.divide(w, new, out=np.full_like(w, np.inf),
+                                    where=new > 0)))
+        live &= ~covers[i]
+        greedy += weights[i]
+    return greedy

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ffree import alteration
+from ffree import alteration, density
 from ffree.alteration import (
     EPSILON,
     InapplicableFamilyError,
@@ -128,6 +128,28 @@ def test_lemma2_trial_identity_and_schema():
     if h["event_E"] and h["event_D"]:
         assert h["shared_altered"] >= 1
     assert rec.hit_all == (rec.missed_weight == 0.0)
+
+
+def test_m2_witness_computed_once_per_pattern(monkeypatch, capsys):
+    # the witness J walks every vertex subset of F in Fraction: each trial,
+    # each alteration and `alter` read it from one cache, shared with m2(F)
+    calls = []
+    best_subset = density._best_subset
+    monkeypatch.setattr(density, "_best_subset",
+                        lambda f, *a: calls.append((f, *a)) or best_subset(f, *a))
+    density._m2.cache_clear()
+    lemma_constants.cache_clear()
+    n, p = 30, 0.1
+    fam = WeightedFamily.unit((LabeledGraph.complete(n),))
+    patterns = [C4, K4, PRESETS["petersen"]]
+    for f in patterns:
+        for i in range(3):
+            lemma2_trial(n, p, f, fam, Seed(5), i)
+            alteration.alteration_graph(n, p, f, Seed(5), index=i)
+        assert main(["alter", "--pattern", f.to_text(), "--n", str(n),
+                     "--p", str(p), "--seed", "5"]) == 0
+    capsys.readouterr()
+    assert calls == [(f, 3, 2) for f in patterns]
 
 
 def test_lemma2_hit_rate_on_dense_family():

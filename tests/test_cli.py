@@ -406,7 +406,11 @@ def test_exact_layer_and_density_run_without_numpy():
     ])
     argvs = [["exact-qf", "--pattern", "C4", "--n", "5", "--tol", "0.01"],
              ["exact-qf", "--pattern", "n=3", "--n", "3"],
-             ["density", "--pattern", "C4"], ["--help"]]
+             ["density", "--pattern", "C4"], ["--help"],
+             # every probe of q here is decided by the greedy cover or the root bound
+             ["gap", "--pattern", "triangle", "--n", "5", "--tol", "0.01"],
+             ["gap", "--pattern", "C5", "--n", "5", "--tol", "0.01"],
+             ["exact-q", "--pattern", "triangle", "--n", "5"]]
     proc = _python_subprocess("-c", script, json.dumps(argvs))
     assert proc.returncode == 0, proc.stderr
 

@@ -26,6 +26,7 @@ from ffree.subiso import contains_copy
 from oracles import (
     census_from_copies_oracle,
     ffree_census_oracle,
+    greedy_cover_oracle,
     labeled_packing_oracle,
     lp_bfs_oracle,
     min_cover_cost_oracle,
@@ -479,6 +480,62 @@ def test_cover_within_branch_and_bound(monkeypatch, per_missing, within):
     assert lp_min_cost(4, 0.5, TRIANGLE)[0] <= 0.5
     assert (min_cover_cost(4, 0.5, TRIANGLE) <= 0.5) is within
     assert exact_tiny._cover_within(4, 0.5, TRIANGLE) is within
+
+
+@pytest.mark.parametrize("text", [*PRESETS, "0-1 2-3", "n=4 0-1 1-2", "n=3"])
+def test_greedy_cover_matches_numpy_oracle(text):
+    # the lazy heap takes the candidate that rescoring every candidate takes
+    # at each step, ties to the lowest index included, so the costs are equal
+    f = parse_pattern(text)
+    for n in range(2, 6):
+        inst = exact_tiny._instance(n, f)
+        for k in range(65):
+            weights = inst.weights(k / 64)
+            assert exact_tiny._greedy_cost(inst, weights) == greedy_cover_oracle(
+                inst.packing, weights), (n, k)
+
+
+@pytest.mark.parametrize("text", [*PRESETS, "0-1 2-3", "n=4 0-1 1-2", "n=3"])
+def test_root_bound_is_the_lp_optimum_shrunk(text):
+    # the root bound is the orbit LP's packing shrunk by SIMPLEX_TOL, so that
+    # float error in the LP cannot lift it to the least cover cost
+    tol = exact_tiny.SIMPLEX_TOL
+    f = parse_pattern(text)
+    for n in range(2, 6):
+        inst = exact_tiny._instance(n, f)
+        for k in range(65):
+            weights = inst.weights(k / 64)
+            bound, z = exact_tiny._root_bound(inst, weights)
+            opt = exact_tiny._packing(inst, weights)[0]
+            assert min(z, default=0.0) >= 0.0, (n, k)
+            assert opt * (1 - 1.5 * tol) <= bound <= opt * (1 - 0.5 * tol), (n, k)
+
+
+def test_root_cut_is_inclusive(monkeypatch):
+    # the root cut fires once the best cost less 1e-15 comes down to the
+    # bound, equality included; a probe it does not cut builds the labeled
+    # matrix and searches
+    inst = exact_tiny._instance(4, TRIANGLE)
+    weights = inst.weights(0.5)
+    bound = exact_tiny._root_bound(inst, weights)[0]
+    assert exact_tiny._greedy_cost(inst, weights) > bound + 1e-9
+    edge = bound + 1e-15
+    while edge - 1e-15 - bound > 0:
+        edge = math.nextafter(edge, -math.inf)
+    above = edge
+    while above - 1e-15 - bound <= 0:
+        above = math.nextafter(above, math.inf)
+    assert edge - 1e-15 - bound == 0
+
+    class Searched(Exception):
+        pass
+
+    def search(self):
+        raise Searched
+    monkeypatch.setattr(exact_tiny._Instance, "packing", property(search))
+    assert exact_tiny._branch_and_bound(inst, weights, edge, -1.0) == edge
+    with pytest.raises(Searched):
+        exact_tiny._branch_and_bound(inst, weights, above, -1.0)
 
 
 @pytest.mark.parametrize("p, within", [
