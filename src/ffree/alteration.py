@@ -43,21 +43,20 @@ class InapplicablePatternError(ValueError):
 
 @dataclass(frozen=True)
 class LemmaConstants:
-    epsilon: float
     delta: float
     admissible_p_max: float
 
 
 @functools.lru_cache(maxsize=64)   # every trial asks; m2(F) walks all 2^v_F vertex subsets
 def lemma_constants(f: PatternGraph, n: int) -> LemmaConstants:
-    """epsilon = 1/(6e^2), delta = 1/max{9, 4 e_F}, p cap = eps * n^(-1/m2)."""
+    """delta = 1/max{9, 4 e_F}, p cap = EPSILON * n^(-1/m2)."""
     if f.max_degree() < 2:
         raise InapplicablePatternError("pattern needs a vertex of degree >= 2")
     if n < 1:
         raise ValueError("n must be positive")
     delta = 1.0 / max(9, 4 * f.edge_count)
     m2 = m2_density(f)
-    return LemmaConstants(EPSILON, delta, EPSILON * n ** (-1.0 / float(m2)))
+    return LemmaConstants(delta, EPSILON * n ** (-1.0 / float(m2)))
 
 
 @dataclass(frozen=True)

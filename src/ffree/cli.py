@@ -222,14 +222,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(sp, pattern=True, seed=False, out=True):
+    def common(sp, pattern=True, seed=False):
         if pattern:
             sp.add_argument("--pattern", required=True,
                             help="preset name or edge grammar, e.g. '0-1 1-2 0-2'")
         if seed:
             sp.add_argument("--seed", default="0", help="decimal or 0x-hex master seed")
-        if out:
-            sp.add_argument("--out", default=None, help="output path (default stdout)")
+        sp.add_argument("--out", default=None, help="output path (default stdout)")
 
     sp = sub.add_parser("density", help="exact m, m2, witnesses, gap check")
     common(sp)

@@ -17,8 +17,8 @@ F-free down-set can be handled exhaustively:
 * elements, candidates and coverage are built once per (n, F), only the
   weights per p; q_f comes from the covering LP, solved through its packing
   dual; each probe of q asks only whether a cover costs <= 1/2: a greedy
-  cover, then the LP's optimal packing as a bound at the root, then a
-  branch and bound seeded at the budget and priced by that packing;
+  cover, then the LP's optimal packing, shrunk to fit, as the root's bound,
+  then a branch and bound seeded at the budget and priced by that packing;
 * the LP is solved on S_n-orbits: relabeling [n] permutes elements and
   candidates and keeps each weight, so some optimal y and lambda are
   constant on orbits, and the LP with one row per candidate orbit and one
@@ -191,15 +191,12 @@ def _instance(n: int, f: PatternGraph) -> _Instance:
                      element_orbit, candidate_orbit, representatives, orbit_packing)
 
 
-def _packing(inst: _Instance, weights: list[float]
-             ) -> tuple[float, list[float], list[float]]:
-    """(optimum, lambda, y) of the covering LP and its packing dual for
-    S_n-invariant weights, read at each candidate orbit's representative:
-    _packing_simplex solves the orbit LP, and its solutions (mu, z) expand to
-    the labeled instance as lambda(S) = mu_C / |C| and y(M) = z_E / |E|."""
-    opt, mu, z = _packing_simplex(inst.orbit_packing,
-                                  [weights[r] for r in inst.representatives])
-    return opt, _spread(mu, inst.candidate_orbit), _spread(z, inst.element_orbit)
+def _orbit_lp(inst: _Instance, weights: list[float]) -> tuple[float, list[float], list[float]]:
+    """(optimum, mu, z) of the orbit LP for S_n-invariant weights, read at
+    each candidate orbit's representative; its solutions expand to the
+    labeled covering LP and packing dual as lambda(S) = mu_C / |C| and
+    y(M) = z_E / |E| (_spread)."""
+    return _packing_simplex(inst.orbit_packing, [weights[r] for r in inst.representatives])
 
 
 def _spread(values: list[float], orbit: tuple[int, ...]) -> list[float]:
@@ -233,16 +230,18 @@ def _greedy_cost(inst: _Instance, weights: list[float]) -> float:
 
 
 def _root_bound(inst: _Instance, weights: list[float]) -> tuple[float, list[float]]:
-    """(a lower bound on every cover's cost, the orbit LP's optimal packing z
-    clipped at 0).  The bound is z summed after shrinking it until every
-    candidate orbit's load fits its weight, and then by SIMPLEX_TOL, so that
-    float error cannot lift it to the LP optimum."""
-    w = [weights[r] for r in inst.representatives]
-    z = [max(x, 0.0) for x in _packing_simplex(inst.orbit_packing, w)[2]]
+    """(a lower bound on every cover's cost, the packing z that it sums): the
+    orbit LP's optimal packing clipped at 0, shrunk until every candidate
+    orbit's load fits its weight and then by SIMPLEX_TOL, so that float error
+    cannot lift the bound to the LP optimum.  A labeled candidate's load under
+    _spread(z) is its orbit's row . z, so z fits the labeled weights too."""
+    z = [max(x, 0.0) for x in _orbit_lp(inst, weights)[2]]
     loads = (sum(a * x for a, x in zip(row, z)) for row in inst.orbit_packing)
-    fit = min([wr / load for wr, load in zip(w, loads) if load > 0], default=1.0)
+    fit = min([weights[r] / load for r, load in zip(inst.representatives, loads) if load > 0],
+              default=1.0)
     shrink = min(1.0, fit) * (1.0 - SIMPLEX_TOL)
-    return sum(x * shrink for x in z), z
+    z = [x * shrink for x in z]
+    return sum(z), z
 
 
 def _branch_and_bound(inst: _Instance, weights: list[float], incumbent: float,
@@ -252,11 +251,11 @@ def _branch_and_bound(inst: _Instance, weights: list[float], incumbent: float,
     probes at the root: a greedy cover (_greedy_cost), then the LP bound
     (_root_bound), which cuts once it comes within 1e-15 of the best cost.
     Only a probe that passes both imports numpy and searches, priced by the
-    LP's optimal packing y, shrunk so that a.y <= w survives float error: a
-    node still needs y(live) for its uncovered elements, so it is cut once
-    that comes within 1e-15 of the best cost, and only candidates whose
-    reduced weight w - a.y_live fits the room left are tried, on the live
-    element with the fewest of them, least reduced weight first."""
+    root bound's packing spread to the labeled elements, y: a node still
+    needs y(live) for its uncovered elements, so it is cut once that comes
+    within 1e-15 of the best cost, and only candidates whose reduced weight
+    w - a.y_live fits the room left are tried, on the live element with the
+    fewest of them, least reduced weight first."""
     best = min(incumbent, _greedy_cost(inst, weights))
     if best <= stop_at:
         return best
@@ -269,9 +268,6 @@ def _branch_and_bound(inst: _Instance, weights: list[float], incumbent: float,
     covers = a > 0
     w = np.array(weights)
     y = np.array(_spread(z, inst.element_orbit))
-    load = a @ y
-    fit = np.divide(w, load, out=np.ones_like(w), where=load > 0)
-    y *= fit.min(initial=1.0) * (1.0 - SIMPLEX_TOL)
     seen: dict[bytes, float] = {}
 
     def branch(live: np.ndarray, cost: float) -> bool:
@@ -427,9 +423,10 @@ def lp_min_cost(n: int, p: float, f: PatternGraph) -> tuple[float, FractionalCer
     """
     _check_cap(n, p)
     inst = _instance(n, f)
-    opt, lam, _ = _packing(inst, inst.weights(p))
+    opt, mu, _ = _orbit_lp(inst, inst.weights(p))
     support = tuple((LabeledGraph(n, c), float(x))
-                    for c, x in zip(inst.candidates, lam) if x > SIMPLEX_TOL)
+                    for c, x in zip(inst.candidates, _spread(mu, inst.candidate_orbit))
+                    if x > SIMPLEX_TOL)
     return opt, FractionalCertificate(support, p, opt)
 
 
@@ -451,10 +448,10 @@ def mu_exact(n: int, p: float, f: PatternGraph) -> float:
     return sum(counts[e] * p ** e * (1.0 - p) ** (m - e) for e in range(m + 1))
 
 
-def pc_exact(n: int, f: PatternGraph, tolerance: float = 1e-12) -> float:
-    """Unique p with mu_p = 1/2, by bisection on the exact polynomial."""
+def pc_exact(n: int, f: PatternGraph) -> float:
+    """Unique p with mu_p = 1/2, by bisection on the exact polynomial to 1e-12."""
     _check_cap(n)
-    pc = _bisect_budget(lambda p: mu_exact(n, p, f) < 0.5, tolerance)
+    pc = _bisect_budget(lambda p: mu_exact(n, p, f) < 0.5, 1e-12)
     if pc.degenerate:
         raise ValueError("mu_p never drops below 1/2: threshold undefined at this n")
     return pc.value
@@ -490,7 +487,6 @@ class GapReport:
 
 def gap_report(n: int, f: PatternGraph, tolerance: float = DEFAULT_P_TOL) -> GapReport:
     """Assemble p_c <= q_f <= q with exact tiny-n values."""
-    _check_cap(n)
     pc = pc_exact(n, f)
     qf = qf_exact(n, f, tolerance)
     q = q_exact(n, f, tolerance)

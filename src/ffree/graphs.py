@@ -47,14 +47,6 @@ def pair_endpoints(ids) -> tuple[list[int], list[int]]:
     return (k - (v * (v - 1) >> 1)).tolist(), v.tolist()
 
 
-def pair_from_index(k: int, n: int) -> tuple[int, int]:
-    """Inverse of :func:`pair_index`."""
-    if not (0 <= k < n * (n - 1) // 2):
-        raise ValueError(f"edge id {k} out of range for n={n}")
-    (u,), (v,) = pair_endpoints([k])
-    return u, v
-
-
 @dataclass(frozen=True, order=True)
 class PatternGraph:
     """Simple unlabeled graph on vertices 0..vertex_count-1."""

@@ -165,8 +165,8 @@ def _edge_roots(f: PatternGraph) -> tuple:
     return tuple(roots)
 
 
-def first_completing_edge(n: int, pairs, f: PatternGraph) -> int | None:
-    """Position in `pairs` of the edge whose arrival first completes a copy of F.
+def first_completing_edge(n: int, pairs, f: PatternGraph) -> tuple[int, int] | None:
+    """The pair (u, v) whose arrival first completes a copy of F.
 
     The graph on [n] starts empty and gains the pairs (u, v) in the given
     order.  After each arrival only copies using the new edge are searched,
@@ -180,7 +180,7 @@ def first_completing_edge(n: int, pairs, f: PatternGraph) -> int | None:
     top = max(f.degrees())
     adj = [0] * n
     ge = [(1 << n) - 1] + [0] * top   # ge[d]: the vertices of degree >= d
-    for i, (u, v) in enumerate(pairs):
+    for u, v in pairs:
         adj[u] |= 1 << v
         adj[v] |= 1 << u
         du, dv = adj[u].bit_count(), adj[v].bit_count()
@@ -191,7 +191,7 @@ def first_completing_edge(n: int, pairs, f: PatternGraph) -> int | None:
             if du < need[0] or dv < need[1]:
                 continue
             for _ in _embeddings(adj, ge, plan, (u, v), above):
-                return i
+                return u, v
     return None
 
 

@@ -12,10 +12,11 @@ Newman-Ziff single pass).  For every p,
 so mu_hat(p) is the count #{T_i >= grid(p)} / N over one battery of tables.
 Each table is generated, scanned once and dropped.  The scan sorts and
 decodes the marks band by band, each band of marks [lo, hi) in (mark, id)
-order, and stops at T: a triangle or C4 appears after about n of the
-n(n-1)/2 arrivals, so most marks are never sorted.  The bisection for p_c
-probes that count, which makes its trace exactly non-increasing in p; fresh
-seeds across repeats quantify sampling error.
+order, and stops at the pair that completes F, whose mark is T: a triangle
+or C4 appears after about n of the n(n-1)/2 arrivals, so most marks are
+never sorted.  The bisection for p_c probes that count, which makes its
+trace exactly non-increasing in p; fresh seeds across repeats quantify
+sampling error.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 from itertools import chain
 
 from .density import m_density
-from .graphs import PatternGraph, pair_endpoints
+from .graphs import PatternGraph, pair_endpoints, pair_index
 from .sampling import _GRID, EdgeThresholdTable, Seed, _p_to_grid
 from .subiso import first_completing_edge
 
@@ -61,18 +62,11 @@ def hitting_time(table: EdgeThresholdTable, f: PatternGraph) -> int:
         return _GRID
     if f.edge_count == 0:
         return -1
-    import numpy as np
-    arrived = []
-
-    def decode(band):
-        arrived.append(band)
-        return zip(*pair_endpoints(band))
-
-    pairs = chain.from_iterable(map(decode, _arrival_bands(table)))
-    i = first_completing_edge(table.n, pairs, f)
+    pairs = chain.from_iterable(zip(*pair_endpoints(band)) for band in _arrival_bands(table))
+    hit = first_completing_edge(table.n, pairs, f)
     # a copy on at most n vertices is completed by the time every edge arrives
-    assert i is not None
-    return int(table.u[np.concatenate(arrived)[i]])
+    assert hit is not None
+    return int(table.u[pair_index(*hit, table.n)])
 
 
 def hitting_times(n: int, f: PatternGraph, trials: int, seed: Seed,

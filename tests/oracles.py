@@ -433,9 +433,9 @@ def hitting_time_oracle(table: EdgeThresholdTable, f: PatternGraph) -> int:
     if f.edge_count == 0:
         return -1
     order = np.argsort(table.u, kind="stable")
-    i = first_completing_edge(table.n, zip(*pair_endpoints(order)), f)
-    assert i is not None
-    return int(table.u[order[i]])
+    hit = first_completing_edge(table.n, zip(*pair_endpoints(order)), f)
+    assert hit is not None
+    return int(table.u[pair_index(*hit, table.n)])
 
 
 def greedy_cover_oracle(a: np.ndarray, weights: list[float]) -> float:

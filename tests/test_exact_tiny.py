@@ -242,8 +242,9 @@ def test_orbit_lp_matches_labeled_oracle(text):
             weights = inst.weights(k / 64)
             w = np.array(weights)
             want = labeled_packing_oracle(a, weights)[0]
-            opt, lam, y = exact_tiny._packing(inst, weights)
-            lam, y = np.asarray(lam), np.asarray(y)
+            opt, mu, z = exact_tiny._orbit_lp(inst, weights)
+            lam = np.asarray(exact_tiny._spread(mu, inst.candidate_orbit))
+            y = np.asarray(exact_tiny._spread(z, inst.element_orbit))
             assert opt == pytest.approx(want, abs=1e-8), (n, k)
             assert (opt <= 0.5) == (want <= 0.5), (n, k)
             assert (y >= -1e-12).all() and (lam >= -1e-12).all(), (n, k)
@@ -286,7 +287,7 @@ def test_packing_exact_at_tiny_weights():
         exact = min((1 - p) ** missing * 15 / int(covered)
                     for missing, covered in zip(inst.missing, inst.packing.sum(axis=1)))
         weights = inst.weights(float(p))
-        assert exact_tiny._packing(inst, weights)[0] == pytest.approx(float(exact), abs=1e-15)
+        assert exact_tiny._orbit_lp(inst, weights)[0] == pytest.approx(float(exact), abs=1e-15)
         assert labeled_packing_oracle(inst.packing, weights)[0] == pytest.approx(
             float(exact), abs=1e-15)
         if k == 61:
@@ -506,9 +507,25 @@ def test_root_bound_is_the_lp_optimum_shrunk(text):
         for k in range(65):
             weights = inst.weights(k / 64)
             bound, z = exact_tiny._root_bound(inst, weights)
-            opt = exact_tiny._packing(inst, weights)[0]
+            opt = exact_tiny._orbit_lp(inst, weights)[0]
             assert min(z, default=0.0) >= 0.0, (n, k)
             assert opt * (1 - 1.5 * tol) <= bound <= opt * (1 - 0.5 * tol), (n, k)
+
+
+@pytest.mark.parametrize("text", [*PRESETS, "0-1 2-3", "n=4 0-1 1-2", "n=3"])
+def test_root_bound_packing_fits_every_labeled_weight(text):
+    # q's search is priced by the root bound's z spread to the labeled
+    # elements, which is sound only if that packing is feasible there: no
+    # candidate's load exceeds its weight, exactly, in floats
+    f = parse_pattern(text)
+    for n in range(2, 6):
+        inst = exact_tiny._instance(n, f)
+        for k in range(65):
+            weights = inst.weights(k / 64)
+            bound, z = exact_tiny._root_bound(inst, weights)
+            y = np.array(exact_tiny._spread(z, inst.element_orbit))
+            assert (inst.packing @ y <= np.array(weights)).all(), (n, k)
+            assert sum(z) == bound, (n, k)
 
 
 def test_root_cut_is_inclusive(monkeypatch):

@@ -8,7 +8,6 @@ from ffree.graphs import (
     PRESETS,
     PatternParseError,
     pair_endpoints,
-    pair_from_index,
     pair_index,
     parse_pattern,
 )
@@ -37,7 +36,7 @@ def test_pair_index_roundtrip(n, data):
     u = data.draw(st.integers(0, v - 1))
     k = pair_index(u, v, n)
     assert 0 <= k < n * (n - 1) // 2
-    assert pair_from_index(k, n) == (u, v)
+    assert pair_endpoints([k]) == ([u], [v])
 
 
 def test_pair_endpoints_match_isqrt_oracle_n3000():
@@ -54,12 +53,6 @@ def test_pair_endpoints_near_triangular_numbers():
            for k in (t, t + 1, t + v - 2, t + v - 1) if t <= k < t + v]
     assert list(zip(*pair_endpoints(ids))) == [pair_from_index_oracle(k) for k in ids]
     assert pair_endpoints([]) == ([], [])
-
-
-def test_pair_from_index_rejects_out_of_range():
-    for k in (-1, 10):
-        with pytest.raises(ValueError, match="out of range"):
-            pair_from_index(k, 5)
 
 
 def test_pair_index_bijection_small():

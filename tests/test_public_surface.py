@@ -1,23 +1,31 @@
-"""Every public module-level function or class in `src/ffree` has a user.
+"""Every public module-level function or class in `src/ffree` has a user,
+and every defaulted parameter in `src/ffree` takes more than one value.
 
 A name counts as used when some `src/ffree` module other than `__init__.py`
 names it outside its own definition, when `perfbench/tracer.py` wraps it as
 a span, or when ALLOWED below gives the reason it stays without a caller.
 Re-exports in `__init__.py` do not count: they would keep any name alive.
+
+A defaulted parameter counts as used when some call in `src/ffree` or
+`perfbench/tracer.py` to a function of its name passes it, by position or by
+keyword; a call to a class counts for its `__init__`, and a call with
+`*args` or `**kwargs` passes everything.  ONE_VALUE_ALLOWED gives the
+reason for each parameter that stays at its default.
 """
 
 import ast
 from pathlib import Path
 
-from test_tracer import _spans
+from test_tracer import TRACER, _spans
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "ffree"
 
 ALLOWED = {
     "chernoff_tail_bound": "the Chernoff bound behind event E_H; an acceptance test checks it",
     "verify_certificate": "checks a q certificate on its own; ROADMAP direction 1 gives it a caller",
-    "pair_from_index": "the scalar inverse of pair_index, for one id without numpy arrays",
 }
+
+ONE_VALUE_ALLOWED: dict[str, str] = {}
 
 
 def _names(top: ast.stmt) -> set[str]:
@@ -56,3 +64,57 @@ def test_allowlist_names_defined_functions():
                for top in ast.parse(path.read_text()).body
                if isinstance(top, (ast.FunctionDef, ast.ClassDef))}
     assert set(ALLOWED) <= defined
+
+
+def _calls() -> dict[str, list[ast.Call]]:
+    """Every call in `src/ffree` and the tracer, by the name it calls."""
+    calls: dict[str, list[ast.Call]] = {}
+    for path in [*SRC.glob("*.py"), TRACER]:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                calls.setdefault(name, []).append(node)
+    return calls
+
+
+def _passes(call: ast.Call, index: int | None, name: str) -> bool:
+    """Whether `call` passes the parameter `name`, at position `index`
+    (None when it is keyword-only)."""
+    if any(isinstance(a, ast.Starred) for a in call.args) or any(
+            k.arg is None for k in call.keywords):
+        return True
+    return (index is not None and len(call.args) > index) or any(
+        k.arg == name for k in call.keywords)
+
+
+def _one_value_parameters() -> list[str]:
+    calls = _calls()
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        owner = {id(fn): cls for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+                 for fn in cls.body if isinstance(fn, ast.FunctionDef)}
+        for fn in ast.walk(tree):
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            cls = owner.get(id(fn))
+            bound = cls is not None and not any(
+                getattr(d, "id", None) == "staticmethod" for d in fn.decorator_list)
+            callee = cls.name if cls is not None and fn.name == "__init__" else fn.name
+            args = fn.args
+            positional = [*args.posonlyargs, *args.args]
+            first = len(positional) - len(args.defaults)
+            defaulted = [(i - bound, a.arg) for i, a in enumerate(positional) if i >= first]
+            defaulted += [(None, a.arg) for a, d in zip(args.kwonlyargs, args.kw_defaults)
+                          if d is not None]
+            for index, name in defaulted:
+                label = f"{path.stem}.{callee}({name})"
+                if label not in ONE_VALUE_ALLOWED and not any(
+                        _passes(c, index, name) for c in calls.get(callee, [])):
+                    found.append(label)
+    return found
+
+
+def test_every_defaulted_parameter_is_passed():
+    assert _one_value_parameters() == []

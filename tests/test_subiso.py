@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 
 import networkx as nx
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from ffree.graphs import LabeledGraph, PatternGraph, PRESETS, parse_pattern
 from ffree.sampling import Seed, sample_gnp
 from ffree.subiso import (Copy, _edge_roots, _embeddings, _host, _plan, _search_order,
-                          contains_copy, enumerate_copies)
+                          contains_copy, enumerate_copies, first_completing_edge)
 
 from oracles import copies_oracle, embeddings_oracle, enumerate_copies_oracle
 
@@ -194,3 +195,18 @@ def test_contains_copy_dense_terminates(deadline):
     assert contains_copy(LabeledGraph.complete(11), minus)
     assert contains_copy(LabeledGraph.complete(16), _complete(16))
     assert not contains_copy(LabeledGraph.from_edges(16, _complete(16).edges[1:]), _complete(16))
+
+
+@pytest.mark.parametrize("name", list(PRESETS))
+def test_first_completing_edge_returns_the_completing_pair(name):
+    # on seeded random arrival orders of every pair of K_n, the graph before
+    # the returned pair is F-free and the graph with it contains F
+    f = PRESETS[name]
+    rng = random.Random(name)
+    for n in range(f.vertex_count, f.vertex_count + 3):
+        pairs = [(u, v) for v in range(n) for u in range(v)]
+        for _ in range(5):
+            rng.shuffle(pairs)
+            i = pairs.index(first_completing_edge(n, iter(pairs), f))
+            assert not contains_copy(LabeledGraph.from_edges(n, pairs[:i]), f), (n, pairs)
+            assert contains_copy(LabeledGraph.from_edges(n, pairs[:i + 1]), f), (n, pairs)
