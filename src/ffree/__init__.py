@@ -27,8 +27,6 @@ from .alteration import (
 )
 from .thresholds import ScalingFit, ThresholdEstimate, estimate_mu, estimate_pc, scaling_fit
 from .exact_tiny import (
-    Certificate,
-    FractionalCertificate,
     GapReport,
     gap_report,
     lp_min_cost,
@@ -37,7 +35,6 @@ from .exact_tiny import (
     pc_exact,
     q_exact,
     qf_exact,
-    verify_certificate,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -20,7 +20,6 @@ copy order keeps every trial reproducible.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -47,7 +46,6 @@ class LemmaConstants:
     admissible_p_max: float
 
 
-@functools.lru_cache(maxsize=64)   # every trial asks; m2(F) walks all 2^v_F vertex subsets
 def lemma_constants(f: PatternGraph, n: int) -> LemmaConstants:
     """delta = 1/max{9, 4 e_F}, p cap = EPSILON * n^(-1/m2)."""
     if f.max_degree() < 2:
@@ -101,7 +99,6 @@ def require_family_condition(family: WeightedFamily, p: float, delta: float,
 class PackingResult:
     source: LabeledGraph
     copies: tuple[Copy, ...]
-    packed_edges: int            # bitmask over pair indices
     altered: LabeledGraph
 
 
@@ -116,7 +113,7 @@ def greedy_maximal_packing(g: LabeledGraph, j: PatternGraph) -> PackingResult:
             accepted.append(copy)
             packed |= copy.edge_mask
     altered = LabeledGraph(g.n, g.bits & ~packed)
-    return PackingResult(g, tuple(accepted), packed, altered)
+    return PackingResult(g, tuple(accepted), altered)
 
 
 def alteration_graph(n: int, p: float, f: PatternGraph, seed: Seed,

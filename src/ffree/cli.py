@@ -14,7 +14,7 @@ import sys
 from json.encoder import encode_basestring_ascii
 
 from . import alteration, density, exact_tiny, thresholds
-from .graphs import PatternParseError, parse_pattern
+from .graphs import parse_pattern
 from .sampling import Seed, sample_gnp
 from .subiso import contains_copy
 
@@ -302,7 +302,7 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (PatternParseError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MemoryError as exc:

@@ -39,7 +39,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
-from .graphs import LabeledGraph, PatternGraph, pair_index
+from .graphs import PatternGraph, pair_index
 
 N_CAP = 5
 SIMPLEX_TOL = 1e-9
@@ -81,34 +81,6 @@ def _ffree_census(n: int, f: PatternGraph) -> tuple[tuple[int, ...], tuple[int, 
                      if not any((g | 1 << e) in ffree
                                 for e in range(m) if not g >> e & 1))
     return tuple(maximal), tuple(profile)
-
-
-@dataclass(frozen=True)
-class Certificate:
-    members: tuple[LabeledGraph, ...]
-    p: float
-
-    @property
-    def total_weight(self) -> float:
-        if not self.members:
-            return 0.0
-        m = self.members[0].pair_count
-        return sum((1.0 - self.p) ** (m - g.edge_count) for g in self.members)
-
-
-def verify_certificate(cert: Certificate, f: PatternGraph, n: int) -> bool:
-    """Weight budget <= 1/2 and every maximal F-free graph lies under a member."""
-    _check_cap(n, cert.p)
-    for g in cert.members:
-        if g.n != n:
-            raise ValueError("certificate member on wrong vertex count")
-    if cert.total_weight > 0.5:
-        return False
-    member_bits = [g.bits for g in cert.members]
-    for mb in _ffree_census(n, f)[0]:
-        if not any(mb & ~s == 0 for s in member_bits):
-            return False
-    return True
 
 
 @dataclass(frozen=True)
@@ -195,7 +167,8 @@ def _orbit_lp(inst: _Instance, weights: list[float]) -> tuple[float, list[float]
     """(optimum, mu, z) of the orbit LP for S_n-invariant weights, read at
     each candidate orbit's representative; its solutions expand to the
     labeled covering LP and packing dual as lambda(S) = mu_C / |C| and
-    y(M) = z_E / |E| (_spread)."""
+    y(M) = z_E / |E| (_spread).  q's search spreads z; mu is spread only
+    where a test checks lambda on the labeled LP."""
     return _packing_simplex(inst.orbit_packing, [weights[r] for r in inst.representatives])
 
 
@@ -355,13 +328,6 @@ def q_exact(n: int, f: PatternGraph, tolerance: float = DEFAULT_P_TOL) -> Thresh
 # solved through its packing dual  max sum y(M)  s.t.  sum_{M <= S} y(M) <= w(S)
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class FractionalCertificate:
-    support: tuple[tuple[LabeledGraph, float], ...]
-    p: float
-    total_cost: float
-
-
 def _packing_simplex(a, w: list[float]) -> tuple[float, list[float], list[float]]:
     """max 1.y s.t. a y <= w, y >= 0, for a matrix a >= 0 (a sequence of rows)
     and w >= 0, on a dense tableau of float lists.
@@ -414,8 +380,8 @@ def _packing_simplex(a, w: list[float]) -> tuple[float, list[float], list[float]
                     r[j] -= factor * prow[j]
 
 
-def lp_min_cost(n: int, p: float, f: PatternGraph) -> tuple[float, FractionalCertificate]:
-    """Exact covering-LP optimum with an optimal fractional certificate.
+def lp_min_cost(n: int, p: float, f: PatternGraph) -> float:
+    """Exact covering-LP optimum, solved on orbits (_orbit_lp).
 
     Constraints only for edge-maximal F-free graphs M: any F-free graph is a
     subgraph of some M, and S >= M implies S >= F for every F <= M, so the
@@ -423,17 +389,13 @@ def lp_min_cost(n: int, p: float, f: PatternGraph) -> tuple[float, FractionalCer
     """
     _check_cap(n, p)
     inst = _instance(n, f)
-    opt, mu, _ = _orbit_lp(inst, inst.weights(p))
-    support = tuple((LabeledGraph(n, c), float(x))
-                    for c, x in zip(inst.candidates, _spread(mu, inst.candidate_orbit))
-                    if x > SIMPLEX_TOL)
-    return opt, FractionalCertificate(support, p, opt)
+    return _orbit_lp(inst, inst.weights(p))[0]
 
 
 def qf_exact(n: int, f: PatternGraph, tolerance: float = DEFAULT_P_TOL) -> ThresholdValue:
     """Smallest p whose optimal fractional certificate costs <= 1/2."""
     _check_cap(n)
-    return _bisect_budget(lambda p: lp_min_cost(n, p, f)[0] <= 0.5, tolerance)
+    return _bisect_budget(lambda p: lp_min_cost(n, p, f) <= 0.5, tolerance)
 
 
 # ---------------------------------------------------------------------------

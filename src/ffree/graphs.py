@@ -157,8 +157,6 @@ def parse_pattern(text: str) -> PatternGraph:
     stripped = text.strip()
     if stripped in PRESETS:
         return PRESETS[stripped]
-    if stripped.lower() in PRESETS:
-        return PRESETS[stripped.lower()]
     tokens = [t for t in re.split(r"[,\s]+", stripped) if t]
     if not tokens:
         raise PatternParseError("empty pattern text")

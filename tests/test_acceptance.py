@@ -163,7 +163,7 @@ def test_exact_tiny_chain():
         inst = _instance(n, pat)
         elements, candidates = inst.elements, inst.candidates
         want = lp_bfs_oracle(elements, candidates, n * (n - 1) // 2, p)
-        got, _ = lp_min_cost(n, float(p), pat)
+        got = lp_min_cost(n, float(p), pat)
         assert got == pytest.approx(float(want), abs=1e-9)
 
 

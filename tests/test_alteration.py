@@ -62,7 +62,7 @@ def test_packing_disjointness_and_maximality_k5():
     for c in result.copies:
         assert c.edge_mask & seen == 0
         seen |= c.edge_mask
-    assert seen == result.packed_edges
+    assert seen == result.source.bits & ~result.altered.bits
     assert not contains_copy(result.altered, TRIANGLE)
 
 
@@ -138,7 +138,6 @@ def test_m2_witness_computed_once_per_pattern(monkeypatch, capsys):
     monkeypatch.setattr(density, "_best_subset",
                         lambda f, *a: calls.append((f, *a)) or best_subset(f, *a))
     density._m2.cache_clear()
-    lemma_constants.cache_clear()
     n, p = 30, 0.1
     fam = WeightedFamily.unit((LabeledGraph.complete(n),))
     patterns = [C4, K4, PRESETS["petersen"]]

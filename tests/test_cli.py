@@ -36,6 +36,13 @@ def test_density_bad_pattern_exits_2(capsys):
     assert main(["density", "--pattern", "0-0"]) == 2
 
 
+def test_miscased_preset_exits_2(capsys):
+    assert main(["density", "--pattern", "Triangle"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: malformed token 'Triangle' (at token position 0)\n"
+
+
 @pytest.mark.parametrize("argv", [
     ["density"],
     ["alter", "--n", "10", "--p", "0.1"],

@@ -9,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 from ffree import exact_tiny
 from ffree.cli import main
 from ffree.exact_tiny import (
-    Certificate,
     PivotCapError,
     ScaleError,
     gap_report,
@@ -19,7 +18,6 @@ from ffree.exact_tiny import (
     pc_exact,
     q_exact,
     qf_exact,
-    verify_certificate,
 )
 from ffree.graphs import LabeledGraph, PRESETS, parse_pattern
 from ffree.subiso import contains_copy
@@ -169,10 +167,8 @@ def test_q_degenerate_case():
 def test_lp_at_most_integral():
     for (n, pattern) in [(3, TRIANGLE), (4, TRIANGLE), (4, C4)]:
         for p in [0.2, 0.5, 0.8]:
-            lp_val, cert = lp_min_cost(n, p, pattern)
+            lp_val = lp_min_cost(n, p, pattern)
             assert lp_val <= min_cover_cost(n, p, pattern) + 1e-9
-            assert cert.total_cost == pytest.approx(lp_val)
-            assert all(w > 0 for _, w in cert.support)
 
 
 def test_lp_matches_rational_bfs_oracle_n3():
@@ -181,8 +177,16 @@ def test_lp_matches_rational_bfs_oracle_n3():
     p = Fraction(7, 10)
     want = lp_bfs_oracle(elements, candidates, 3, p)
     assert want == Fraction(9, 10)  # 3 * (1 - 7/10)
-    got, _ = lp_min_cost(3, float(p), TRIANGLE)
+    got = lp_min_cost(3, float(p), TRIANGLE)
     assert got == pytest.approx(float(want), abs=1e-9)
+
+
+def _lp_support(inst, p):
+    """(optimum, {candidate: lambda > SIMPLEX_TOL}) of the labeled covering
+    LP, lambda being the orbit LP's mu spread evenly over each orbit."""
+    opt, mu, _ = exact_tiny._orbit_lp(inst, inst.weights(p))
+    lam = exact_tiny._spread(mu, inst.candidate_orbit)
+    return opt, {c: x for c, x in zip(inst.candidates, lam) if x > exact_tiny.SIMPLEX_TOL}
 
 
 def test_lp_matches_scipy_linprog():
@@ -202,14 +206,14 @@ def test_lp_matches_scipy_linprog():
             res = linprog(costs, A_ub=a_ub, b_ub=[-1.0] * len(elements),
                           bounds=(0, None), method="highs")
             assert res.status == 0
-            got, cert = lp_min_cost(n, p, pattern)
+            got, support = _lp_support(inst, p)
             assert got == pytest.approx(res.fun, abs=1e-8)
-            # the certificate is a feasible covering solution of that cost
-            assert sum(lam * (1 - p) ** (m - g.edge_count)
-                       for g, lam in cert.support) == pytest.approx(got, abs=1e-8)
+            # lambda is a feasible covering solution of that cost
+            assert sum(lam * (1 - p) ** (m - c.bit_count())
+                       for c, lam in support.items()) == pytest.approx(got, abs=1e-8)
             for e in elements:
-                assert sum(lam for g, lam in cert.support
-                           if e & ~g.bits == 0) >= 1 - 1e-8
+                assert sum(lam for c, lam in support.items()
+                           if e & ~c == 0) >= 1 - 1e-8
 
 
 @pytest.mark.parametrize("text", list(PRESETS))
@@ -296,23 +300,26 @@ def test_packing_exact_at_tiny_weights():
 
 @pytest.mark.parametrize("text", [*PRESETS, "0-1 2-3"])
 def test_lp_certificate_is_constant_on_orbits(text):
-    # lp_min_cost's lambda is the orbit LP's, spread evenly over each
+    # the labeled lambda is the orbit LP's, spread evenly over each
     # candidate orbit: every relabeling of [n] maps the support onto itself
-    # with equal values, and it covers every element at cost opt
+    # with equal values, and it covers every element at cost opt, the
+    # optimum lp_min_cost reports
     f = parse_pattern(text)
     for n in (4, 5):
         m = n * (n - 1) // 2
+        inst = exact_tiny._instance(n, f)
         for p in (0.25, 0.5, 0.75):
-            opt, cert = lp_min_cost(n, p, f)
-            lam = {g.bits: x for g, x in cert.support}
-            for g, x in cert.support:
+            opt, lam = _lp_support(inst, p)
+            assert opt == lp_min_cost(n, p, f)
+            for s, x in lam.items():
                 for perm in itertools.permutations(range(n)):
-                    image = LabeledGraph.from_edges(n, [(perm[u], perm[v]) for u, v in g.edges()])
-                    assert lam.get(image.bits) == x, (n, p, g.bits, perm)
-            for e in exact_tiny._instance(n, f).elements:
+                    image = LabeledGraph.from_edges(
+                        n, [(perm[u], perm[v]) for u, v in LabeledGraph(n, s).edges()])
+                    assert lam.get(image.bits) == x, (n, p, s, perm)
+            for e in inst.elements:
                 assert sum(x for s, x in lam.items() if e & ~s == 0) >= 1 - 1e-12
-            assert sum(x * (1 - p) ** (m - g.edge_count)
-                       for g, x in cert.support) == pytest.approx(opt, abs=1e-12)
+            assert sum(x * (1 - p) ** (m - s.bit_count())
+                       for s, x in lam.items()) == pytest.approx(opt, abs=1e-12)
 
 
 def test_qf_exact_solves_each_probe_through_lp_min_cost(monkeypatch):
@@ -324,6 +331,23 @@ def test_qf_exact_solves_each_probe_through_lp_min_cost(monkeypatch):
                         lambda *args: calls.append(args) or solve(*args))
     qf_exact(5, C4, 0.01)
     assert len(calls) == 9
+
+
+def test_bisection_stops_at_adjacent_floats(monkeypatch, deadline):
+    # no float lies strictly between lo and hi long before the bracket is
+    # 1e-300 wide: the bisection stops there, at q = q_f = 5/6 for the
+    # triangle at n = 3 (three paths of weight 1 - p each, or K3 of weight 1)
+    deadline(30)
+    calls = []
+    solve = exact_tiny.lp_min_cost
+    monkeypatch.setattr(exact_tiny, "lp_min_cost",
+                        lambda *args: calls.append(args) or solve(*args))
+    for threshold in (qf_exact, q_exact):
+        t = threshold(3, TRIANGLE, 1e-300)
+        assert not t.degenerate
+        assert abs(t.value - 5 / 6) <= 2 ** -52, threshold
+    # 1 and 0, then one probe per halving of [0, 1] down to the float spacing
+    assert len(calls) <= 64
 
 
 def test_candidates_are_unions_of_covered_elements():
@@ -403,32 +427,12 @@ def test_pc_exact_edgeless_pattern_is_zero():
 def test_scale_cap():
     with pytest.raises(ScaleError):
         q_exact(6, TRIANGLE)
-    # a census at n = 8 would walk 2^28 graphs
-    with pytest.raises(ScaleError):
-        verify_certificate(Certificate((LabeledGraph.empty(8),), 0.99), TRIANGLE, 8)
 
 
 def test_mu_exact_rejects_p_outside_unit_interval():
     for p in (2.0, -0.5, math.nan):
         with pytest.raises(ValueError, match="outside"):
             mu_exact(4, p, TRIANGLE)
-    # p = 3 gave these members a total weight of -20, and a NaN p compared false
-    members = tuple(maximal_ffree(4, TRIANGLE))
-    for p in (3.0, math.nan):
-        with pytest.raises(ValueError, match="outside"):
-            verify_certificate(Certificate(members, p), TRIANGLE, 4)
-
-
-def test_verify_certificate_examples():
-    # a member containing the pattern is rejected
-    bad = Certificate((LabeledGraph.complete(3),), 0.5)
-    assert not verify_certificate(bad, TRIANGLE, 3)
-    # the empty certificate covers nothing
-    assert not verify_certificate(Certificate((), 0.5), TRIANGLE, 3)
-    paths = tuple(maximal_ffree(3, TRIANGLE))
-    assert verify_certificate(Certificate(paths, 5 / 6), TRIANGLE, 3)
-    # weight 3(1-p) > 1/2 below the threshold point
-    assert not verify_certificate(Certificate(paths, 0.5), TRIANGLE, 3)
 
 
 def test_gap_chain_holds():
@@ -478,7 +482,7 @@ def test_cover_within_branch_and_bound(monkeypatch, per_missing, within):
     inst = exact_tiny._instance(4, TRIANGLE)
     greedy = exact_tiny._branch_and_bound(inst, inst.weights(0.5), math.inf, math.inf)
     assert greedy == 33 / 64
-    assert lp_min_cost(4, 0.5, TRIANGLE)[0] <= 0.5
+    assert lp_min_cost(4, 0.5, TRIANGLE) <= 0.5
     assert (min_cover_cost(4, 0.5, TRIANGLE) <= 0.5) is within
     assert exact_tiny._cover_within(4, 0.5, TRIANGLE) is within
 

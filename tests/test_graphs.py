@@ -73,7 +73,7 @@ def test_parse_isolated_override():
     assert g.edges == ((0, 1),)
 
 
-@pytest.mark.parametrize("bad", ["0-0", "1-", "n=1 0-3", "0_1", ""])
+@pytest.mark.parametrize("bad", ["0-0", "1-", "n=1 0-3", "0_1", "", "Triangle", "k4"])
 def test_parse_errors(bad):
     with pytest.raises(PatternParseError):
         parse_pattern(bad)

@@ -11,6 +11,10 @@ A defaulted parameter counts as used when some call in `src/ffree` or
 keyword; a call to a class counts for its `__init__`, and a call with
 `*args` or `**kwargs` passes everything.  ONE_VALUE_ALLOWED gives the
 reason for each parameter that stays at its default.
+
+A field of a public dataclass counts as read when some `src/ffree` module or
+`perfbench/tracer.py` reads an attribute of its name; FIELD_ALLOWED gives
+the reason for each field that nothing there reads.
 """
 
 import ast
@@ -22,10 +26,14 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "ffree"
 
 ALLOWED = {
     "chernoff_tail_bound": "the Chernoff bound behind event E_H; an acceptance test checks it",
-    "verify_certificate": "checks a q certificate on its own; ROADMAP direction 1 gives it a caller",
 }
 
 ONE_VALUE_ALLOWED: dict[str, str] = {}
+
+FIELD_ALLOWED = {
+    "Copy.vertex_image": "Copy equality compares it with enumerate_copies_oracle's, "
+                         "which checks that the symmetry breaking keeps the least embedding",
+}
 
 
 def _names(top: ast.stmt) -> set[str]:
@@ -118,3 +126,26 @@ def _one_value_parameters() -> list[str]:
 
 def test_every_defaulted_parameter_is_passed():
     assert _one_value_parameters() == []
+
+
+def _unread_fields() -> list[str]:
+    trees = [ast.parse(path.read_text()) for path in [*SRC.glob("*.py"), TRACER]]
+    read = {node.attr for tree in trees for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)}
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            if not (isinstance(top, ast.ClassDef) and not top.name.startswith("_") and any(
+                    getattr(getattr(d, "func", d), "id", None) == "dataclass"
+                    for d in top.decorator_list)):
+                continue
+            for field in top.body:
+                if isinstance(field, ast.AnnAssign) and isinstance(field.target, ast.Name):
+                    label = f"{top.name}.{field.target.id}"
+                    if field.target.id not in read and label not in FIELD_ALLOWED:
+                        found.append(label)
+    return found
+
+
+def test_every_result_field_is_read():
+    assert _unread_fields() == []
