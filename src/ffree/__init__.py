@@ -11,7 +11,7 @@ the densities and the exact p_c and q_f do not load it.
 
 from .graphs import LabeledGraph, PatternGraph, PRESETS, pair_index, parse_pattern
 from .density import DensityReport, density_gap_check, m2_density, m_density, minimal_m2_subgraph
-from .subiso import Copy, contains_copy, enumerate_copies
+from .subiso import contains_copy, enumerate_copies
 from .sampling import EdgeThresholdTable, Seed, chernoff_tail_bound, coupled_realize, sample_gnp
 from .alteration import (
     EPSILON,

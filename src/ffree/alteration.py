@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from .density import minimal_m2_subgraph, m2_density
 from .graphs import LabeledGraph, PatternGraph
 from .sampling import Seed, sample_gnp
-from .subiso import Copy, enumerate_copies
+from .subiso import enumerate_copies
 
 #: min over x >= 2 of [1/(3 x e^2)]^(1/(x-1)), attained at x = 2.
 EPSILON = 1.0 / (6.0 * math.e ** 2)
@@ -98,7 +98,7 @@ def require_family_condition(family: WeightedFamily, p: float, delta: float,
 @dataclass(frozen=True)
 class PackingResult:
     source: LabeledGraph
-    copies: tuple[Copy, ...]
+    copies: tuple[int, ...]   # edge masks of the packed copies, in scan order
     altered: LabeledGraph
 
 
@@ -106,12 +106,12 @@ def greedy_maximal_packing(g: LabeledGraph, j: PatternGraph) -> PackingResult:
     """Greedy edge-disjoint J-packing over the lexicographic copy order."""
     if j.edge_count < 2:
         raise ValueError("packing pattern needs at least two edges")
-    accepted: list[Copy] = []
+    accepted: list[int] = []
     packed = 0
     for copy in enumerate_copies(g, j):
-        if not copy.edge_mask & packed:
+        if not copy & packed:
             accepted.append(copy)
-            packed |= copy.edge_mask
+            packed |= copy
     altered = LabeledGraph(g.n, g.bits & ~packed)
     return PackingResult(g, tuple(accepted), altered)
 
@@ -148,6 +148,7 @@ class TrialRecord:
     hits: tuple[HitRecord, ...]
     hit_all: bool
     missed_weight: float
+    altered: LabeledGraph   # the trial's F-free graph; not in to_dict
 
     def to_dict(self) -> dict:
         return {
@@ -174,12 +175,6 @@ def lemma2_trial(n: int, p: float, f: PatternGraph, family: WeightedFamily,
     Asserts the counting identity: whenever E_H and D_H both hold for an H
     with e(H) >= 1, the altered graph shares an edge with H.
     """
-    return _lemma2_trial(n, p, f, family, seed, trial_index)[0]
-
-
-def _lemma2_trial(n: int, p: float, f: PatternGraph, family: WeightedFamily,
-                  seed: Seed, trial_index: int) -> tuple[TrialRecord, PackingResult]:
-    """lemma2_trial, also returning the trial's alteration result."""
     if family.members and family.members[0].n != n:
         raise ValueError("family members must live on [n]")
     j = minimal_m2_subgraph(f)
@@ -192,7 +187,7 @@ def _lemma2_trial(n: int, p: float, f: PatternGraph, family: WeightedFamily,
         e_h = h.edge_count
         shared_raw = (result.source.bits & h.bits).bit_count()
         event_e = shared_raw >= e_h * p / 2.0
-        touched = sum(1 for c in result.copies if c.edge_mask & h.bits)
+        touched = sum(1 for c in result.copies if c & h.bits)
         event_d = touched <= e_h * p / (3.0 * e_j)
         shared_altered = (result.altered.bits & h.bits).bit_count()
         if event_e and event_d and e_h >= 1:
@@ -209,7 +204,7 @@ def _lemma2_trial(n: int, p: float, f: PatternGraph, family: WeightedFamily,
                               shared_altered))
     in_regime = p <= lemma_constants(f, n).admissible_p_max
     return TrialRecord(seed.master, trial_index, n, p, in_regime,
-                       tuple(hits), hit_all, missed), result
+                       tuple(hits), hit_all, missed, result.altered)
 
 
 @dataclass(frozen=True)
@@ -238,16 +233,16 @@ def refute_certificate(gfam: WeightedFamily, f: PatternGraph, n: int, p: float,
     require_family_condition(complements, p, consts.delta, "complement family")
     records = []
     for i in range(trial_budget):
-        rec, result = _lemma2_trial(n, p, f, complements, seed, trial_index=i)
+        rec = lemma2_trial(n, p, f, complements, seed, trial_index=i)
         records.append(rec)
         if rec.hit_all:
             # verify the escape explicitly
-            full = result.altered.full_mask
+            full = rec.altered.full_mask
             for s in gfam.members:
-                assert result.altered.bits & ~s.bits & full, (
+                assert rec.altered.bits & ~s.bits & full, (
                     "altered graph unexpectedly contained in a certificate member"
                 )
-            return RefutationResult(True, result.altered, tuple(records))
+            return RefutationResult(True, rec.altered, tuple(records))
     return RefutationResult(False, None, tuple(records))
 
 

@@ -59,23 +59,15 @@ def _emit_csv(args, header: list[str], rows: list[list]):
     _emit(args, "\n".join(lines) + "\n")
 
 
-def _pattern(args):
-    return parse_pattern(args.pattern)
-
-
-def _seed(args) -> Seed:
-    return Seed.parse(args.seed)
-
-
 def cmd_density(args) -> int:
-    report = density.density_gap_check(_pattern(args))
+    report = density.density_gap_check(parse_pattern(args.pattern))
     _emit_json(args, {"command": "density", "pattern": args.pattern,
                       **report.to_dict()})
     return 0
 
 
 def cmd_sample(args) -> int:
-    g = sample_gnp(args.n, args.p, _seed(args))
+    g = sample_gnp(args.n, args.p, Seed.parse(args.seed))
     _emit_json(args, {
         "command": "sample", "n": args.n, "p": args.p, "seed": args.seed,
         "edge_count": g.edge_count,
@@ -85,8 +77,8 @@ def cmd_sample(args) -> int:
 
 
 def cmd_alter(args) -> int:
-    f = _pattern(args)
-    result = alteration.alteration_graph(args.n, args.p, f, _seed(args))
+    f = parse_pattern(args.pattern)
+    result = alteration.alteration_graph(args.n, args.p, f, Seed.parse(args.seed))
     j = density.minimal_m2_subgraph(f)
     cap = alteration.lemma_constants(f, args.n).admissible_p_max
     _emit_json(args, {
@@ -102,9 +94,9 @@ def cmd_alter(args) -> int:
 
 
 def cmd_mu_sweep(args) -> int:
-    f = _pattern(args)
+    f = parse_pattern(args.pattern)
     grid = [float(x) for x in args.p_grid.split(",")]
-    curve = thresholds.mu_curve(args.n, grid, f, args.trials, _seed(args))
+    curve = thresholds.mu_curve(args.n, grid, f, args.trials, Seed.parse(args.seed))
     rows = [[args.pattern, args.n, repr(p), repr(est.mu_hat),
              repr(est.ci_lo), repr(est.ci_hi), args.trials, args.seed]
             for p, est in zip(grid, curve)]
@@ -118,16 +110,16 @@ def cmd_mu_sweep(args) -> int:
 
 
 def cmd_pc(args) -> int:
-    est = thresholds.estimate_pc(args.n, _pattern(args), args.trials, args.tol,
-                                 _seed(args))
+    est = thresholds.estimate_pc(args.n, parse_pattern(args.pattern), args.trials, args.tol,
+                                 Seed.parse(args.seed))
     _emit_json(args, {"command": "pc", **est.to_dict()})
     return 0
 
 
 def cmd_scaling(args) -> int:
     n_list = [int(x) for x in args.n_list.split(",")]
-    fit = thresholds.scaling_fit(_pattern(args), n_list, args.trials, args.tol,
-                                 _seed(args))
+    fit = thresholds.scaling_fit(parse_pattern(args.pattern), n_list, args.trials, args.tol,
+                                 Seed.parse(args.seed))
     _emit_json(args, {"command": "scaling", "seed": args.seed,
                       "trials": args.trials, "tolerance": args.tol,
                       **fit.to_dict()})
@@ -144,12 +136,13 @@ def _generated_family(args, f, n, p, weight=None):
     edges = (args.family_edges if args.family_edges is not None
              else alteration.min_family_edges(args.family_size, p, delta))
     if edges > n * (n - 1) // 2:
+        fix = "raise --p" if args.family_edges is None else "lower --family-edges"
         raise ValueError(
             f"family needs {edges} edges per member but only {n*(n-1)//2} pairs "
-            f"exist at n={n}; raise --p"
+            f"exist at n={n}; {fix}"
         )
     weights = None if weight is None else (weight,) * args.family_size
-    family = alteration.random_family(n, args.family_size, edges, _seed(args),
+    family = alteration.random_family(n, args.family_size, edges, Seed.parse(args.seed),
                                       weights=weights)
     return family, edges, delta
 
@@ -157,11 +150,11 @@ def _generated_family(args, f, n, p, weight=None):
 def cmd_lemma2(args) -> int:
     if args.trials < 0:
         raise ValueError(f"trials must be >= 0, got {args.trials}")
-    f = _pattern(args)
+    f = parse_pattern(args.pattern)
     family, _, delta = _generated_family(args, f, args.n, args.p,
                                          args.family_weight)
     alteration.require_family_condition(family, args.p, delta, "generated family")
-    records = [alteration.lemma2_trial(args.n, args.p, f, family, _seed(args),
+    records = [alteration.lemma2_trial(args.n, args.p, f, family, Seed.parse(args.seed),
                                        trial_index=i)
                for i in range(args.trials)]
     _emit_json(args, {
@@ -178,13 +171,13 @@ def cmd_lemma2(args) -> int:
 
 
 def cmd_refute(args) -> int:
-    f = _pattern(args)
+    f = parse_pattern(args.pattern)
     n, p = args.n, args.p
     # certificate members are complements of random graphs with enough edges
     comps, edges, _ = _generated_family(args, f, n, p)
     gfam = alteration.WeightedFamily.unit(tuple(g.complement()
                                                 for g in comps.members))
-    result = alteration.refute_certificate(gfam, f, n, p, args.budget, _seed(args))
+    result = alteration.refute_certificate(gfam, f, n, p, args.budget, Seed.parse(args.seed))
     _emit_json(args, {
         "command": "refute", "pattern": args.pattern, "n": n, "p": p,
         "seed": args.seed, "members": args.family_size, "budget": args.budget,
@@ -200,7 +193,7 @@ def cmd_refute(args) -> int:
 def cmd_exact(args) -> int:
     # looked up at call time, so a wrapper bound into the module is used
     solve = getattr(exact_tiny, {"exact-q": "q_exact", "exact-qf": "qf_exact"}[args.command])
-    val = solve(args.n, _pattern(args), args.tol)
+    val = solve(args.n, parse_pattern(args.pattern), args.tol)
     _emit_json(args, {"command": args.command, "pattern": args.pattern, "n": args.n,
                       "value": val.value, "degenerate": val.degenerate,
                       "tolerance": val.tolerance})
@@ -208,7 +201,7 @@ def cmd_exact(args) -> int:
 
 
 def cmd_gap(args) -> int:
-    report = exact_tiny.gap_report(args.n, _pattern(args), args.tol)
+    report = exact_tiny.gap_report(args.n, parse_pattern(args.pattern), args.tol)
     _emit_json(args, {"command": "gap", **report.to_dict()})
     return 0 if report.chain_holds else 1
 

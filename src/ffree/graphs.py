@@ -21,13 +21,12 @@ from dataclasses import dataclass
 
 
 class PatternParseError(ValueError):
-    """Malformed pattern text; carries the offending position."""
+    """Malformed pattern text; the message names the offending token position."""
 
     def __init__(self, message: str, position: int | None = None):
         if position is not None:
             message = f"{message} (at token position {position})"
         super().__init__(message)
-        self.position = position
 
 
 def pair_index(u: int, v: int, n: int) -> int:
@@ -228,9 +227,6 @@ class LabeledGraph:
     @property
     def edge_count(self) -> int:
         return self.bits.bit_count()
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return bool(self.bits >> pair_index(min(u, v), max(u, v), self.n) & 1)
 
     def edge_ids(self) -> list[int]:
         """Pair indices of the edges, increasing."""

@@ -1,8 +1,9 @@
 """Subgraph-copy detection and enumeration.
 
 A copy of pattern J in G is a subgraph of G isomorphic to J, identified by
-its edge set (one Copy per distinct edge set; automorphisms of J do not
-multiply-count).  Copies are not required to be induced.
+its edge set and returned as its edge mask, the int whose bit pair_index(u, v)
+is set for each edge (one mask per distinct edge set; automorphisms of J do
+not multiply-count).  Copies are not required to be induced.
 
 Every search runs one kernel, _embeddings: backtracking in a single frame
 over the non-isolated pattern vertices in a connected-first,
@@ -16,17 +17,8 @@ finds each copy once and existence searches skip symmetric dead ends.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
 
 from .graphs import LabeledGraph, PatternGraph
-
-
-@dataclass(frozen=True)
-class Copy:
-    vertex_image: tuple[int, ...]   # images of the pattern's non-isolated vertices
-    edge_ids: tuple[int, ...]       # sorted pair indices covered by the copy
-    # the bits of edge_ids; eq, hash and repr ignore it
-    edge_mask: int = field(compare=False, repr=False)
 
 
 def _search_order(pattern: PatternGraph, first_edge: tuple[int, ...] = ()
@@ -195,8 +187,9 @@ def first_completing_edge(n: int, pairs, f: PatternGraph) -> tuple[int, int] | N
     return None
 
 
-def enumerate_copies(g: LabeledGraph, j: PatternGraph) -> list[Copy]:
-    """All copies of J in G, one per edge set, in lexicographic edge-id order."""
+def enumerate_copies(g: LabeledGraph, j: PatternGraph) -> list[int]:
+    """The edge mask of every copy of J in G, one per edge set, in the
+    lexicographic order of the copies' sorted edge ids."""
     if j.edge_count < 1:
         raise ValueError("pattern must have at least one edge")
     if g.n < j.vertex_count:
@@ -213,5 +206,6 @@ def enumerate_copies(g: LabeledGraph, j: PatternGraph) -> list[Copy]:
             ids.append(k)
             mask |= 1 << k
         ids.sort()
-        copies.append(Copy(images, tuple(ids), mask))
-    return sorted(copies, key=lambda c: c.edge_ids)
+        copies.append((ids, mask))
+    copies.sort()
+    return [mask for _, mask in copies]

@@ -101,13 +101,12 @@ class MuEstimate:
     mu_hat: float
     ci_lo: float
     ci_hi: float
-    trials: int
 
 
 def _mu_estimate(times: list[int], p: float) -> MuEstimate:
     free = _free_count(times, p)
     lo, hi = wilson_interval(free, len(times))
-    return MuEstimate(free / len(times), lo, hi, len(times))
+    return MuEstimate(free / len(times), lo, hi)
 
 
 def estimate_mu(n: int, p: float, f: PatternGraph, trials: int, seed: Seed) -> MuEstimate:

@@ -32,8 +32,7 @@ import numpy as np
 from ffree.exact_tiny import PIVOT_CAP, SIMPLEX_TOL, PivotCapError, mu_exact
 from ffree.graphs import LabeledGraph, PatternGraph, pair_endpoints, pair_index
 from ffree.sampling import EdgeThresholdTable, Seed, coupled_realize, sample_gnp
-from ffree.subiso import (Copy, _search_order, contains_copy, enumerate_copies,
-                          first_completing_edge)
+from ffree.subiso import _search_order, contains_copy, enumerate_copies, first_completing_edge
 from ffree.thresholds import MuEstimate, ThresholdEstimate, wilson_interval
 
 
@@ -70,10 +69,11 @@ def copies_oracle(g: LabeledGraph, j: PatternGraph) -> set[tuple[int, ...]]:
         ok = True
         for u, v in j.edges:
             a, b = pos[u], pos[v]
-            if not g.has_edge(a, b):
+            k = pair_index(min(a, b), max(a, b), g.n)
+            if not g.bits >> k & 1:
                 ok = False
                 break
-            ids.append(pair_index(min(a, b), max(a, b), g.n))
+            ids.append(k)
         if ok:
             out.add(tuple(sorted(ids)))
     return out
@@ -106,11 +106,13 @@ def embeddings_oracle(adj: list[int], gdeg: list[int], plan, root: tuple[int, ..
     yield from extend(0, 0)
 
 
-def enumerate_copies_oracle(g: LabeledGraph, j: PatternGraph) -> list[Copy]:
-    """enumerate_copies without order constraints: every embedding is walked
-    and the first (lexicographically least) one of each edge set is kept."""
+def least_embeddings_oracle(g: LabeledGraph, j: PatternGraph
+                            ) -> dict[tuple[int, ...], tuple[int, ...]]:
+    """Every copy of J in G by its sorted edge ids, mapped to its least
+    embedding: every embedding is walked without order constraints and the
+    first (lexicographically least) one of each edge set is kept."""
     if g.n < j.vertex_count:
-        return []
+        return {}
     plan = order, _, _ = _search_order(j)
     pos = {v: i for i, v in enumerate(order)}
     pat_edges = [(pos[u], pos[v]) for u, v in j.edges]
@@ -123,7 +125,13 @@ def enumerate_copies_oracle(g: LabeledGraph, j: PatternGraph) -> list[Copy]:
         ))
         if ids not in seen:
             seen[ids] = images
-    return [Copy(seen[ids], ids, sum(1 << k for k in ids)) for ids in sorted(seen)]
+    return seen
+
+
+def enumerate_copies_oracle(g: LabeledGraph, j: PatternGraph) -> list[int]:
+    """enumerate_copies from least_embeddings_oracle: the edge masks in the
+    lexicographic order of the sorted edge ids."""
+    return [sum(1 << k for k in ids) for ids in sorted(least_embeddings_oracle(g, j))]
 
 
 def pair_from_index_oracle(k: int) -> tuple[int, int]:
@@ -152,7 +160,7 @@ def census_from_copies_oracle(n: int, f: PatternGraph
     """_ffree_census with the copies of F in K_n found by enumerate_copies;
     an edgeless F that fits on [n] has one copy, with no edges."""
     m = n * (n - 1) // 2
-    copies = ([c.edge_mask for c in enumerate_copies(LabeledGraph.complete(n), f)]
+    copies = (enumerate_copies(LabeledGraph.complete(n), f)
               if f.edge_count else [0] * (n >= f.vertex_count))
     ffree = {g for g in range(1 << m) if all(c & ~g for c in copies)}
     profile = [0] * (m + 1)
@@ -378,7 +386,7 @@ def mu_oracle(n: int, p: float, f: PatternGraph, trials: int, seed: Seed) -> MuE
         if not contains_copy(sample_gnp(n, p, seed, purpose="mu", index=i), f)
     )
     lo, hi = wilson_interval(free, trials)
-    return MuEstimate(free / trials, lo, hi, trials)
+    return MuEstimate(free / trials, lo, hi)
 
 
 def pc_bisection_oracle(n: int, f: PatternGraph, trials: int, tolerance: float,
@@ -406,7 +414,7 @@ def pc_bisection_oracle(n: int, f: PatternGraph, trials: int, tolerance: float,
     free = sum(1 for t in battery if not contains_copy(coupled_realize(t, p_hat), f))
     ci_lo, ci_hi = wilson_interval(free, trials)
     return ThresholdEstimate(n, f.to_text(), p_hat,
-                             MuEstimate(free / trials, ci_lo, ci_hi, trials),
+                             MuEstimate(free / trials, ci_lo, ci_hi),
                              trials, seed.master, tolerance, tuple(trace))
 
 

@@ -48,8 +48,7 @@ def test_packing_k4_worked_example():
     # lexicographic copy order, leaving a star at vertex 3
     g = LabeledGraph.complete(4)
     result = greedy_maximal_packing(g, TRIANGLE)
-    assert len(result.copies) == 1
-    assert result.copies[0].vertex_image == (0, 1, 2)
+    assert result.copies == (0b111,)   # the triangle on pairs 0, 1, 2
     remaining = sorted(result.altered.edges())
     assert remaining == [(0, 3), (1, 3), (2, 3)]
     assert not contains_copy(result.altered, TRIANGLE)
@@ -60,8 +59,8 @@ def test_packing_disjointness_and_maximality_k5():
     result = greedy_maximal_packing(g, TRIANGLE)
     seen = 0
     for c in result.copies:
-        assert c.edge_mask & seen == 0
-        seen |= c.edge_mask
+        assert c & seen == 0
+        seen |= c
     assert seen == result.source.bits & ~result.altered.bits
     assert not contains_copy(result.altered, TRIANGLE)
 
@@ -75,9 +74,9 @@ def test_packing_properties(n, p, master, name):
     result = greedy_maximal_packing(g, pattern)
     seen = 0
     for c in result.copies:
-        assert c.edge_mask & ~g.bits == 0       # copies live in the source
-        assert c.edge_mask & seen == 0          # pairwise edge-disjoint
-        seen |= c.edge_mask
+        assert c & ~g.bits == 0       # copies live in the source
+        assert c & seen == 0          # pairwise edge-disjoint
+        seen |= c
     assert result.altered.bits == g.bits & ~seen
     # deleting the packed copies removes every copy of the packing pattern
     assert not contains_copy(result.altered, pattern)
@@ -128,6 +127,9 @@ def test_lemma2_trial_identity_and_schema():
     if h["event_E"] and h["event_D"]:
         assert h["shared_altered"] >= 1
     assert rec.hit_all == (rec.missed_weight == 0.0)
+    # the trial's altered graph, kept out of the JSON record, is F-free
+    assert h["shared_altered"] == rec.altered.edge_count
+    assert not contains_copy(rec.altered, TRIANGLE)
 
 
 def test_m2_witness_computed_once_per_pattern(monkeypatch, capsys):
@@ -197,6 +199,7 @@ def test_refute_produces_escape_graph(monkeypatch):
     assert res.success
     assert len(calls) == len(res.trials)
     g = res.graph
+    assert g is res.trials[-1].altered   # the successful trial's graph
     assert not contains_copy(g, TRIANGLE)
     for m in fam.members:
         assert g.bits & ~m.bits != 0  # not a subgraph of any member

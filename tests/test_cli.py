@@ -131,6 +131,45 @@ def test_refute_success(capsys):
     assert doc["success"] is True
 
 
+def test_refute_not_found_exits_1(capsys):
+    # a budget of 0 tries no trial: the documented "refutation not found" exit
+    code, out = run(capsys, "refute", "--pattern", "triangle", "--n", "40",
+                    "--p", "0.2", "--family-size", "3", "--budget", "0")
+    assert code == 1
+    doc = json.loads(out)
+    assert doc["success"] is False
+    assert doc["trials_used"] == 0
+    assert doc["escaping_edges"] is None
+
+
+_TOO_MANY = "family needs {} edges per member but only 45 pairs exist at n=10; {}"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["alter", "--pattern", "triangle", "--n", "50", "--p", "0"], "p=0.0 outside (0, 1)"),
+    (["alter", "--pattern", "0-1,2-3", "--n", "10", "--p", "0.1"],
+     "pattern needs a vertex of degree >= 2"),
+    (["exact-qf", "--pattern", "triangle", "--n", "1"], "need n >= 2"),
+    (["pc", "--pattern", "K5", "--n", "4"], "n=4 < pattern vertex count 5: mu is constant 1"),
+    (["sample", "--n", "0", "--p", "0.5"], "n must be positive"),
+    (["density", "--pattern", "0-1,n=3"], "n= token only allowed first (at token position 1)"),
+    # a given --family-edges is named; the computed default asks for a larger p
+    (["lemma2", "--pattern", "triangle", "--n", "10", "--p", "0.5", "--family-size", "1",
+      "--family-edges", "50"], _TOO_MANY.format(50, "lower --family-edges")),
+    (["refute", "--pattern", "triangle", "--n", "10", "--p", "0.5", "--family-size", "1",
+      "--family-edges", "50"], _TOO_MANY.format(50, "lower --family-edges")),
+    (["lemma2", "--pattern", "triangle", "--n", "10", "--p", "0.01", "--family-size", "1"],
+     _TOO_MANY.format(832, "raise --p")),
+], ids=["alter-p-zero", "alter-max-degree-1", "exact-qf-n1", "pc-n-below-pattern",
+        "sample-n0", "density-late-n", "lemma2-family-edges", "refute-family-edges",
+        "lemma2-default-edges"])
+def test_usage_errors_exit_2(capsys, argv, message):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 def test_exact_q_and_qf(capsys):
     code, out = run(capsys, "exact-q", "--pattern", "triangle", "--n", "3")
     assert code == 0

@@ -5,6 +5,10 @@ A name counts as used when some `src/ffree` module other than `__init__.py`
 names it outside its own definition, when `perfbench/tracer.py` wraps it as
 a span, or when ALLOWED below gives the reason it stays without a caller.
 Re-exports in `__init__.py` do not count: they would keep any name alive.
+Likewise every public method or property of a public class has a user: some
+`src/ffree` module other than `__init__.py` names it outside its own
+definition, `perfbench/tracer.py` wraps it as a span, or ALLOWED gives the
+reason, under the name `Class.method`.
 
 A defaulted parameter counts as used when some call in `src/ffree` or
 `perfbench/tracer.py` to a function of its name passes it, by position or by
@@ -26,14 +30,12 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "ffree"
 
 ALLOWED = {
     "chernoff_tail_bound": "the Chernoff bound behind event E_H; an acceptance test checks it",
+    "LabeledGraph.complete": "a test fixture: K_n is the host or family member of ~30 tests",
 }
 
 ONE_VALUE_ALLOWED: dict[str, str] = {}
 
-FIELD_ALLOWED = {
-    "Copy.vertex_image": "Copy equality compares it with enumerate_copies_oracle's, "
-                         "which checks that the symmetry breaking keeps the least embedding",
-}
+FIELD_ALLOWED: dict[str, str] = {}
 
 
 def _names(top: ast.stmt) -> set[str]:
@@ -67,10 +69,41 @@ def test_every_public_name_has_a_user():
     assert _unused() == []
 
 
+def _unused_methods() -> list[str]:
+    statements = [top for path in sorted(SRC.glob("*.py")) if path.stem != "__init__"
+                  for top in ast.parse(path.read_text()).body]
+    names = [_names(top) for top in [*statements, *ast.parse(TRACER.read_text()).body]]
+    spans = {attr for _, attr, *_ in _spans()}
+    unused = []
+    for i, cls in enumerate(statements):
+        if not isinstance(cls, ast.ClassDef) or cls.name.startswith("_"):
+            continue
+        for fn in cls.body:
+            if not isinstance(fn, ast.FunctionDef) or fn.name.startswith("_"):
+                continue
+            label = f"{cls.name}.{fn.name}"
+            # named by another statement, or by another member of its class
+            elsewhere = [used for j, used in enumerate(names) if j != i]
+            elsewhere += [_names(s) for s in cls.body if s is not fn]
+            if (label not in spans and label not in ALLOWED
+                    and not any(fn.name in used for used in elsewhere)):
+                unused.append(label)
+    return unused
+
+
+def test_every_public_method_has_a_user():
+    assert _unused_methods() == []
+
+
 def test_allowlist_names_defined_functions():
-    defined = {top.name for path in SRC.glob("*.py")
-               for top in ast.parse(path.read_text()).body
-               if isinstance(top, (ast.FunctionDef, ast.ClassDef))}
+    defined = set()
+    for path in SRC.glob("*.py"):
+        for top in ast.parse(path.read_text()).body:
+            if isinstance(top, (ast.FunctionDef, ast.ClassDef)):
+                defined.add(top.name)
+            if isinstance(top, ast.ClassDef):
+                defined.update(f"{top.name}.{fn.name}" for fn in top.body
+                               if isinstance(fn, ast.FunctionDef))
     assert set(ALLOWED) <= defined
 
 

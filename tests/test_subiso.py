@@ -6,15 +6,35 @@ import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ffree.graphs import LabeledGraph, PatternGraph, PRESETS, parse_pattern
+from ffree.graphs import LabeledGraph, PatternGraph, PRESETS, pair_index, parse_pattern
 from ffree.sampling import Seed, sample_gnp
-from ffree.subiso import (Copy, _edge_roots, _embeddings, _host, _plan, _search_order,
+from ffree.subiso import (_edge_roots, _embeddings, _host, _plan, _search_order,
                           contains_copy, enumerate_copies, first_completing_edge)
 
-from oracles import copies_oracle, embeddings_oracle, enumerate_copies_oracle
+from oracles import (copies_oracle, embeddings_oracle, enumerate_copies_oracle,
+                     least_embeddings_oracle)
 
 TRIANGLE = PRESETS["triangle"]
 C5_GRAPH = LabeledGraph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)])
+
+
+def _ids(mask: int) -> tuple[int, ...]:
+    """The pair indices of an edge mask, increasing."""
+    return tuple(k for k in range(mask.bit_length()) if mask >> k & 1)
+
+
+def _least_images(g: LabeledGraph, pat: PatternGraph) -> dict:
+    """The embeddings _embeddings yields under _plan's order constraints,
+    keyed by the sorted edge ids of their copies."""
+    plan, above, _ = _plan(pat)
+    pos = {v: i for i, v in enumerate(plan[0])}
+    found = {}
+    for images in _embeddings(*_host(g, max(plan[2])), plan, above=above):
+        ids = tuple(sorted(pair_index(*sorted((images[pos[u]], images[pos[v]])), g.n)
+                           for u, v in pat.edges))
+        assert ids not in found   # one embedding per copy
+        found[ids] = images
+    return found
 
 
 def test_contains_examples():
@@ -36,14 +56,14 @@ def test_enumerate_examples():
     tri_graph = LabeledGraph.complete(3)
     copies = enumerate_copies(tri_graph, TRIANGLE)
     assert len(copies) == 1
-    assert copies[0].edge_ids == (0, 1, 2)
+    assert copies == [0b111]
 
 
 def test_enumeration_sorted_and_deduped():
     g = LabeledGraph.complete(5)
     copies = enumerate_copies(g, TRIANGLE)
     assert len(copies) == 10  # C(5,3)
-    ids = [c.edge_ids for c in copies]
+    ids = [_ids(c) for c in copies]
     assert ids == sorted(ids)
     assert len(set(ids)) == len(ids)
 
@@ -56,7 +76,7 @@ def test_enumeration_matches_permutation_oracle(n, data, pattern_name):
     bits = data.draw(st.integers(0, (1 << (n * (n - 1) // 2)) - 1))
     g = LabeledGraph(n, bits)
     copies = enumerate_copies(g, pat)
-    got = {c.edge_ids for c in copies}
+    got = {_ids(c) for c in copies}
     assert got == copies_oracle(g, pat)
     assert contains_copy(g, pat) == bool(got)
     assert copies == enumerate_copies_oracle(g, pat)
@@ -77,8 +97,8 @@ def test_enumeration_matches_automorphism_walk(pattern_name, data, p, master):
     g = sample_gnp(n, p, Seed(master), purpose="enum-oracle")
     copies = enumerate_copies(g, pat)
     assert copies == enumerate_copies_oracle(g, pat)
-    assert len({c.edge_ids for c in copies}) == len(copies)
-    assert all(c.edge_mask == sum(1 << k for k in c.edge_ids) for c in copies)
+    assert len(set(copies)) == len(copies)
+    assert _least_images(g, pat) == least_embeddings_oracle(g, pat)
 
 
 def _dense(p, master):
@@ -99,6 +119,8 @@ def test_enumeration_in_dense_hosts():
         copies = enumerate_copies(g, ALL_PATTERNS[name])
         assert len(copies) == count, name
         assert copies == enumerate_copies_oracle(g, ALL_PATTERNS[name])
+        assert _least_images(g, ALL_PATTERNS[name]) == least_embeddings_oracle(
+            g, ALL_PATTERNS[name])
 
 
 @pytest.mark.parametrize("name, roots", [
@@ -109,15 +131,6 @@ def test_edge_roots_one_per_edge_orbit(name, roots):
     assert len(_edge_roots(ALL_PATTERNS[name])) == roots
 
 
-def test_copy_edge_mask_is_computed_once():
-    c = Copy((0, 1, 2), (0, 1, 2), 0b111)
-    assert c.edge_mask == 0b111
-    assert c == Copy((0, 1, 2), (0, 1, 2), 0b111)
-    assert repr(c) == "Copy(vertex_image=(0, 1, 2), edge_ids=(0, 1, 2))"
-    assert hash(c) == hash(Copy((0, 1, 2), (0, 1, 2), 0b111))
-    assert "edge_mask" in vars(c)
-
-
 @settings(max_examples=30, deadline=None)
 @given(st.integers(4, 7), st.data())
 def test_sharing_counting_envelope(n, data):
@@ -126,7 +139,7 @@ def test_sharing_counting_envelope(n, data):
     npairs = n * (n - 1) // 2
     g = LabeledGraph(n, data.draw(st.integers(0, (1 << npairs) - 1)))
     h = LabeledGraph(n, data.draw(st.integers(0, (1 << npairs) - 1)))
-    cnt = sum(1 for c in enumerate_copies(g, pat) if c.edge_mask & h.bits)
+    cnt = sum(1 for c in enumerate_copies(g, pat) if c & h.bits)
     c_j = pat.edge_count * 1  # (v_J - 2)! = 1 for the triangle
     assert cnt <= c_j * h.edge_count * n ** (pat.vertex_count - 2)
 
@@ -210,3 +223,10 @@ def test_first_completing_edge_returns_the_completing_pair(name):
             i = pairs.index(first_completing_edge(n, iter(pairs), f))
             assert not contains_copy(LabeledGraph.from_edges(n, pairs[:i]), f), (n, pairs)
             assert contains_copy(LabeledGraph.from_edges(n, pairs[:i + 1]), f), (n, pairs)
+
+
+def test_first_completing_edge_none_when_never_complete():
+    # a star never completes a triangle, and K4 does not fit on 3 vertices
+    star = [(0, v) for v in range(1, 8)]
+    assert first_completing_edge(8, iter(star), TRIANGLE) is None
+    assert first_completing_edge(3, iter([(0, 1), (0, 2), (1, 2)]), PRESETS["K4"]) is None
