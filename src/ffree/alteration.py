@@ -14,8 +14,8 @@ identity is asserted on every trial.
 
 The greedy packing is inclusion-maximal rather than maximum-cardinality:
 maximality (no further copy can be added) is the only property the
-construction needs, and the greedy scan over the deterministic lexicographic
-copy order keeps every trial reproducible.
+construction needs.  subiso.pack_copies builds it first-fit over pair ids, equal
+to the greedy scan over the lexicographic copy order, so trials are reproducible.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from .density import minimal_m2_subgraph, m2_density
 from .graphs import LabeledGraph, PatternGraph
 from .sampling import Seed, sample_gnp
-from .subiso import enumerate_copies
+from .subiso import pack_copies
 
 #: min over x >= 2 of [1/(3 x e^2)]^(1/(x-1)), attained at x = 2.
 EPSILON = 1.0 / (6.0 * math.e ** 2)
@@ -106,14 +106,8 @@ def greedy_maximal_packing(g: LabeledGraph, j: PatternGraph) -> PackingResult:
     """Greedy edge-disjoint J-packing over the lexicographic copy order."""
     if j.edge_count < 2:
         raise ValueError("packing pattern needs at least two edges")
-    accepted: list[int] = []
-    packed = 0
-    for copy in enumerate_copies(g, j):
-        if not copy & packed:
-            accepted.append(copy)
-            packed |= copy
-    altered = LabeledGraph(g.n, g.bits & ~packed)
-    return PackingResult(g, tuple(accepted), altered)
+    copies = tuple(pack_copies(g, j))   # edge-disjoint, so their sum is their union
+    return PackingResult(g, copies, LabeledGraph(g.n, g.bits & ~sum(copies)))
 
 
 def alteration_graph(n: int, p: float, f: PatternGraph, seed: Seed,
@@ -209,9 +203,12 @@ def lemma2_trial(n: int, p: float, f: PatternGraph, family: WeightedFamily,
 
 @dataclass(frozen=True)
 class RefutationResult:
-    success: bool
-    graph: LabeledGraph | None
+    graph: LabeledGraph | None   # the escape, or None when every trial missed
     trials: tuple[TrialRecord, ...]
+
+    @property
+    def success(self) -> bool:
+        return self.graph is not None
 
 
 def refute_certificate(gfam: WeightedFamily, f: PatternGraph, n: int, p: float,
@@ -226,7 +223,7 @@ def refute_certificate(gfam: WeightedFamily, f: PatternGraph, n: int, p: float,
     if trial_budget < 0:
         raise ValueError(f"trial budget must be >= 0, got {trial_budget}")
     if not gfam.members:
-        return RefutationResult(True, LabeledGraph.empty(n), ())
+        return RefutationResult(LabeledGraph.empty(n), ())
     consts = lemma_constants(f, n)
     complements = WeightedFamily(tuple(g.complement() for g in gfam.members),
                                  gfam.weights)
@@ -242,8 +239,8 @@ def refute_certificate(gfam: WeightedFamily, f: PatternGraph, n: int, p: float,
                 assert rec.altered.bits & ~s.bits & full, (
                     "altered graph unexpectedly contained in a certificate member"
                 )
-            return RefutationResult(True, rec.altered, tuple(records))
-    return RefutationResult(False, None, tuple(records))
+            return RefutationResult(rec.altered, tuple(records))
+    return RefutationResult(None, tuple(records))
 
 
 def min_family_edges(k: int, p: float, delta: float) -> int:

@@ -12,6 +12,8 @@ vertices.  Symmetry-breaking order constraints (Grochow & Kellis, RECOMB
 2007) pass only the least embedding in each orbit of Aut(J), or of the
 automorphisms fixing a rooted search's first edge, so enumerate_copies
 finds each copy once and existence searches skip symmetric dead ends.
+pack_copies packs copies first-fit over pair ids, one rooted search per edge:
+the greedy scan of enumerate_copies' sorted list, without building the list.
 """
 
 from __future__ import annotations
@@ -209,3 +211,49 @@ def enumerate_copies(g: LabeledGraph, j: PatternGraph) -> list[int]:
         copies.append((ids, mask))
     copies.sort()
     return [mask for _, mask in copies]
+
+
+def pack_copies(g: LabeledGraph, j: PatternGraph) -> list[int]:
+    """The edge masks a scan of enumerate_copies(G, J) keeps, in its order, when
+    it keeps each copy disjoint from those kept before; J has two edges or more.
+
+    The walk takes G's edges by increasing pair id.  At each edge e still present
+    it packs the least copy through e by sorted edge ids (rooted searches, see
+    _edge_roots), or else deletes e alone.  This is the scan's packing:
+    - no present edge below e lies in a copy disjoint from the packed edges,
+      or it would have been packed when the walk reached it;
+    - so such copies through e have e as their least edge, and the least of
+      them is the first copy of e's block that the scan accepts;
+    - a passed edge lies in no copy the scan can still accept, so deleting it
+      changes no later answer and prunes every later search.
+    """
+    if j.edge_count < 2:
+        raise ValueError("pattern must have at least two edges")
+    if g.n < j.vertex_count:
+        return []
+    adj, ge = _host(g, max(j.degrees()))
+    roots = [(plan, plan[1], above, ge[plan[2][2]]) for plan, above in _edge_roots(j)]
+    packed = []
+    for v in range(g.n):
+        below = (1 << v) - 1   # the u < v not yet walked
+        while cand := adj[v] & below:
+            u = (cand & -cand).bit_length() - 1
+            below &= -2 << u
+            root, best = (u, v), (None, [(u, v)])   # (ids, edges) of the least copy, else e
+            for plan, prior, above, third in roots:
+                for i in prior[2]:   # the third position's candidates
+                    third &= adj[root[i]]
+                if not third & ~(1 << u | 1 << v):
+                    continue
+                for images in _embeddings(adj, ge, plan, root, above):
+                    pairs = [(images[i], y) for y, prev in zip(images, prior) for i in prev]
+                    ids = sorted(y * (y - 1) // 2 + x if x < y else x * (x - 1) // 2 + y
+                                 for x, y in pairs)   # pair_index
+                    if best[0] is None or ids < best[0]:
+                        best = ids, pairs
+            for x, y in best[1]:
+                adj[x] ^= 1 << y
+                adj[y] ^= 1 << x
+            if best[0]:
+                packed.append(sum(1 << k for k in best[0]))
+    return packed

@@ -16,9 +16,10 @@ bound in place of LP prices, the hitting time by one stable argsort
 and decode of every mark before the first arrival, the covering LP's
 float optimum by a numpy tableau simplex on the labeled instance instead of
 a list tableau on its S_n-orbits, the census's copies of F by the
-subgraph search on K_n instead of by permuting [n], and the greedy cover by
+subgraph search on K_n instead of by permuting [n], the greedy cover by
 rescoring every candidate with a numpy product per step instead of a lazy
-heap of int masks.
+heap of int masks, and the greedy packing by scanning every copy in sorted
+order instead of one rooted search per host edge.
 """
 
 from __future__ import annotations
@@ -132,6 +133,17 @@ def enumerate_copies_oracle(g: LabeledGraph, j: PatternGraph) -> list[int]:
     """enumerate_copies from least_embeddings_oracle: the edge masks in the
     lexicographic order of the sorted edge ids."""
     return [sum(1 << k for k in ids) for ids in sorted(least_embeddings_oracle(g, j))]
+
+
+def greedy_packing_oracle(g: LabeledGraph, j: PatternGraph) -> list[int]:
+    """pack_copies by scanning enumerate_copies_oracle in order and keeping
+    each copy that shares no edge with those kept before it."""
+    kept, packed = [], 0
+    for mask in enumerate_copies_oracle(g, j):
+        if not mask & packed:
+            kept.append(mask)
+            packed |= mask
+    return kept
 
 
 def pair_from_index_oracle(k: int) -> tuple[int, int]:

@@ -3,7 +3,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from ffree import alteration, density
 from ffree.alteration import (
@@ -20,11 +20,11 @@ from ffree.alteration import (
     refute_certificate,
 )
 from ffree.cli import main
-from ffree.graphs import LabeledGraph, PRESETS, parse_pattern
+from ffree.graphs import LabeledGraph, PRESETS, PatternGraph, parse_pattern
 from ffree.sampling import Seed, sample_gnp
-from ffree.subiso import contains_copy, enumerate_copies
+from ffree.subiso import _search_order, contains_copy, enumerate_copies
 
-from oracles import random_member_oracle
+from oracles import greedy_packing_oracle, random_member_oracle
 
 
 TRIANGLE = PRESETS["triangle"]
@@ -80,6 +80,57 @@ def test_packing_properties(n, p, master, name):
     assert result.altered.bits == g.bits & ~seen
     # deleting the packed copies removes every copy of the packing pattern
     assert not contains_copy(result.altered, pattern)
+
+
+def _oracle_work(n: int, p: float, j: PatternGraph) -> float:
+    """The partial maps the copy oracle expects to visit on G(n, p): n^i times
+    p to the number of pattern edges among the first i search positions."""
+    work, edges = 0.0, 0
+    for i, prev in enumerate(_search_order(j)[1], 1):
+        edges += len(prev)
+        work += n ** i * p ** edges
+    return work
+
+
+@st.composite
+def _packing_patterns(draw) -> PatternGraph:
+    """A pattern on 3..7 vertices with at least two edges; vertices may be isolated."""
+    k = draw(st.integers(3, 7))
+    pairs = [(u, v) for v in range(k) for u in range(v)]
+    return PatternGraph.from_edges(
+        draw(st.lists(st.sampled_from(pairs), min_size=2, unique=True)), k)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_packing_patterns(), st.integers(2, 14), st.floats(0.0, 1.0), st.integers(0, 2**62))
+def test_packing_matches_sorted_scan_oracle(j, n, p, master):
+    # the first-fit walk over pair ids keeps what a scan of every copy in
+    # sorted order keeps; hosts the oracle would take seconds on are skipped
+    assume(_oracle_work(n, p, j) <= 20000)
+    g = sample_gnp(n, p, Seed(master), purpose="pack-oracle")
+    result = greedy_maximal_packing(g, j)
+    want = greedy_packing_oracle(g, j)
+    assert list(result.copies) == want
+    assert result.altered.bits == g.bits & ~sum(want)
+
+
+_PETERSEN_HOST = LabeledGraph(10, LabeledGraph.from_edges(10, PRESETS["petersen"].edges).bits
+                              | sample_gnp(10, 0.5, Seed(3), purpose="dense-host").bits)
+
+
+# every preset with a vertex of degree >= 2: seeded hosts of the sizes the
+# alteration benchmark packs, a petersen host with 24 copies, complete hosts
+@pytest.mark.parametrize("name, host", [
+    ("triangle", (1000, 0.01)), ("triangle", (240, 0.00145)), ("C4", (200, 0.05)),
+    ("K4", (120, 0.25)), ("K5", (40, 0.5)), ("C5", (60, 0.1)), ("P3", (100, 0.05)),
+    ("P4", (100, 0.05)), ("petersen", (60, 0.1)), ("petersen", _PETERSEN_HOST),
+    ("K4", LabeledGraph.complete(12)), ("K5", LabeledGraph.complete(10)),
+    ("C5", LabeledGraph.complete(9)),
+], ids=lambda x: x if isinstance(x, str) else str(getattr(x, "n", x)))
+def test_packing_matches_oracle_on_large_hosts(name, host):
+    g = host if isinstance(host, LabeledGraph) else sample_gnp(*host, Seed(31), purpose="pack")
+    result = greedy_maximal_packing(g, PRESETS[name])
+    assert list(result.copies) == greedy_packing_oracle(g, PRESETS[name])
 
 
 def test_in_regime_is_p_at_most_the_cap(capsys):
