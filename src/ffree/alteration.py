@@ -14,8 +14,8 @@ identity is asserted on every trial.
 
 The greedy packing is inclusion-maximal rather than maximum-cardinality:
 maximality (no further copy can be added) is the only property the
-construction needs.  subiso.pack_copies builds it first-fit over pair ids, equal
-to the greedy scan over the lexicographic copy order, so trials are reproducible.
+construction needs.  subiso.pack_copies takes it from the pair-id walk over all
+copies: the greedy scan in lexicographic copy order, so trials are reproducible.
 """
 
 from __future__ import annotations

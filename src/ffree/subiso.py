@@ -10,10 +10,10 @@ over the non-isolated pattern vertices in a connected-first,
 descending-degree order, each position's candidates one bitmask of host
 vertices.  Symmetry-breaking order constraints (Grochow & Kellis, RECOMB
 2007) pass only the least embedding in each orbit of Aut(J), or of the
-automorphisms fixing a rooted search's first edge, so enumerate_copies
-finds each copy once and existence searches skip symmetric dead ends.
-pack_copies packs copies first-fit over pair ids, one rooted search per edge:
-the greedy scan of enumerate_copies' sorted list, without building the list.
+automorphisms fixing a rooted search's first edge, so each copy is found once
+and existence searches skip symmetric dead ends.  Copies come from one walk
+over the host's edges by pair id with searches rooted at each edge, _blocks;
+enumerate_copies lists its copies and pack_copies packs them first-fit.
 """
 
 from __future__ import annotations
@@ -103,23 +103,19 @@ def _embeddings(adj: list[int], ge: list[int], plan, root: tuple[int, ...] = (),
 
 @functools.lru_cache(maxsize=256)
 def _plan(f: PatternGraph, first_edge: tuple[int, ...] = ()) -> tuple:
-    """(plan, above, gens) for plan = _search_order(F, first_edge).  gens holds
-    pairs (i, perm) over the positions i >= len(first_edge): for each other w
-    in the orbit of i under the automorphisms fixing the positions before i,
-    one of them, perm[i] == w, as a permutation of positions.  They generate
-    the automorphisms fixing `first_edge` without listing them (K8 has 40320);
-    `above` passes only the least embedding in each of their orbits."""
+    """(plan, above) for plan = _search_order(F, first_edge).  above[w] lists each
+    position i >= len(first_edge) that an automorphism fixing the positions before
+    i carries to w > i, so images[i] < images[w]: this passes only the least
+    embedding in each orbit of the automorphisms fixing `first_edge`."""
     plan = order, _, need = _search_order(f, first_edge)
-    pos = {v: i for i, v in enumerate(order)}
     host = _host(LabeledGraph.from_edges(f.vertex_count, f.edges), max(need))
-    # embeddings of F into itself are automorphisms
-    maps = ((i, next(_embeddings(*host, plan, (*order[:i], order[w])), None))
-            for i in range(len(first_edge), len(order)) for w in range(i + 1, len(order)))
-    gens = tuple((i, tuple(pos[v] for v in images)) for i, images in maps if images)
     above = [[] for _ in order]
-    for i, perm in gens:
-        above[perm[i]].append(i)   # images[i] < images[perm[i]]
-    return plan, above, gens
+    for i in range(len(first_edge), len(order)):
+        for w in range(i + 1, len(order)):
+            # embeddings of F into itself are automorphisms
+            if next(_embeddings(*host, plan, (*order[:i], order[w])), None):
+                above[w].append(i)
+    return plan, above
 
 
 def contains_copy(g: LabeledGraph, f: PatternGraph) -> bool:
@@ -129,7 +125,7 @@ def contains_copy(g: LabeledGraph, f: PatternGraph) -> bool:
         return False
     if f.edge_count == 0:
         return True
-    plan, above, _ = _plan(f)
+    plan, above = _plan(f)
     for _ in _embeddings(*_host(g, max(plan[2])), plan, above=above):
         return True
     return False
@@ -138,24 +134,20 @@ def contains_copy(g: LabeledGraph, f: PatternGraph) -> bool:
 @functools.lru_cache(maxsize=64)
 def _edge_roots(f: PatternGraph) -> tuple:
     """Pairs (plan, above) from _plan(F, (a, b)), for one oriented edge
-    (a, b) per orbit of Aut(F).
+    (a, b) per orbit of Aut(F), the first of its orbit in F.edges order.
 
     A host edge (u, v) lies in a copy of F iff some root's plan embeds with
     its first two positions at (u, v): an automorphism carrying (a, b) to
     (c, d) turns an embedding with c, d at u, v into one with a, b there.
     """
-    (order, _, _), _, gens = _plan(f)
-    gens = [{order[i]: order[w] for i, w in enumerate(perm)} for _, perm in gens]
-    roots = []
-    covered: set[tuple[int, int]] = set()
-    for x, y in (e for u, v in f.edges for e in ((u, v), (v, u))):
-        if (x, y) not in covered:
-            roots.append(_plan(f, (x, y))[:2])
-            orbit = [(x, y)]
-            for a, b in orbit:   # the orbit grows while it is scanned
-                new = {(s[a], s[b]) for s in gens} - covered
-                covered |= new
-                orbit += new
+    host = _host(LabeledGraph.from_edges(f.vertex_count, f.edges), max(f.degrees()))
+    oriented = [e for u, v in f.edges for e in ((u, v), (v, u))]
+    roots, covered = [], set()
+    for e in oriented:
+        if e not in covered:
+            roots.append(_plan(f, e))
+            # (c, d) is in the orbit of e iff F embeds in itself with e at (c, d)
+            covered.update(r for r in oriented if next(_embeddings(*host, roots[-1][0], r), None))
     return tuple(roots)
 
 
@@ -189,71 +181,59 @@ def first_completing_edge(n: int, pairs, f: PatternGraph) -> tuple[int, int] | N
     return None
 
 
-def enumerate_copies(g: LabeledGraph, j: PatternGraph) -> list[int]:
-    """The edge mask of every copy of J in G, one per edge set, in the
-    lexicographic order of the copies' sorted edge ids."""
+def _blocks(g: LabeledGraph, j: PatternGraph):
+    """Walk G's edges e by increasing pair id, deleting each after its turn.  At
+    each e that copies of J go through (rooted searches, see _edge_roots), yield
+    (adj, block): G's neighbor bitmasks less the deleted edges, which a reader may
+    delete more from, and those copies as (sorted edge ids, edge pairs), least
+    first.  Each copy comes once, in the block of its least edge.  A root runs only
+    if its third search position, if any, has a candidate: this prunes sparse hosts."""
     if j.edge_count < 1:
         raise ValueError("pattern must have at least one edge")
     if g.n < j.vertex_count:
-        return []
-    plan, above, _ = _plan(j)
-    pos = {v: i for i, v in enumerate(plan[0])}
-    pat_edges = [(pos[u], pos[v]) for u, v in j.edges]
-    copies = []
-    for images in _embeddings(*_host(g, max(plan[2])), plan, above=above):
-        ids, mask = [], 0
-        for a, b in pat_edges:
-            x, y = images[a], images[b]
-            k = y * (y - 1) // 2 + x if x < y else x * (x - 1) // 2 + y   # pair_index
-            ids.append(k)
-            mask |= 1 << k
-        ids.sort()
-        copies.append((ids, mask))
-    copies.sort()
-    return [mask for _, mask in copies]
-
-
-def pack_copies(g: LabeledGraph, j: PatternGraph) -> list[int]:
-    """The edge masks a scan of enumerate_copies(G, J) keeps, in its order, when
-    it keeps each copy disjoint from those kept before; J has two edges or more.
-
-    The walk takes G's edges by increasing pair id.  At each edge e still present
-    it packs the least copy through e by sorted edge ids (rooted searches, see
-    _edge_roots), or else deletes e alone.  This is the scan's packing:
-    - no present edge below e lies in a copy disjoint from the packed edges,
-      or it would have been packed when the walk reached it;
-    - so such copies through e have e as their least edge, and the least of
-      them is the first copy of e's block that the scan accepts;
-    - a passed edge lies in no copy the scan can still accept, so deleting it
-      changes no later answer and prunes every later search.
-    """
-    if j.edge_count < 2:
-        raise ValueError("pattern must have at least two edges")
-    if g.n < j.vertex_count:
-        return []
+        return   # isolated pattern vertices still need distinct host vertices
     adj, ge = _host(g, max(j.degrees()))
-    roots = [(plan, plan[1], above, ge[plan[2][2]]) for plan, above in _edge_roots(j)]
-    packed = []
+    roots = [(plan, above, *((plan[1][2], ge[plan[2][2]]) if len(plan[2]) > 2 else ((), -1)))
+             for plan, above in _edge_roots(j)]
     for v in range(g.n):
         below = (1 << v) - 1   # the u < v not yet walked
         while cand := adj[v] & below:
             u = (cand & -cand).bit_length() - 1
             below &= -2 << u
-            root, best = (u, v), (None, [(u, v)])   # (ids, edges) of the least copy, else e
-            for plan, prior, above, third in roots:
-                for i in prior[2]:   # the third position's candidates
+            root, block = (u, v), []
+            for plan, above, prior, third in roots:
+                for i in prior:   # the third position's candidates
                     third &= adj[root[i]]
                 if not third & ~(1 << u | 1 << v):
                     continue
                 for images in _embeddings(adj, ge, plan, root, above):
-                    pairs = [(images[i], y) for y, prev in zip(images, prior) for i in prev]
-                    ids = sorted(y * (y - 1) // 2 + x if x < y else x * (x - 1) // 2 + y
-                                 for x, y in pairs)   # pair_index
-                    if best[0] is None or ids < best[0]:
-                        best = ids, pairs
-            for x, y in best[1]:
-                adj[x] ^= 1 << y
-                adj[y] ^= 1 << x
-            if best[0]:
-                packed.append(sum(1 << k for k in best[0]))
+                    pairs = [(images[i], y) for y, prev in zip(images, plan[1]) for i in prev]
+                    block.append((sorted(y * (y - 1) // 2 + x if x < y else x * (x - 1) // 2 + y
+                                         for x, y in pairs), pairs))   # pair_index
+            if block:
+                block.sort()
+                yield adj, block
+            adj[u] &= ~(1 << v)   # not ^=: a reader may have deleted e already
+            adj[v] &= ~(1 << u)
+
+
+def enumerate_copies(g: LabeledGraph, j: PatternGraph) -> list[int]:
+    """The edge mask of every copy of J in G, one per edge set, in the lexicographic
+    order of their sorted edge ids: every copy of every block of _blocks(G, J)."""
+    return [sum(1 << k for k in ids) for _, block in _blocks(g, j) for ids, _ in block]
+
+
+def pack_copies(g: LabeledGraph, j: PatternGraph) -> list[int]:
+    """The edge masks a scan of enumerate_copies(G, J) keeps, in its order, when it
+    keeps each copy disjoint from those kept before: the first copy of each block
+    of _blocks(G, J), its edges deleted before the walk resumes.  A block's copies
+    avoid the deleted edges, so they are those with least edge e disjoint from the
+    copies kept; the scan keeps the least of them and no other, as they share e."""
+    packed = []
+    for adj, block in _blocks(g, j):
+        ids, pairs = block[0]
+        for x, y in pairs:
+            adj[x] ^= 1 << y
+            adj[y] ^= 1 << x
+        packed.append(sum(1 << k for k in ids))
     return packed

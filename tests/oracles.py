@@ -18,8 +18,10 @@ float optimum by a numpy tableau simplex on the labeled instance instead of
 a list tableau on its S_n-orbits, the census's copies of F by the
 subgraph search on K_n instead of by permuting [n], the greedy cover by
 rescoring every candidate with a numpy product per step instead of a lazy
-heap of int masks, and the greedy packing by scanning every copy in sorted
-order instead of one rooted search per host edge.
+heap of int masks, the greedy packing by scanning every copy in sorted
+order instead of one rooted search per host edge, and the search plans'
+order constraints and edge-orbit roots from generators of the automorphism
+group instead of one self-embedding test per pair of positions or edges.
 """
 
 from __future__ import annotations
@@ -33,7 +35,8 @@ import numpy as np
 from ffree.exact_tiny import PIVOT_CAP, SIMPLEX_TOL, PivotCapError, mu_exact
 from ffree.graphs import LabeledGraph, PatternGraph, pair_endpoints, pair_index
 from ffree.sampling import EdgeThresholdTable, Seed, coupled_realize, sample_gnp
-from ffree.subiso import _search_order, contains_copy, enumerate_copies, first_completing_edge
+from ffree.subiso import (_embeddings, _host, _search_order, contains_copy, enumerate_copies,
+                          first_completing_edge)
 from ffree.thresholds import MuEstimate, ThresholdEstimate, wilson_interval
 
 
@@ -135,15 +138,50 @@ def enumerate_copies_oracle(g: LabeledGraph, j: PatternGraph) -> list[int]:
     return [sum(1 << k for k in ids) for ids in sorted(least_embeddings_oracle(g, j))]
 
 
-def greedy_packing_oracle(g: LabeledGraph, j: PatternGraph) -> list[int]:
-    """pack_copies by scanning enumerate_copies_oracle in order and keeping
-    each copy that shares no edge with those kept before it."""
+def greedy_packing_oracle(copies: list[int]) -> list[int]:
+    """pack_copies by scanning enumerate_copies_oracle's list `copies` in order
+    and keeping each copy that shares no edge with those kept before it."""
     kept, packed = [], 0
-    for mask in enumerate_copies_oracle(g, j):
+    for mask in copies:
         if not mask & packed:
             kept.append(mask)
             packed |= mask
     return kept
+
+
+def plan_oracle(f: PatternGraph, first_edge: tuple[int, ...] = ()) -> tuple:
+    """subiso._plan from generators of the automorphisms fixing `first_edge`:
+    for each position i and each w in its orbit under the automorphisms fixing
+    the positions before i, one of them as a permutation of positions, perm[i]
+    == w, which puts i in above[w]."""
+    plan = order, _, need = _search_order(f, first_edge)
+    pos = {v: i for i, v in enumerate(order)}
+    host = _host(LabeledGraph.from_edges(f.vertex_count, f.edges), max(need))
+    maps = ((i, next(_embeddings(*host, plan, (*order[:i], order[w])), None))
+            for i in range(len(first_edge), len(order)) for w in range(i + 1, len(order)))
+    gens = tuple((i, tuple(pos[v] for v in images)) for i, images in maps if images)
+    above = [[] for _ in order]
+    for i, perm in gens:
+        above[perm[i]].append(i)
+    return plan, above, gens
+
+
+def edge_roots_oracle(f: PatternGraph) -> tuple:
+    """subiso._edge_roots by closing each root's orbit of oriented edges under
+    plan_oracle(F)'s generators of Aut(F)."""
+    (order, _, _), _, gens = plan_oracle(f)
+    gens = [{order[i]: order[w] for i, w in enumerate(perm)} for _, perm in gens]
+    roots = []
+    covered: set[tuple[int, int]] = set()
+    for x, y in (e for u, v in f.edges for e in ((u, v), (v, u))):
+        if (x, y) not in covered:
+            roots.append(plan_oracle(f, (x, y))[:2])
+            orbit = [(x, y)]
+            for a, b in orbit:   # the orbit grows while it is scanned
+                new = {(s[a], s[b]) for s in gens} - covered
+                covered |= new
+                orbit += new
+    return tuple(roots)
 
 
 def pair_from_index_oracle(k: int) -> tuple[int, int]:

@@ -22,9 +22,9 @@ from ffree.alteration import (
 from ffree.cli import main
 from ffree.graphs import LabeledGraph, PRESETS, PatternGraph, parse_pattern
 from ffree.sampling import Seed, sample_gnp
-from ffree.subiso import _search_order, contains_copy, enumerate_copies
+from ffree.subiso import _search_order, contains_copy, enumerate_copies, pack_copies
 
-from oracles import greedy_packing_oracle, random_member_oracle
+from oracles import enumerate_copies_oracle, greedy_packing_oracle, random_member_oracle
 
 
 TRIANGLE = PRESETS["triangle"]
@@ -109,9 +109,25 @@ def test_packing_matches_sorted_scan_oracle(j, n, p, master):
     assume(_oracle_work(n, p, j) <= 20000)
     g = sample_gnp(n, p, Seed(master), purpose="pack-oracle")
     result = greedy_maximal_packing(g, j)
-    want = greedy_packing_oracle(g, j)
+    want = greedy_packing_oracle(enumerate_copies_oracle(g, j))
     assert list(result.copies) == want
     assert result.altered.bits == g.bits & ~sum(want)
+
+
+@pytest.mark.parametrize("spec", ["0-1", "n=3 0-1"])
+@settings(max_examples=30, deadline=None)
+@given(st.integers(1, 12), st.floats(0.0, 1.0), st.integers(0, 2**62))
+def test_one_edge_pattern_packs_a_greedy_matching(spec, n, p, master):
+    # the walk packs a one-edge J as it enumerates it: a greedy matching by
+    # pair id, and none on a host too small for J's vertices
+    j = parse_pattern(spec)
+    g = sample_gnp(n, p, Seed(master), purpose="pack-matching")
+    assert pack_copies(g, j) == greedy_packing_oracle(enumerate_copies_oracle(g, j))
+
+
+def test_packing_refuses_one_edge_pattern():
+    with pytest.raises(ValueError, match="at least two edges"):
+        greedy_maximal_packing(LabeledGraph.complete(4), parse_pattern("0-1"))
 
 
 _PETERSEN_HOST = LabeledGraph(10, LabeledGraph.from_edges(10, PRESETS["petersen"].edges).bits
@@ -129,8 +145,9 @@ _PETERSEN_HOST = LabeledGraph(10, LabeledGraph.from_edges(10, PRESETS["petersen"
 ], ids=lambda x: x if isinstance(x, str) else str(getattr(x, "n", x)))
 def test_packing_matches_oracle_on_large_hosts(name, host):
     g = host if isinstance(host, LabeledGraph) else sample_gnp(*host, Seed(31), purpose="pack")
-    result = greedy_maximal_packing(g, PRESETS[name])
-    assert list(result.copies) == greedy_packing_oracle(g, PRESETS[name])
+    copies = enumerate_copies_oracle(g, PRESETS[name])
+    assert enumerate_copies(g, PRESETS[name]) == copies
+    assert list(greedy_maximal_packing(g, PRESETS[name]).copies) == greedy_packing_oracle(copies)
 
 
 def test_in_regime_is_p_at_most_the_cap(capsys):

@@ -11,8 +11,8 @@ from ffree.sampling import Seed, sample_gnp
 from ffree.subiso import (_edge_roots, _embeddings, _host, _plan, _search_order,
                           contains_copy, enumerate_copies, first_completing_edge)
 
-from oracles import (copies_oracle, embeddings_oracle, enumerate_copies_oracle,
-                     least_embeddings_oracle)
+from oracles import (copies_oracle, edge_roots_oracle, embeddings_oracle,
+                     enumerate_copies_oracle, least_embeddings_oracle, plan_oracle)
 
 TRIANGLE = PRESETS["triangle"]
 C5_GRAPH = LabeledGraph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)])
@@ -26,7 +26,7 @@ def _ids(mask: int) -> tuple[int, ...]:
 def _least_images(g: LabeledGraph, pat: PatternGraph) -> dict:
     """The embeddings _embeddings yields under _plan's order constraints,
     keyed by the sorted edge ids of their copies."""
-    plan, above, _ = _plan(pat)
+    plan, above = _plan(pat)
     pos = {v: i for i, v in enumerate(plan[0])}
     found = {}
     for images in _embeddings(*_host(g, max(plan[2])), plan, above=above):
@@ -129,6 +129,17 @@ def test_enumeration_in_dense_hosts():
 ])
 def test_edge_roots_one_per_edge_orbit(name, roots):
     assert len(_edge_roots(ALL_PATTERNS[name])) == roots
+
+
+@pytest.mark.parametrize("name", sorted(ALL_PATTERNS))
+def test_plans_and_roots_match_generator_oracle(name):
+    # the same search orders, order constraints and orbit roots (each orbit's
+    # first oriented edge in f.edges order) as closing orbits under generators
+    f = ALL_PATTERNS[name]
+    assert _plan(f) == plan_oracle(f)[:2]
+    for e in (e for u, v in f.edges for e in ((u, v), (v, u))):
+        assert _plan(f, e) == plan_oracle(f, e)[:2]
+    assert _edge_roots(f) == edge_roots_oracle(f)
 
 
 @settings(max_examples=30, deadline=None)
