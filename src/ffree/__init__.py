@@ -6,7 +6,7 @@ threshold location, and exact tiny-n expectation thresholds with the chain
 p_c <= q_f <= q.
 
 numpy is imported inside the functions that use it, so importing the package,
-the densities and the exact p_c and q_f do not load it.
+the densities and the whole exact tiny-n layer (p_c, q_f and q) do not load it.
 """
 
 from .graphs import LabeledGraph, PatternGraph, PRESETS, pair_index, parse_pattern

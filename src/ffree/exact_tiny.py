@@ -14,19 +14,19 @@ F-free down-set can be handled exhaustively:
   then the union of the elements it covers, so a strictly larger coverage
   means a strictly larger set and, for 0 < p < 1, a strictly larger weight:
   no candidate dominates another;
-* elements, candidates and coverage are built once per (n, F), only the
-  weights per p; q_f comes from the covering LP, solved through its packing
-  dual; each probe of q asks only whether a cover costs <= 1/2: a greedy
-  cover, then the LP's optimal packing, shrunk to fit, as the root's bound,
-  then a branch and bound seeded at the budget and priced by that packing;
+* elements, candidates and coverage (an int bitmask of elements per
+  candidate) are built once per (n, F), only the weights per p; q_f comes
+  from the covering LP, solved through its packing dual; each probe of q
+  asks only whether a cover costs <= 1/2: a greedy cover, then the LP's
+  optimal packing, shrunk to fit, as the root's bound, then a branch and
+  bound on int masks, seeded at the budget and priced by that packing;
 * the LP is solved on S_n-orbits: relabeling [n] permutes elements and
   candidates and keeps each weight, so some optimal y and lambda are
   constant on orbits, and the LP with one row per candidate orbit and one
   column per element orbit has the same optimum (Boedi, Herr and Joswig,
   Math. Program. 137:65, 2013); at n <= 5 it is at most 20 x 3, against up to
-  578 x 87 labeled, solved in plain Python floats; the greedy cover and the
-  root bound run on int bitmasks and the orbit LP, so numpy loads, and the
-  labeled 0/1 matrix is built, only when a probe of q branches below the root;
+  578 x 87 labeled, solved in plain Python floats: the exact layer never
+  loads numpy;
 * both optima are non-increasing in p (each weight is), so bisection on p
   against the 1/2 budget is valid.
 """
@@ -37,7 +37,7 @@ import heapq
 import itertools
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, reduce
 
 from .graphs import PatternGraph, pair_index
 
@@ -103,18 +103,6 @@ class _Instance:
         """Per candidate, the bitmask of the element indices it covers."""
         return tuple(sum(1 << j for j, e in enumerate(self.elements) if e & ~c == 0)
                      for c in self.candidates)
-
-    @cached_property
-    def packing(self):
-        """Candidates x elements 0/1 coverage matrix, for q's search only."""
-        import numpy as np
-        k = len(self.elements)
-        width = (k + 7) // 8   # unpacked in C: a per-bit list took ~4 ms for C4 at n = 5
-        masks = np.frombuffer(b"".join(c.to_bytes(width, "little") for c in self.cover),
-                              dtype=np.uint8).reshape(len(self.cover), width)
-        a = np.unpackbits(masks, axis=1, count=k, bitorder="little").astype(float)
-        a.flags.writeable = False   # cached and shared by every probe
-        return a
 
 
 def _orbits(masks: tuple[int, ...], tables: list[list[int]]) -> tuple[int, ...]:
@@ -210,9 +198,8 @@ def _root_bound(inst: _Instance, weights: list[float]) -> tuple[float, list[floa
     _spread(z) is its orbit's row . z, so z fits the labeled weights too."""
     z = [max(x, 0.0) for x in _orbit_lp(inst, weights)[2]]
     loads = (sum(a * x for a, x in zip(row, z)) for row in inst.orbit_packing)
-    fit = min([weights[r] / load for r, load in zip(inst.representatives, loads) if load > 0],
-              default=1.0)
-    shrink = min(1.0, fit) * (1.0 - SIMPLEX_TOL)
+    shrink = min([1.0, *(weights[r] / load for r, load in zip(inst.representatives, loads)
+                         if load > 0)]) * (1.0 - SIMPLEX_TOL)
     z = [x * shrink for x in z]
     return sum(z), z
 
@@ -220,54 +207,66 @@ def _root_bound(inst: _Instance, weights: list[float]) -> tuple[float, list[floa
 def _branch_and_bound(inst: _Instance, weights: list[float], incumbent: float,
                       stop_at: float) -> float:
     """Least cover cost below `incumbent`, else `incumbent`; returns at the
-    first cover costing <= stop_at.  Two plain-Python tests decide most
-    probes at the root: a greedy cover (_greedy_cost), then the LP bound
-    (_root_bound), which cuts once it comes within 1e-15 of the best cost.
-    Only a probe that passes both imports numpy and searches, priced by the
-    root bound's packing spread to the labeled elements, y: a node still
-    needs y(live) for its uncovered elements, so it is cut once that comes
-    within 1e-15 of the best cost, and only candidates whose reduced weight
-    w - a.y_live fits the room left are tried, on the live element with the
-    fewest of them, least reduced weight first."""
-    best = min(incumbent, _greedy_cost(inst, weights))
+    first cover costing <= stop_at.  The best cost starts at the largest
+    candidate (alone a cover) or a greedy cover, whichever is cheaper, and
+    the LP bound (_root_bound) cuts the root within 1e-15 of it.  Below the
+    root, prices are that bound's packing spread to the labeled elements, y:
+    a node is cut once cost + y(live) comes within 1e-15 of the best cost,
+    and tries the candidates whose reduced weight w - a.y_live fits the room
+    left and that cover its lowest live element with the fewest of them,
+    least reduced weight first, ties by index.  Reduced weights only rise
+    along a path and the room only falls, so a node filters its parent's
+    list, raising the entries that share elements with the parent's choice."""
+    best = min(incumbent, *weights[-1:], _greedy_cost(inst, weights))
     if best <= stop_at:
         return best
     bound, z = _root_bound(inst, weights)
     if best - 1e-15 - bound <= 0:
         return best
 
-    import numpy as np
-    a = inst.packing
-    covers = a > 0
-    w = np.array(weights)
-    y = np.array(_spread(z, inst.element_orbit))
-    seen: dict[bytes, float] = {}
+    cover = inst.cover
+    y = _spread(z, inst.element_orbit)
 
-    def branch(live: np.ndarray, cost: float) -> bool:
+    def load(mask: int) -> float:   # y summed over the elements in mask
+        total = 0.0
+        while mask:
+            total += y[(mask & -mask).bit_length() - 1]
+            mask &= mask - 1
+        return total
+
+    seen: dict[int, float] = {}
+
+    def branch(live: int, gone: int, cost: float, need: float,
+               kept: list[tuple[float, int]]) -> bool:
+        # gone: the elements that the parent's choice covered; need: y(live | gone)
         nonlocal best
-        if not live.any():
+        if not live:
             best = min(best, cost)
             return best <= stop_at
-        key = live.tobytes()
-        prev = seen.get(key)
-        if prev is not None and cost >= prev:
+        if seen.get(live, float("inf")) <= cost:
             return False
-        seen[key] = cost
-        y_live = np.where(live, y, 0.0)
-        room = best - 1e-15 - cost - y_live.sum()
+        seen[live] = cost
+        need -= load(gone)
+        room = best - 1e-15 - cost - need
         if room <= 0:
             return False
-        reduced = w - a @ y_live
-        useful = reduced < room
-        counts = np.where(live, useful @ a, np.inf)
-        target = int(np.argmin(counts))
-        if counts[target] == 0:
-            return False
-        picks = np.flatnonzero(useful & covers[:, target])
-        return any(branch(live & ~covers[c], cost + weights[c])
-                   for c in picks[np.argsort(reduced[picks], kind="stable")])
+        fit = []
+        planes = [0] * len(kept).bit_length()   # bit k of each live element's count in fit
+        for r, c in kept:
+            if r < room and cover[c] & gone:
+                r += load(cover[c] & gone)
+            if r < room:
+                fit.append((r, c))
+                carry, k = cover[c] & live, 0
+                while carry:   # add 1 to the count of each element in carry
+                    planes[k], carry, k = planes[k] ^ carry, planes[k] & carry, k + 1
+        fewest = reduce(lambda least, plane: least & ~plane or least, reversed(planes), live)
+        target = fewest & -fewest   # no fit candidate covers it if its count is 0
+        return any(branch(live & ~cover[c], live & cover[c], cost + weights[c], need, fit)
+                   for _, c in sorted(e for e in fit if cover[e[1]] & target))
 
-    branch(np.ones(a.shape[1], dtype=bool), 0.0)
+    branch((1 << len(inst.elements)) - 1, 0, 0.0, sum(y),
+           [(w - load(cover[c]), c) for c, w in enumerate(weights)])
     del branch   # a self-referencing closure: free the memo now, not at the next GC
     return best
 

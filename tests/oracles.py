@@ -19,9 +19,12 @@ a list tableau on its S_n-orbits, the census's copies of F by the
 subgraph search on K_n instead of by permuting [n], the greedy cover by
 rescoring every candidate with a numpy product per step instead of a lazy
 heap of int masks, the greedy packing by scanning every copy in sorted
-order instead of one rooted search per host edge, and the search plans'
+order instead of one rooted search per host edge, the search plans'
 order constraints and edge-orbit roots from generators of the automorphism
-group instead of one self-embedding test per pair of positions or edges.
+group instead of one self-embedding test per pair of positions or edges,
+and q's branch and bound on a numpy 0/1 matrix (built by containment, not
+from the instance's int masks) that recomputes every reduced weight at each
+node instead of raising its parent's.
 """
 
 from __future__ import annotations
@@ -32,7 +35,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from ffree.exact_tiny import PIVOT_CAP, SIMPLEX_TOL, PivotCapError, mu_exact
+from ffree.exact_tiny import (PIVOT_CAP, SIMPLEX_TOL, PivotCapError, _greedy_cost, _Instance,
+                              _root_bound, _spread, mu_exact)
 from ffree.graphs import LabeledGraph, PatternGraph, pair_endpoints, pair_index
 from ffree.sampling import EdgeThresholdTable, Seed, coupled_realize, sample_gnp
 from ffree.subiso import (_embeddings, _host, _search_order, contains_copy, enumerate_copies,
@@ -511,3 +515,59 @@ def greedy_cover_oracle(a: np.ndarray, weights: list[float]) -> float:
         live &= ~covers[i]
         greedy += weights[i]
     return greedy
+
+
+def labeled_matrix(inst: _Instance) -> np.ndarray:
+    """Candidates x elements 0/1 coverage matrix of a covering instance, by
+    containment of each element in each candidate, not from inst.cover."""
+    return np.array([[float(e & ~c == 0) for e in inst.elements] for c in inst.candidates]
+                    ).reshape(len(inst.candidates), len(inst.elements))
+
+
+def branch_and_bound_oracle(inst: _Instance, weights: list[float], incumbent: float,
+                            stop_at: float) -> float:
+    """Least cover cost below `incumbent`, else `incumbent`; returns at the
+    first cover costing <= stop_at.  The library's search with the same
+    greedy seed, root cut, prices, pruning and branching rules, but run on
+    a numpy 0/1 matrix that recomputes every candidate's reduced weight
+    w - a.y_live at each node instead of raising its parent's."""
+    best = min(incumbent, _greedy_cost(inst, weights))
+    if best <= stop_at:
+        return best
+    bound, z = _root_bound(inst, weights)
+    if best - 1e-15 - bound <= 0:
+        return best
+
+    a = labeled_matrix(inst)
+    covers = a > 0
+    w = np.array(weights)
+    y = np.array(_spread(z, inst.element_orbit))
+    seen: dict[bytes, float] = {}
+
+    def branch(live: np.ndarray, cost: float) -> bool:
+        nonlocal best
+        if not live.any():
+            best = min(best, cost)
+            return best <= stop_at
+        key = live.tobytes()
+        prev = seen.get(key)
+        if prev is not None and cost >= prev:
+            return False
+        seen[key] = cost
+        y_live = np.where(live, y, 0.0)
+        room = best - 1e-15 - cost - y_live.sum()
+        if room <= 0:
+            return False
+        reduced = w - a @ y_live
+        useful = reduced < room
+        counts = np.where(live, useful @ a, np.inf)
+        target = int(np.argmin(counts))
+        if counts[target] == 0:
+            return False
+        picks = np.flatnonzero(useful & covers[:, target])
+        return any(branch(live & ~covers[c], cost + weights[c])
+                   for c in picks[np.argsort(reduced[picks], kind="stable")])
+
+    branch(np.ones(a.shape[1], dtype=bool), 0.0)
+    del branch   # a self-referencing closure: free the memo now, not at the next GC
+    return best

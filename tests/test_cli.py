@@ -453,10 +453,12 @@ def test_exact_layer_and_density_run_without_numpy():
     argvs = [["exact-qf", "--pattern", "C4", "--n", "5", "--tol", "0.01"],
              ["exact-qf", "--pattern", "n=3", "--n", "3"],
              ["density", "--pattern", "C4"], ["--help"],
-             # every probe of q here is decided by the greedy cover or the root bound
              ["gap", "--pattern", "triangle", "--n", "5", "--tol", "0.01"],
              ["gap", "--pattern", "C5", "--n", "5", "--tol", "0.01"],
-             ["exact-q", "--pattern", "triangle", "--n", "5"]]
+             ["exact-q", "--pattern", "triangle", "--n", "5"],
+             # probes of q here search below the root
+             *([command, "--pattern", text, "--n", "5"]
+               for command in ("exact-q", "gap") for text in ("C4", "P3", "n=4 0-1 1-2"))]
     proc = _python_subprocess("-c", script, json.dumps(argvs))
     assert proc.returncode == 0, proc.stderr
 

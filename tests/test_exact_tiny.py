@@ -24,7 +24,9 @@ from ffree.subiso import contains_copy
 from oracles import (
     census_from_copies_oracle,
     ffree_census_oracle,
+    branch_and_bound_oracle,
     greedy_cover_oracle,
+    labeled_matrix,
     labeled_packing_oracle,
     lp_bfs_oracle,
     min_cover_cost_oracle,
@@ -223,13 +225,14 @@ def test_packing_simplex_returns_optimal_packing(text):
     f = PRESETS[text]
     for n in range(2, 6):
         inst = exact_tiny._instance(n, f)
+        a = labeled_matrix(inst)
         for k in range(9):
             weights = inst.weights(k / 8)
-            opt, lam, y = exact_tiny._packing_simplex(inst.packing, weights)
+            opt, lam, y = exact_tiny._packing_simplex(a, weights)
             lam, y = np.asarray(lam), np.asarray(y)
             w = np.array(weights)
             assert (y >= -1e-12).all(), (n, k)
-            assert (inst.packing @ y <= w + 1e-9).all(), (n, k)
+            assert (a @ y <= w + 1e-9).all(), (n, k)
             assert y.sum() == pytest.approx(opt, abs=1e-9), (n, k)
             assert w @ lam == pytest.approx(opt, abs=1e-9), (n, k)
 
@@ -241,7 +244,7 @@ def test_orbit_lp_matches_labeled_oracle(text):
     f = parse_pattern(text)
     for n in range(2, 6):
         inst = exact_tiny._instance(n, f)
-        a = inst.packing
+        a = labeled_matrix(inst)
         for k in range(65):
             weights = inst.weights(k / 64)
             w = np.array(weights)
@@ -285,14 +288,15 @@ def test_packing_exact_at_tiny_weights():
     # 3.4964e-10 at p = 61/64 on the labeled LP, and an infeasible y from
     # p = 62/64 on the orbit LP
     inst = exact_tiny._instance(5, P3)
+    a = labeled_matrix(inst)
     assert [e.bit_count() for e in inst.elements] == [2] * 15
     for k in (61, 62, 63):
         p = Fraction(k, 64)
         exact = min((1 - p) ** missing * 15 / int(covered)
-                    for missing, covered in zip(inst.missing, inst.packing.sum(axis=1)))
+                    for missing, covered in zip(inst.missing, a.sum(axis=1)))
         weights = inst.weights(float(p))
         assert exact_tiny._orbit_lp(inst, weights)[0] == pytest.approx(float(exact), abs=1e-15)
-        assert labeled_packing_oracle(inst.packing, weights)[0] == pytest.approx(
+        assert labeled_packing_oracle(a, weights)[0] == pytest.approx(
             float(exact), abs=1e-15)
         if k == 61:
             assert float(exact) == pytest.approx(3.4964e-10, rel=1e-4)
@@ -494,10 +498,11 @@ def test_greedy_cover_matches_numpy_oracle(text):
     f = parse_pattern(text)
     for n in range(2, 6):
         inst = exact_tiny._instance(n, f)
+        a = labeled_matrix(inst)
         for k in range(65):
             weights = inst.weights(k / 64)
             assert exact_tiny._greedy_cost(inst, weights) == greedy_cover_oracle(
-                inst.packing, weights), (n, k)
+                a, weights), (n, k)
 
 
 @pytest.mark.parametrize("text", [*PRESETS, "0-1 2-3", "n=4 0-1 1-2", "n=3"])
@@ -524,18 +529,19 @@ def test_root_bound_packing_fits_every_labeled_weight(text):
     f = parse_pattern(text)
     for n in range(2, 6):
         inst = exact_tiny._instance(n, f)
+        a = labeled_matrix(inst)
         for k in range(65):
             weights = inst.weights(k / 64)
             bound, z = exact_tiny._root_bound(inst, weights)
             y = np.array(exact_tiny._spread(z, inst.element_orbit))
-            assert (inst.packing @ y <= np.array(weights)).all(), (n, k)
+            assert (a @ y <= np.array(weights)).all(), (n, k)
             assert sum(z) == bound, (n, k)
 
 
 def test_root_cut_is_inclusive(monkeypatch):
     # the root cut fires once the best cost less 1e-15 comes down to the
-    # bound, equality included; a probe it does not cut builds the labeled
-    # matrix and searches
+    # bound, equality included; a probe it does not cut spreads the root
+    # bound's packing to the labeled elements and searches
     inst = exact_tiny._instance(4, TRIANGLE)
     weights = inst.weights(0.5)
     bound = exact_tiny._root_bound(inst, weights)[0]
@@ -551,12 +557,96 @@ def test_root_cut_is_inclusive(monkeypatch):
     class Searched(Exception):
         pass
 
-    def search(self):
+    def search(values, orbit):
         raise Searched
-    monkeypatch.setattr(exact_tiny._Instance, "packing", property(search))
+    monkeypatch.setattr(exact_tiny, "_spread", search)
     assert exact_tiny._branch_and_bound(inst, weights, edge, -1.0) == edge
     with pytest.raises(Searched):
         exact_tiny._branch_and_bound(inst, weights, above, -1.0)
+
+
+def test_largest_candidate_seeds_the_best_cost(monkeypatch):
+    # the largest candidate is the union of all elements, a cover by itself:
+    # here it costs 1 and the greedy cover 1.4173, so a search for a cover
+    # within 1 is decided before the root bound
+    inst = exact_tiny._instance(5, parse_pattern("0-1 0-2 0-3 1-2 1-3 2-4 3-4"))
+    weights = inst.weights(0.703125)
+    assert weights[-1] == 1.0
+    assert exact_tiny._greedy_cost(inst, weights) == pytest.approx(1.4173, abs=1e-4)
+
+    def search(values, orbit):
+        raise AssertionError("searched below the root")
+    monkeypatch.setattr(exact_tiny, "_spread", search)
+    assert exact_tiny._branch_and_bound(inst, weights, math.inf, 1.0) == 1.0
+
+
+def _both_searches(inst, weights, incumbent, stop_at):
+    # the oracle predates the one-set cover by the largest candidate, so it
+    # gets that cover as part of its incumbent
+    return (exact_tiny._branch_and_bound(inst, weights, incumbent, stop_at),
+            branch_and_bound_oracle(inst, weights, min([incumbent, *weights[-1:]]), stop_at))
+
+
+@pytest.mark.parametrize("text", [*PRESETS, "0-1 2-3", "n=4 0-1 1-2", "n=3"])
+def test_branch_and_bound_matches_numpy_oracle(text, deadline):
+    # the int-mask search against the numpy one that recomputes every reduced
+    # weight at each node: the same decision on every probe, the same least
+    # cost wherever the oracle finishes in seconds, and, with stop_at halfway
+    # between that cost and the seed, the same first cover within stop_at,
+    # which depends on the order in which the two search
+    deadline(60)
+    f = parse_pattern(text)
+    for n in range(2, 6):
+        inst = exact_tiny._instance(n, f)
+        for k in range(65):
+            weights = inst.weights(k / 64)
+            got, want = _both_searches(inst, weights, 0.5 + 2e-15, 0.5)
+            assert (got <= 0.5) == (want <= 0.5), (n, k)
+            if text == "C4" and n == 5 and 37 <= k <= 42:   # neither finishes in seconds
+                continue
+            got, want = _both_searches(inst, weights, math.inf, -1.0)
+            assert got == want, (n, k)
+            seed = min([*weights[-1:], exact_tiny._greedy_cost(inst, weights)])
+            if want < seed:
+                got, first = _both_searches(inst, weights, math.inf, (want + seed) / 2)
+                assert got == first, (n, k)
+
+
+class _Reads(list):
+    # a weight list that logs the index of every weight read: the greedy
+    # cover's picks, the root bound's reads, then each child the search tries
+    def __init__(self, values):
+        super().__init__(values)
+        self.log = []
+
+    def __getitem__(self, i):
+        if not isinstance(i, slice):
+            self.log.append(int(i))
+        return super().__getitem__(i)
+
+
+@pytest.mark.parametrize("text", ["C4", "P3"])
+def test_q_probes_search_the_numpy_oracle_tree(monkeypatch, deadline, text):
+    # every probe of q at n = 5 tries the children that the numpy search
+    # tries, as many times each; siblings whose reduced weights tie up to
+    # rounding may come in another order.  On C4 at p = 0.6629638671875 the
+    # rounding of reduced weights raised one by one, not recomputed, changes
+    # which nodes are cut: 4630 nodes against 4575, with the same answer
+    deadline(60)
+    f = PRESETS[text]
+    probes = []
+    decide = exact_tiny._cover_within
+    monkeypatch.setattr(exact_tiny, "_cover_within",
+                        lambda n, p, f: probes.append(p) or decide(n, p, f))
+    q_exact(5, f)
+    inst = exact_tiny._instance(5, f)
+    for p in probes:
+        got, want = _Reads(inst.weights(p)), _Reads(inst.weights(p))
+        within = exact_tiny._branch_and_bound(inst, got, 0.5 + 2e-15, 0.5) <= 0.5
+        incumbent = min([0.5 + 2e-15, *want[-1:]])
+        assert within == (branch_and_bound_oracle(inst, want, incumbent, 0.5) <= 0.5), p
+        if (text, p) != ("C4", 0.6629638671875):
+            assert sorted(got.log) == sorted(want.log), p
 
 
 @pytest.mark.parametrize("p, within", [
@@ -569,7 +659,7 @@ def test_cover_within_c4_n5_matches_milp(p, within):
     from scipy.optimize import Bounds, LinearConstraint, milp
     inst = exact_tiny._instance(5, C4)
     w = inst.weights(p)
-    res = milp(w, constraints=LinearConstraint(inst.packing.T, lb=1),
+    res = milp(w, constraints=LinearConstraint(labeled_matrix(inst).T, lb=1),
                integrality=np.ones(len(w)), bounds=Bounds(0, 1),
                options={"mip_rel_gap": 0})
     assert res.success

@@ -39,8 +39,16 @@ def test_pair_index_roundtrip(n, data):
     assert pair_endpoints([k]) == ([u], [v])
 
 
-def test_pair_endpoints_match_isqrt_oracle_n3000():
-    m = 3000 * 2999 // 2
+def test_pair_endpoints_decode_each_row_n3000():
+    # from the encode side, independent of the decoder: row v holds the ids
+    # v(v-1)/2 + u of the pairs (u, v), u < v; every id below 3000*2999/2
+    for v in range(1, 3000):
+        u = np.arange(v)
+        assert pair_endpoints(v * (v - 1) // 2 + u) == (u.tolist(), [v] * v), v
+
+
+def test_pair_endpoints_match_isqrt_oracle_n300():
+    m = 300 * 299 // 2
     want_u, want_v = zip(*map(pair_from_index_oracle, range(m)))
     assert pair_endpoints(np.arange(m)) == (list(want_u), list(want_v))
 
