@@ -21,7 +21,7 @@ copies: the greedy scan in lexicographic copy order, so trials are reproducible.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .density import minimal_m2_subgraph, m2_density
 from .graphs import LabeledGraph, PatternGraph
@@ -40,8 +40,7 @@ class InapplicablePatternError(ValueError):
     """Pattern has maximum degree < 2, outside the construction's scope."""
 
 
-@dataclass(frozen=True)
-class LemmaConstants:
+class LemmaConstants(NamedTuple):
     delta: float
     admissible_p_max: float
 
@@ -57,21 +56,21 @@ def lemma_constants(f: PatternGraph, n: int) -> LemmaConstants:
     return LemmaConstants(delta, EPSILON * n ** (-1.0 / float(m2)))
 
 
-@dataclass(frozen=True)
-class WeightedFamily:
+class WeightedFamily(NamedTuple("WeightedFamily", [("members", tuple[LabeledGraph, ...]),
+                                                    ("weights", tuple[float, ...])])):
     """Finite family of labeled graphs with nonnegative weights."""
 
-    members: tuple[LabeledGraph, ...]
-    weights: tuple[float, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if len(self.members) != len(self.weights):
+    def __new__(cls, members, weights):
+        if len(members) != len(weights):
             raise ValueError("members and weights must have equal length")
-        if any(not w >= 0 for w in self.weights):
+        if any(not w >= 0 for w in weights):
             raise ValueError("weights must be nonnegative")
-        ns = {g.n for g in self.members}
+        ns = {g.n for g in members}
         if len(ns) > 1:
             raise ValueError("all family members must share the same vertex count")
+        return super().__new__(cls, members, weights)
 
     @staticmethod
     def unit(members) -> "WeightedFamily":
@@ -95,8 +94,7 @@ def require_family_condition(family: WeightedFamily, p: float, delta: float,
             f"{name} weight {total:.4g} > 1/2 at p={p:.6g}, delta={delta:.4g}")
 
 
-@dataclass(frozen=True)
-class PackingResult:
+class PackingResult(NamedTuple):
     source: LabeledGraph
     copies: tuple[int, ...]   # edge masks of the packed copies, in scan order
     altered: LabeledGraph
@@ -121,8 +119,7 @@ def alteration_graph(n: int, p: float, f: PatternGraph, seed: Seed,
     return greedy_maximal_packing(g, j)
 
 
-@dataclass(frozen=True)
-class HitRecord:
+class HitRecord(NamedTuple):
     h_index: int
     e_h: int
     shared_raw: int
@@ -132,8 +129,7 @@ class HitRecord:
     shared_altered: int
 
 
-@dataclass(frozen=True)
-class TrialRecord:
+class TrialRecord(NamedTuple):
     seed_master: int
     trial_index: int
     n: int
@@ -201,8 +197,7 @@ def lemma2_trial(n: int, p: float, f: PatternGraph, family: WeightedFamily,
                        tuple(hits), hit_all, missed, result.altered)
 
 
-@dataclass(frozen=True)
-class RefutationResult:
+class RefutationResult(NamedTuple):
     graph: LabeledGraph | None   # the escape, or None when every trial missed
     trials: tuple[TrialRecord, ...]
 

@@ -7,17 +7,20 @@ For a pattern F:
 
 Both maxima are attained by induced subgraphs (at a fixed vertex set, adding
 every available edge only increases the ratio), so enumeration runs over the
-2^{v_F} vertex subsets.  All arithmetic is exact via fractions.Fraction.
+2^{v_F} vertex subsets.  All arithmetic is exact via fractions.Fraction,
+imported on first use, so importing the module does not load it.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
+from typing import TYPE_CHECKING, NamedTuple
 
 from .graphs import PatternGraph
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 MAX_PATTERN_VERTICES = 16
 
@@ -46,6 +49,7 @@ def _best_subset(f: PatternGraph, min_vertices: int, shift: int):
     subsets, then lexicographically smaller vertex sets, so witnesses are
     deterministic.
     """
+    from fractions import Fraction
     nv = f.vertex_count
     best: Fraction | None = None
     best_mask = None
@@ -99,8 +103,7 @@ def minimal_m2_subgraph(f: PatternGraph) -> PatternGraph:
     return _induced_on(f, _m2(f)[1]).drop_isolated()
 
 
-@dataclass(frozen=True)
-class DensityReport:
+class DensityReport(NamedTuple):
     m: Fraction
     m2: Fraction | None
     witness_m: PatternGraph

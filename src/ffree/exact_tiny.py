@@ -36,8 +36,8 @@ from __future__ import annotations
 import heapq
 import itertools
 from collections import Counter
-from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
+from typing import NamedTuple
 
 from .graphs import PatternGraph, pair_index
 
@@ -83,17 +83,17 @@ def _ffree_census(n: int, f: PatternGraph) -> tuple[tuple[int, ...], tuple[int, 
     return tuple(maximal), tuple(profile)
 
 
-@dataclass(frozen=True)
-class _Instance:
-    """The covering instance of (n, F), everything but the weights."""
-    elements: tuple[int, ...]        # edge-maximal F-free bitmasks
-    candidates: tuple[int, ...]      # their union closure, sorted
-    missing: tuple[int, ...]         # |X \ S| per candidate S
-    element_orbit: tuple[int, ...]   # S_n-orbit of each element, numbered from 0
-    candidate_orbit: tuple[int, ...]  # S_n-orbit of each candidate, numbered from 0
-    representatives: tuple[int, ...]  # least candidate of each candidate orbit
-    orbit_packing: tuple[tuple[float, ...], ...]  # candidate x element orbits:
-                                     # elements of orbit E under a candidate of C, over |E|
+class _Instance(NamedTuple("_Instance", [
+        ("elements", tuple[int, ...]),          # edge-maximal F-free bitmasks
+        ("candidates", tuple[int, ...]),        # their union closure, sorted
+        ("missing", tuple[int, ...]),           # |X \ S| per candidate S
+        ("element_orbit", tuple[int, ...]),     # S_n-orbit of each element, numbered from 0
+        ("candidate_orbit", tuple[int, ...]),   # S_n-orbit of each candidate, numbered from 0
+        ("representatives", tuple[int, ...]),   # least candidate of each candidate orbit
+        # candidate x element orbits: elements of orbit E under a candidate of C, over |E|
+        ("orbit_packing", tuple[tuple[float, ...], ...])])):
+    """The covering instance of (n, F), everything but the weights.  It has
+    no __slots__, so `cover` is cached on first use: q_f never builds it."""
 
     def weights(self, p: float) -> list[float]:
         return [(1.0 - p) ** e for e in self.missing]
@@ -289,8 +289,7 @@ def _cover_within(n: int, p: float, f: PatternGraph) -> bool:
     return _branch_and_bound(inst, inst.weights(p), 0.5 + 2e-15, 0.5) <= 0.5
 
 
-@dataclass(frozen=True)
-class ThresholdValue:
+class ThresholdValue(NamedTuple):
     value: float
     degenerate: bool   # no p < 1 admits a cost <= 1/2 certificate
     tolerance: float
@@ -418,8 +417,7 @@ def pc_exact(n: int, f: PatternGraph) -> float:
     return pc.value
 
 
-@dataclass(frozen=True)
-class GapReport:
+class GapReport(NamedTuple):
     n: int
     pattern: str
     pc: float

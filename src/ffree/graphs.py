@@ -17,7 +17,7 @@ decoders import numpy when first called, so importing the module does not.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
 class PatternParseError(ValueError):
@@ -46,29 +46,29 @@ def pair_endpoints(ids) -> tuple[list[int], list[int]]:
     return (k - (v * (v - 1) >> 1)).tolist(), v.tolist()
 
 
-@dataclass(frozen=True, order=True)
-class PatternGraph:
+class PatternGraph(NamedTuple("PatternGraph", [("vertex_count", int),
+                                                ("edges", tuple[tuple[int, int], ...])])):
     """Simple unlabeled graph on vertices 0..vertex_count-1."""
 
-    vertex_count: int
-    edges: tuple[tuple[int, int], ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.vertex_count < 1:
+    def __new__(cls, vertex_count, edges):
+        if vertex_count < 1:
             raise ValueError("pattern must have at least one vertex")
         seen = set()
-        for u, v in self.edges:
+        for u, v in edges:
             if u == v:
                 raise ValueError(f"self-loop {u}-{v}")
             if not (0 <= u < v):
                 raise ValueError(f"edge ({u}, {v}) not in canonical u < v form")
-            if v >= self.vertex_count:
-                raise ValueError(f"edge endpoint {v} >= vertex_count {self.vertex_count}")
+            if v >= vertex_count:
+                raise ValueError(f"edge endpoint {v} >= vertex_count {vertex_count}")
             if (u, v) in seen:
                 raise ValueError(f"duplicate edge {u}-{v}")
             seen.add((u, v))
-        if tuple(sorted(self.edges)) != self.edges:
+        if tuple(sorted(edges)) != edges:
             raise ValueError("edges must be sorted")
+        return super().__new__(cls, vertex_count, edges)
 
     @staticmethod
     def from_edges(edges, vertex_count: int | None = None) -> "PatternGraph":
@@ -181,18 +181,17 @@ def parse_pattern(text: str) -> PatternGraph:
     return PatternGraph.from_edges(edges, vertex_count=n_override)
 
 
-@dataclass(frozen=True)
-class LabeledGraph:
+class LabeledGraph(NamedTuple("LabeledGraph", [("n", int), ("bits", int)])):
     """Graph on [n] as a bit vector (stored in one int) over pair indices."""
 
-    n: int
-    bits: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.n < 1:
+    def __new__(cls, n, bits):
+        if n < 1:
             raise ValueError("n must be positive")
-        if self.bits < 0 or self.bits >> (self.n * (self.n - 1) // 2):
+        if bits < 0 or bits >> (n * (n - 1) // 2):
             raise ValueError("edge bits out of range for n")
+        return super().__new__(cls, n, bits)
 
     @staticmethod
     def empty(n: int) -> "LabeledGraph":

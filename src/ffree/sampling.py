@@ -11,10 +11,8 @@ yields a monotone coupling (edge sets are nested in p).
 
 from __future__ import annotations
 
-import hashlib
 import math
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .graphs import LabeledGraph
 
@@ -24,17 +22,18 @@ if TYPE_CHECKING:
 _GRID = 1 << 64
 
 
-@dataclass(frozen=True)
-class Seed:
+class Seed(NamedTuple("Seed", [("master", int)])):
     """Master seed; per-purpose/per-trial streams are derived, never shared."""
 
-    master: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not (0 <= self.master < _GRID):
+    def __new__(cls, master):
+        if not (0 <= master < _GRID):
             raise ValueError("master seed must be a 64-bit nonnegative integer")
+        return super().__new__(cls, master)
 
     def stream(self, purpose: str, index: int = 0) -> np.random.Generator:
+        import hashlib
         import numpy as np
         tag = int.from_bytes(hashlib.blake2b(purpose.encode(), digest_size=8).digest(), "big")
         ss = np.random.SeedSequence([self.master, tag, index])
@@ -51,12 +50,14 @@ def _p_to_grid(p: float) -> int:
     return min(_GRID, round(p * _GRID))
 
 
-@dataclass(frozen=True, eq=False)
-class EdgeThresholdTable:
+class EdgeThresholdTable(NamedTuple):
     """Fixed 64-bit uniform marks, one per pair index."""
 
     n: int
     u: np.ndarray  # uint64, length n(n-1)/2; treated as immutable
+
+    # equal only to itself: comparing the mark arrays would raise
+    __eq__, __ne__, __hash__ = object.__eq__, object.__ne__, object.__hash__
 
     @staticmethod
     def generate(n: int, gen: np.random.Generator) -> "EdgeThresholdTable":

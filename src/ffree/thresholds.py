@@ -22,8 +22,8 @@ sampling error.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import chain
+from typing import NamedTuple
 
 from .density import m_density
 from .graphs import PatternGraph, pair_endpoints, pair_index
@@ -96,8 +96,7 @@ def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
     return max(0.0, center - half), min(1.0, center + half)
 
 
-@dataclass(frozen=True)
-class MuEstimate:
+class MuEstimate(NamedTuple):
     mu_hat: float
     ci_lo: float
     ci_hi: float
@@ -123,8 +122,7 @@ def mu_curve(n: int, ps: list[float], f: PatternGraph, trials: int,
     return [_mu_estimate(times, p) for p in ps]
 
 
-@dataclass(frozen=True)
-class ThresholdEstimate:
+class ThresholdEstimate(NamedTuple):
     n: int
     pattern: str
     p_hat: float
@@ -184,8 +182,7 @@ def estimate_pc(n: int, f: PatternGraph, trials: int, tolerance: float,
                              trials, seed.master, tolerance, tuple(trace))
 
 
-@dataclass(frozen=True)
-class ScalingFit:
+class ScalingFit(NamedTuple):
     pattern: str
     points: tuple[tuple[int, float], ...]
     slope: float

@@ -130,6 +130,15 @@ def test_pattern_invariants_enforced():
         PatternGraph(1, ((0, 1),))
 
 
+def test_labeled_graph_invariants_enforced():
+    with pytest.raises(ValueError, match="n must be positive"):
+        LabeledGraph(0, 0)
+    with pytest.raises(ValueError, match="edge bits out of range"):
+        LabeledGraph(3, 8)
+    with pytest.raises(ValueError, match="edge bits out of range"):
+        LabeledGraph(3, -1)
+
+
 def test_labeled_graph_edges_roundtrip():
     g = LabeledGraph.from_edges(5, [(0, 1), (2, 4), (1, 3)])
     assert g.edge_count == 3

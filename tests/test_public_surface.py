@@ -16,12 +16,14 @@ keyword; a call to a class counts for its `__init__`, and a call with
 `*args` or `**kwargs` passes everything.  ONE_VALUE_ALLOWED gives the
 reason for each parameter that stays at its default.
 
-A field of a public dataclass counts as read when some `src/ffree` module or
-`perfbench/tracer.py` reads an attribute of its name; FIELD_ALLOWED gives
-the reason for each field that nothing there reads.
+A field of a public record (a NamedTuple, declared in a class body or by a
+functional `NamedTuple(...)` base) counts as read when some `src/ffree`
+module or `perfbench/tracer.py` reads an attribute of its name;
+FIELD_ALLOWED gives the reason for each field that nothing there reads.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 from test_tracer import TRACER, _spans
@@ -161,23 +163,43 @@ def test_every_defaulted_parameter_is_passed():
     assert _one_value_parameters() == []
 
 
+def _fields(cls: ast.ClassDef) -> list[str]:
+    """Fields of a record class: the annotated names in the body of a
+    `NamedTuple` subclass, or the names listed in a
+    `NamedTuple("Name", [(field, type), ...])` base."""
+    fields = []
+    if any(getattr(b, "id", None) == "NamedTuple" for b in cls.bases):
+        fields += [s.target.id for s in cls.body
+                   if isinstance(s, ast.AnnAssign) and isinstance(s.target, ast.Name)]
+    for base in cls.bases:
+        if isinstance(base, ast.Call) and getattr(base.func, "id", None) == "NamedTuple":
+            fields += [pair.elts[0].value for pair in base.args[1].elts]
+    return fields
+
+
+def _records() -> dict[str, list[str]]:
+    """Every public record class in `src/ffree`, with its fields."""
+    return {top.name: _fields(top) for path in sorted(SRC.glob("*.py"))
+            for top in ast.parse(path.read_text()).body
+            if isinstance(top, ast.ClassDef) and not top.name.startswith("_") and _fields(top)}
+
+
+def test_field_guard_finds_every_record():
+    # the records the guard reads from the source are the tuple classes of
+    # the package, with the fields Python gives them
+    modules = [importlib.import_module(f"ffree.{path.stem}") for path in SRC.glob("*.py")]
+    assert _records() == {
+        name: list(cls._fields) for module in modules for name, cls in vars(module).items()
+        if isinstance(cls, type) and issubclass(cls, tuple) and not name.startswith("_")
+        and cls.__module__ == module.__name__}
+
+
 def _unread_fields() -> list[str]:
     trees = [ast.parse(path.read_text()) for path in [*SRC.glob("*.py"), TRACER]]
     read = {node.attr for tree in trees for node in ast.walk(tree)
             if isinstance(node, ast.Attribute)}
-    found = []
-    for path in sorted(SRC.glob("*.py")):
-        for top in ast.parse(path.read_text()).body:
-            if not (isinstance(top, ast.ClassDef) and not top.name.startswith("_") and any(
-                    getattr(getattr(d, "func", d), "id", None) == "dataclass"
-                    for d in top.decorator_list)):
-                continue
-            for field in top.body:
-                if isinstance(field, ast.AnnAssign) and isinstance(field.target, ast.Name):
-                    label = f"{top.name}.{field.target.id}"
-                    if field.target.id not in read and label not in FIELD_ALLOWED:
-                        found.append(label)
-    return found
+    return [f"{name}.{field}" for name, fields in _records().items() for field in fields
+            if field not in read and f"{name}.{field}" not in FIELD_ALLOWED]
 
 
 def test_every_result_field_is_read():
