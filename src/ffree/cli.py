@@ -126,10 +126,11 @@ def cmd_scaling(args) -> int:
     return 0
 
 
-def _generated_family(args, f, n, p, weight=None):
+def _generated_family(args, f, weight=None):
     """(family, edges per member, delta): --family-size seeded random graphs
     with --family-edges edges each, by default the fewest edges meeting the
     unit-weight family condition at p."""
+    n, p = args.n, args.p
     if not 0.0 < p < 1.0:
         raise ValueError(f"p={p} outside (0, 1)")
     delta = alteration.lemma_constants(f, n).delta
@@ -151,8 +152,7 @@ def cmd_lemma2(args) -> int:
     if args.trials < 0:
         raise ValueError(f"trials must be >= 0, got {args.trials}")
     f = parse_pattern(args.pattern)
-    family, _, delta = _generated_family(args, f, args.n, args.p,
-                                         args.family_weight)
+    family, _, delta = _generated_family(args, f, args.family_weight)
     alteration.require_family_condition(family, args.p, delta, "generated family")
     records = [alteration.lemma2_trial(args.n, args.p, f, family, Seed.parse(args.seed),
                                        trial_index=i)
@@ -174,7 +174,7 @@ def cmd_refute(args) -> int:
     f = parse_pattern(args.pattern)
     n, p = args.n, args.p
     # certificate members are complements of random graphs with enough edges
-    comps, edges, _ = _generated_family(args, f, n, p)
+    comps, edges, _ = _generated_family(args, f)
     gfam = alteration.WeightedFamily.unit(tuple(g.complement()
                                                 for g in comps.members))
     result = alteration.refute_certificate(gfam, f, n, p, args.budget, Seed.parse(args.seed))
@@ -206,84 +206,57 @@ def cmd_gap(args) -> int:
     return 0 if report.chain_holds else 1
 
 
+def _trials(default: int) -> tuple:
+    return "--trials", dict(type=int, default=default)
+
+
+def _tol(default: float) -> tuple:
+    return "--tol", dict(type=float, default=default)
+
+
+_PATTERN = "--pattern", dict(required=True, help="preset name or edge grammar, e.g. '0-1 1-2 0-2'")
+_SEED = "--seed", dict(default="0", help="decimal or 0x-hex master seed")
+_OUT = "--out", dict(default=None, help="output path (default stdout)")
+_SEEDED = (_PATTERN, _SEED, _OUT)
+_N, _P = ("--n", dict(type=int, required=True)), ("--p", dict(type=float, required=True))
+_FAMILY = (*_SEEDED, _N, _P, ("--family-size", dict(type=int, default=3)),
+           ("--family-edges", dict(type=int, default=None, help="edges per member "
+                                   "(default: smallest meeting the condition)")))
+_BISECT = (_trials(400), _tol(0.05))
+_EXACT = (_PATTERN, _OUT, _N, _tol(exact_tiny.DEFAULT_P_TOL))
+
+# subcommand -> (handler, help, arguments as (flag, add_argument keywords) in help order).
+# Only cmd_* handlers go here: perfbench/tracer.py rebinds library functions by module
+# attribute, and one held in this table would escape its span.
+COMMANDS = {
+    "density": (cmd_density, "exact m, m2, witnesses, gap check", (_PATTERN, _OUT)),
+    "sample": (cmd_sample, "one seeded G(n,p) sample", (_SEED, _OUT, _N, _P)),
+    "alter": (cmd_alter, "alteration construction G_{n,p}(J)", (*_SEEDED, _N, _P)),
+    "mu-sweep": (cmd_mu_sweep, "estimate mu_p over a p grid", (
+        *_SEEDED, _N, ("--p-grid", dict(required=True, help="comma-separated p values")),
+        _trials(400), ("--format", dict(choices=["json", "csv"], default="csv")))),
+    "pc": (cmd_pc, "bisection estimate of the threshold p_c", (*_SEEDED, _N, *_BISECT)),
+    "scaling": (cmd_scaling, "log-log scaling fit of p_c against n", (*_SEEDED, ("--n-list", dict(
+        required=True, help="comma-separated increasing n")), *_BISECT)),
+    "lemma2": (cmd_lemma2, "lemma2 trials against a generated family",
+               (*_FAMILY, ("--family-weight", dict(type=float, default=None)), _trials(10))),
+    "refute": (cmd_refute, "refute trials against a generated family",
+               (*_FAMILY, ("--budget", dict(type=int, default=50)))),
+    "exact-q": (cmd_exact, "exact tiny-n exact-q", _EXACT),
+    "exact-qf": (cmd_exact, "exact tiny-n exact-qf", _EXACT),
+    "gap": (cmd_gap, "exact tiny-n gap", _EXACT),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="ffree",
-        description="Thresholds of F-free graph down-sets: densities, "
-                    "alteration construction, Monte Carlo thresholds, and "
-                    "exact tiny-n expectation thresholds.",
-    )
+    parser = argparse.ArgumentParser(prog="ffree", description=(
+        "Thresholds of F-free graph down-sets: densities, alteration construction, "
+        "Monte Carlo thresholds, and exact tiny-n expectation thresholds."))
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(sp, pattern=True, seed=False):
-        if pattern:
-            sp.add_argument("--pattern", required=True,
-                            help="preset name or edge grammar, e.g. '0-1 1-2 0-2'")
-        if seed:
-            sp.add_argument("--seed", default="0", help="decimal or 0x-hex master seed")
-        sp.add_argument("--out", default=None, help="output path (default stdout)")
-
-    sp = sub.add_parser("density", help="exact m, m2, witnesses, gap check")
-    common(sp)
-    sp.set_defaults(func=cmd_density)
-
-    sp = sub.add_parser("sample", help="one seeded G(n,p) sample")
-    common(sp, pattern=False, seed=True)
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--p", type=float, required=True)
-    sp.set_defaults(func=cmd_sample)
-
-    sp = sub.add_parser("alter", help="alteration construction G_{n,p}(J)")
-    common(sp, seed=True)
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--p", type=float, required=True)
-    sp.set_defaults(func=cmd_alter)
-
-    sp = sub.add_parser("mu-sweep", help="estimate mu_p over a p grid")
-    common(sp, seed=True)
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--p-grid", required=True, help="comma-separated p values")
-    sp.add_argument("--trials", type=int, default=400)
-    sp.add_argument("--format", choices=["json", "csv"], default="csv")
-    sp.set_defaults(func=cmd_mu_sweep)
-
-    sp = sub.add_parser("pc", help="bisection estimate of the threshold p_c")
-    common(sp, seed=True)
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--trials", type=int, default=400)
-    sp.add_argument("--tol", type=float, default=0.05)
-    sp.set_defaults(func=cmd_pc)
-
-    sp = sub.add_parser("scaling", help="log-log scaling fit of p_c against n")
-    common(sp, seed=True)
-    sp.add_argument("--n-list", required=True, help="comma-separated increasing n")
-    sp.add_argument("--trials", type=int, default=400)
-    sp.add_argument("--tol", type=float, default=0.05)
-    sp.set_defaults(func=cmd_scaling)
-
-    for name, func in [("lemma2", cmd_lemma2), ("refute", cmd_refute)]:
-        sp = sub.add_parser(name, help=f"{name} trials against a generated family")
-        common(sp, seed=True)
-        sp.add_argument("--n", type=int, required=True)
-        sp.add_argument("--p", type=float, required=True)
-        sp.add_argument("--family-size", type=int, default=3)
-        sp.add_argument("--family-edges", type=int, default=None,
-                        help="edges per member (default: smallest meeting the condition)")
-        if name == "lemma2":
-            sp.add_argument("--family-weight", type=float, default=None)
-            sp.add_argument("--trials", type=int, default=10)
-        else:
-            sp.add_argument("--budget", type=int, default=50)
-        sp.set_defaults(func=func)
-
-    for name, func in [("exact-q", cmd_exact), ("exact-qf", cmd_exact),
-                       ("gap", cmd_gap)]:
-        sp = sub.add_parser(name, help=f"exact tiny-n {name}")
-        common(sp)
-        sp.add_argument("--n", type=int, required=True)
-        sp.add_argument("--tol", type=float, default=exact_tiny.DEFAULT_P_TOL)
-        sp.set_defaults(func=func)
-
+    for name, (_, help_text, specs) in COMMANDS.items():
+        sp = sub.add_parser(name, help=help_text)
+        for flag, kw in specs:
+            sp.add_argument(flag, **kw)
     return parser
 
 
@@ -294,7 +267,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        return args.func(args)
+        return COMMANDS[args.command][0](args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -59,14 +59,21 @@ def _host(g: LabeledGraph, top: int) -> tuple[list[int], list[int]]:
     return adj, [sum(1 << v for v, dv in enumerate(deg) if dv >= d) for d in range(top + 1)]
 
 
+def _self_host(f: PatternGraph) -> tuple[list[int], list[int]]:
+    """Host arguments for searching F in itself, with ge[d] the vertices of degree exactly d:
+    such embeddings are automorphisms, which keep degrees, so the same ones pass."""
+    adj, ge = _host(LabeledGraph.from_edges(f.vertex_count, f.edges), max(f.degrees()) + 1)
+    return adj, [a & ~b for a, b in zip(ge, ge[1:])]
+
+
 def _embeddings(adj: list[int], ge: list[int], plan, root: tuple[int, ...] = (), above=None):
     """Yield injective maps (as tuples of images per search position).
 
-    The host is given by its neighbor bitmasks `adj` and `ge`, where ge[d]
-    masks its vertices of degree >= d.  `plan` is from _search_order; `root`
-    fixes the images of its first len(root) positions; `above[i]` lists
-    earlier positions j whose image must be below images[i].  rest[i] holds
-    the untried candidates of position i, tried lowest first.
+    The host is `adj`, its neighbor bitmasks, and `ge`, where ge[d] masks the
+    images a degree-d vertex may take (degree >= d, or == d from _self_host).
+    `plan` is from _search_order; `root` fixes the images of its first len(root)
+    positions; `above[i]` lists earlier positions j whose image must be below
+    images[i].  rest[i] holds the untried candidates of position i, tried lowest first.
     """
     _, prior, need = plan
     last = len(need) - 1
@@ -107,8 +114,8 @@ def _plan(f: PatternGraph, first_edge: tuple[int, ...] = ()) -> tuple:
     position i >= len(first_edge) that an automorphism fixing the positions before
     i carries to w > i, so images[i] < images[w]: this passes only the least
     embedding in each orbit of the automorphisms fixing `first_edge`."""
-    plan = order, _, need = _search_order(f, first_edge)
-    host = _host(LabeledGraph.from_edges(f.vertex_count, f.edges), max(need))
+    plan = order, _, _ = _search_order(f, first_edge)
+    host = _self_host(f)
     above = [[] for _ in order]
     for i in range(len(first_edge), len(order)):
         for w in range(i + 1, len(order)):
@@ -140,7 +147,7 @@ def _edge_roots(f: PatternGraph) -> tuple:
     its first two positions at (u, v): an automorphism carrying (a, b) to
     (c, d) turns an embedding with c, d at u, v into one with a, b there.
     """
-    host = _host(LabeledGraph.from_edges(f.vertex_count, f.edges), max(f.degrees()))
+    host = _self_host(f)
     oriented = [e for u, v in f.edges for e in ((u, v), (v, u))]
     roots, covered = [], set()
     for e in oriented:

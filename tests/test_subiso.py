@@ -131,15 +131,32 @@ def test_edge_roots_one_per_edge_orbit(name, roots):
     assert len(_edge_roots(ALL_PATTERNS[name])) == roots
 
 
-@pytest.mark.parametrize("name", sorted(ALL_PATTERNS))
+def _complete_minus_edge(k: int) -> PatternGraph:
+    """K_k less the edge 0-1."""
+    return PatternGraph(k, tuple(itertools.combinations(range(k), 2))[1:])
+
+
+# plus dense patterns whose searches of F in itself fail late
+ROOT_PATTERNS = {**ALL_PATTERNS, **{f"K{k}-e": _complete_minus_edge(k) for k in (6, 8)}}
+
+
+@pytest.mark.parametrize("name", sorted(ROOT_PATTERNS))
 def test_plans_and_roots_match_generator_oracle(name):
     # the same search orders, order constraints and orbit roots (each orbit's
     # first oriented edge in f.edges order) as closing orbits under generators
-    f = ALL_PATTERNS[name]
+    f = ROOT_PATTERNS[name]
     assert _plan(f) == plan_oracle(f)[:2]
     for e in (e for u, v in f.edges for e in ((u, v), (v, u))):
         assert _plan(f, e) == plan_oracle(f, e)[:2]
     assert _edge_roots(f) == edge_roots_oracle(f)
+
+
+def test_edge_roots_of_dense_pattern_are_fast(deadline):
+    # searches of F in itself map each vertex to one of equal degree; with
+    # degree >= d domains they fail late, and K12 - e took ~24 s
+    deadline(2)
+    f = _complete_minus_edge(12)
+    assert _edge_roots(f) == tuple(_plan(f, e) for e in [(0, 2), (2, 0), (2, 3)])
 
 
 @settings(max_examples=30, deadline=None)
