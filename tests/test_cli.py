@@ -401,6 +401,44 @@ def test_exact_golden_digests(capsys, command, pattern, tol):
     assert hashlib.sha256(out.encode()).hexdigest() == _EXACT_DIGESTS[command, pattern, tol]
 
 
+# stdout SHA-256 pinned at the commit before the documents were written from
+# the records' fields: a change in how a document is rendered (a key, a
+# number's form, an edge list) would change these bytes; `n=2 0-1` has no m2
+_DOCUMENT_DIGESTS = {
+    **{("density", "--pattern", pattern): digest for pattern, digest in {
+        "triangle": "9291a8e92af6e790bb638fb083b898bebe60474ee3f577de380f067c9966fd3f",
+        "P3": "712a90bd5768e2b544fea399851e6f1aeff86d7fb7c305fed6de8adb8c55b7f0",
+        "K4": "c9aba445863b8067193789244c56d909b38d1150b404c7fae57cac582ae7acd9",
+        "C4": "77b436a202d41cdeaec7c6e0aa2604cdd7df8aae7bcf1fb8c9561f7915ce89f3",
+        "P4": "1dde4a91e511ea94c48fa2c9f5bff4828f86387e279dd96e775e13287b27dc0b",
+        "K5": "d946a245220a17c298808f787682a184bce1a69c388f2416c99fcea5c68d7023",
+        "C5": "e1bec83723333c3ffb5aea11ccaccd1a8db7f42b60dde7d86a9f40eebed5eeca",
+        "petersen": "c213cf3b7141efb2938816ac111c6bd1b975dfa40ba8e1c3e1f1759ee072ca36",
+        "n=2 0-1": "3ea0291c0c41590ac7337b79f8bb432743e7fd8736178ee42deaddabf04d818b",
+    }.items()},
+    ("sample", "--n", "30", "--p", "0.2", "--seed", "9"):
+        "05d1ef0e064c8c5cde7c36225c4bffc237c44cef44ce97dc3869e693b25604ef",
+    ("refute", "--pattern", "triangle", "--n", "40", "--p", "0.2", "--family-size", "3",
+     "--budget", "30", "--seed", "9"):
+        "452b9c7300fb15e990c8e0495232bcd9c71140ec56d6c97eceb806f65f6a9563",
+    ("refute", "--pattern", "triangle", "--n", "40", "--p", "0.2", "--family-size", "0",
+     "--seed", "9"):
+        "dec3d615a2dfe2fc71dab84d69f9cc1e9e6c1c362c37419f9ea1ba032e28830e",
+    ("mu-sweep", "--pattern", "triangle", "--n", "10", "--p-grid", "0.1,0.3,0.5",
+     "--trials", "60", "--seed", "9", "--format", "json"):
+        "56acfc8d53727929bbfe00018776afc40c9da5c2070de4d7833190ac5ea55111",
+}
+
+
+@pytest.mark.parametrize("argv", list(_DOCUMENT_DIGESTS), ids=[
+    *(f"density-{argv[2]}".replace(" ", "+") for argv in list(_DOCUMENT_DIGESTS)[:9]),
+    "sample", "refute", "refute-no-members", "mu-sweep-json"])
+def test_document_golden_digests(capsys, argv):
+    code, out = run(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == _DOCUMENT_DIGESTS[argv]
+
+
 def test_exact_golden_petersen_gap_exits_2(capsys):
     # Petersen does not fit on 5 vertices: mu_p = 1 at every p, so p_c is undefined
     assert main(["gap", "--pattern", "petersen", "--n", "5", "--tol", "0.01"]) == 2
