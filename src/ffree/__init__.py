@@ -9,6 +9,9 @@ numpy is imported inside the functions that use it, so importing the package,
 the densities and the whole exact tiny-n layer (p_c, q_f and q) do not load it.
 fractions and hashlib are imported the same way, and the result records are
 NamedTuples, not dataclasses (the dataclasses module imports inspect).
+
+The records are also the command line's output: ffree.cli writes each
+`ffree/1` JSON document from a record's _asdict(), under its field names.
 """
 
 from .graphs import LabeledGraph, PatternGraph, PRESETS, pair_index, parse_pattern

@@ -121,16 +121,16 @@ def alteration_graph(n: int, p: float, f: PatternGraph, seed: Seed,
 
 class HitRecord(NamedTuple):
     h_index: int
-    e_h: int
+    e_H: int
     shared_raw: int
-    event_e: bool
+    event_E: bool
     touched_copies: int
-    event_d: bool
+    event_D: bool
     shared_altered: int
 
 
 class TrialRecord(NamedTuple):
-    seed_master: int
+    seed: int
     trial_index: int
     n: int
     p: float
@@ -138,24 +138,7 @@ class TrialRecord(NamedTuple):
     hits: tuple[HitRecord, ...]
     hit_all: bool
     missed_weight: float
-    altered: LabeledGraph   # the trial's F-free graph; not in to_dict
-
-    def to_dict(self) -> dict:
-        return {
-            "seed": self.seed_master,
-            "trial_index": self.trial_index,
-            "n": self.n,
-            "p": self.p,
-            "in_regime": self.in_regime,
-            "hits": [
-                {"h_index": h.h_index, "e_H": h.e_h, "shared_raw": h.shared_raw,
-                 "event_E": h.event_e, "touched_copies": h.touched_copies,
-                 "event_D": h.event_d, "shared_altered": h.shared_altered}
-                for h in self.hits
-            ],
-            "hit_all": self.hit_all,
-            "missed_weight": self.missed_weight,
-        }
+    altered: LabeledGraph   # the trial's F-free graph; the lemma2 document leaves it out
 
 
 def lemma2_trial(n: int, p: float, f: PatternGraph, family: WeightedFamily,

@@ -37,8 +37,11 @@ _scalar = json.JSONEncoder(allow_nan=False).encode   # ValueError on NaN or inf
 
 def _json(o, indent: str = "") -> str:
     """json.dumps(o, indent=2, sort_keys=True) for str-keyed documents,
-    without json's pure-Python encoder loop, refusing NaN and infinities."""
+    without json's pure-Python encoder loop, refusing NaN and infinities.
+    A record (a NamedTuple) is written as its _asdict()."""
     inner = indent + "  "
+    if isinstance(o, tuple) and hasattr(o, "_asdict"):
+        return _json(o._asdict(), indent)
     if isinstance(o, dict) and o:
         items = [f"{encode_basestring_ascii(k)}: {_json(v, inner)}" for k, v in sorted(o.items())]
     elif isinstance(o, (list, tuple)) and o:
@@ -59,10 +62,17 @@ def _emit_csv(args, header: list[str], rows: list[list]):
     _emit(args, "\n".join(lines) + "\n")
 
 
+def _ratio(x) -> str:
+    return f"{x.numerator}/{x.denominator}"
+
+
 def cmd_density(args) -> int:
-    report = density.density_gap_check(parse_pattern(args.pattern))
-    _emit_json(args, {"command": "density", "pattern": args.pattern,
-                      **report.to_dict()})
+    r = density.density_gap_check(parse_pattern(args.pattern))
+    # Fractions and patterns are not JSON: densities as "num/den", witnesses as edge
+    # text; below 3 vertices m2 and witness_m2 stay None
+    m2 = {} if r.m2 is None else {"m2": _ratio(r.m2), "witness_m2": r.witness_m2.to_text()}
+    _emit_json(args, {"command": "density", "pattern": args.pattern, **r._asdict(),
+                      "m": _ratio(r.m), "witness_m": r.witness_m.to_text(), **m2})
     return 0
 
 
@@ -71,7 +81,7 @@ def cmd_sample(args) -> int:
     _emit_json(args, {
         "command": "sample", "n": args.n, "p": args.p, "seed": args.seed,
         "edge_count": g.edge_count,
-        "edges": [[u, v] for u, v in g.edges()],
+        "edges": g.edges(),
     })
     return 0
 
@@ -88,7 +98,7 @@ def cmd_alter(args) -> int:
         "packed_copies": len(result.copies),
         "altered_edges": result.altered.edge_count,
         "f_free": not contains_copy(result.altered, f),
-        "altered": [[u, v] for u, v in result.altered.edges()],
+        "altered": result.altered.edges(),
     })
     return 0
 
@@ -112,7 +122,7 @@ def cmd_mu_sweep(args) -> int:
 def cmd_pc(args) -> int:
     est = thresholds.estimate_pc(args.n, parse_pattern(args.pattern), args.trials, args.tol,
                                  Seed.parse(args.seed))
-    _emit_json(args, {"command": "pc", **est.to_dict()})
+    _emit_json(args, {"command": "pc", **est._asdict()})
     return 0
 
 
@@ -122,7 +132,7 @@ def cmd_scaling(args) -> int:
                                  Seed.parse(args.seed))
     _emit_json(args, {"command": "scaling", "seed": args.seed,
                       "trials": args.trials, "tolerance": args.tol,
-                      **fit.to_dict()})
+                      **fit._asdict()})
     return 0
 
 
@@ -165,7 +175,8 @@ def cmd_lemma2(args) -> int:
         "family_weights": list(family.weights),
         "delta": delta,
         "hit_all_count": sum(1 for r in records if r.hit_all),
-        "records": [r.to_dict() for r in records],
+        "records": [{k: v for k, v in r._asdict().items() if k != "altered"}
+                    for r in records],
     })
     return 0
 
@@ -184,8 +195,7 @@ def cmd_refute(args) -> int:
         "complement_edges": edges,
         "success": result.success,
         "trials_used": len(result.trials),
-        "escaping_edges": (None if result.graph is None
-                           else [[u, v] for u, v in result.graph.edges()]),
+        "escaping_edges": None if result.graph is None else result.graph.edges(),
     })
     return 0 if result.success else 1
 
@@ -195,14 +205,15 @@ def cmd_exact(args) -> int:
     solve = getattr(exact_tiny, {"exact-q": "q_exact", "exact-qf": "qf_exact"}[args.command])
     val = solve(args.n, parse_pattern(args.pattern), args.tol)
     _emit_json(args, {"command": args.command, "pattern": args.pattern, "n": args.n,
-                      "value": val.value, "degenerate": val.degenerate,
-                      "tolerance": val.tolerance})
+                      **val._asdict()})
     return 0
 
 
 def cmd_gap(args) -> int:
     report = exact_tiny.gap_report(args.n, parse_pattern(args.pattern), args.tol)
-    _emit_json(args, {"command": "gap", **report.to_dict()})
+    _emit_json(args, {"command": "gap", **report._asdict(),
+                      "ratio_q_pc": report.q / report.pc if report.pc > 0 else None,
+                      "ratio_qf_pc": report.qf / report.pc if report.pc > 0 else None})
     return 0 if report.chain_holds else 1
 
 

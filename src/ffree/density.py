@@ -110,16 +110,6 @@ class DensityReport(NamedTuple):
     witness_m2: PatternGraph | None
     gap_holds: bool
 
-    def to_dict(self) -> dict:
-        return {
-            "m": f"{self.m.numerator}/{self.m.denominator}",
-            "m2": None if self.m2 is None
-                  else f"{self.m2.numerator}/{self.m2.denominator}",
-            "witness_m": self.witness_m.to_text(),
-            "witness_m2": None if self.witness_m2 is None else self.witness_m2.to_text(),
-            "gap_holds": self.gap_holds,
-        }
-
 
 def density_gap_check(f: PatternGraph) -> DensityReport:
     """Report m, m2 (if defined), their witnesses, and whether m2 > m."""

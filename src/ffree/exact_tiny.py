@@ -428,21 +428,6 @@ class GapReport(NamedTuple):
     chain_holds: bool
     tolerance: float
 
-    def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "pattern": self.pattern,
-            "pc": self.pc,
-            "qf": self.qf,
-            "q": self.q,
-            "q_degenerate": self.q_degenerate,
-            "qf_degenerate": self.qf_degenerate,
-            "ratio_q_pc": self.q / self.pc if self.pc > 0 else None,
-            "ratio_qf_pc": self.qf / self.pc if self.pc > 0 else None,
-            "chain_holds": self.chain_holds,
-            "tolerance": self.tolerance,
-        }
-
 
 def gap_report(n: int, f: PatternGraph, tolerance: float = DEFAULT_P_TOL) -> GapReport:
     """Assemble p_c <= q_f <= q with exact tiny-n values."""

@@ -126,25 +126,13 @@ class ThresholdEstimate(NamedTuple):
     n: int
     pattern: str
     p_hat: float
-    mu: MuEstimate
+    mu_at_p_hat: float   # with ci_lo and ci_hi, the MuEstimate at p_hat
+    ci_lo: float
+    ci_hi: float
     trials: int
-    seed_master: int
+    seed: int
     tolerance: float
     trace: tuple[tuple[float, float], ...]  # (p, mu_hat) probes, probe order
-
-    def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "pattern": self.pattern,
-            "p_hat": self.p_hat,
-            "mu_at_p_hat": self.mu.mu_hat,
-            "ci_lo": self.mu.ci_lo,
-            "ci_hi": self.mu.ci_hi,
-            "trials": self.trials,
-            "seed": self.seed_master,
-            "tolerance": self.tolerance,
-            "trace": [[p, mu] for p, mu in self.trace],
-        }
 
 
 class BracketError(ValueError):
@@ -178,7 +166,7 @@ def estimate_pc(n: int, f: PatternGraph, trials: int, tolerance: float,
         else:
             hi = mid
     p_hat = 0.5 * (lo + hi)
-    return ThresholdEstimate(n, f.to_text(), p_hat, _mu_estimate(times, p_hat),
+    return ThresholdEstimate(n, f.to_text(), p_hat, *_mu_estimate(times, p_hat),
                              trials, seed.master, tolerance, tuple(trace))
 
 
@@ -188,15 +176,6 @@ class ScalingFit(NamedTuple):
     slope: float
     intercept: float
     target_slope: float
-
-    def to_dict(self) -> dict:
-        return {
-            "pattern": self.pattern,
-            "points": [[n, p] for n, p in self.points],
-            "slope": self.slope,
-            "intercept": self.intercept,
-            "target_slope": self.target_slope,
-        }
 
 
 def scaling_fit(f: PatternGraph, n_list: list[int], trials: int,

@@ -467,8 +467,7 @@ def pc_bisection_oracle(n: int, f: PatternGraph, trials: int, tolerance: float,
     p_hat = 0.5 * (lo + hi)
     free = sum(1 for t in battery if not contains_copy(coupled_realize(t, p_hat), f))
     ci_lo, ci_hi = wilson_interval(free, trials)
-    return ThresholdEstimate(n, f.to_text(), p_hat,
-                             MuEstimate(free / trials, ci_lo, ci_hi),
+    return ThresholdEstimate(n, f.to_text(), p_hat, free / trials, ci_lo, ci_hi,
                              trials, seed.master, tolerance, tuple(trace))
 
 

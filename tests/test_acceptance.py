@@ -116,11 +116,11 @@ def test_conditional_hit_identity_and_envelopes():
         not_d = [0] * k
         for i in range(runs):
             rec = lemma2_trial(n, p, pat, fam, Seed(2024), trial_index=i)
-            if all(h.event_e and h.event_d for h in rec.hits):
+            if all(h.event_E and h.event_D for h in rec.hits):
                 assert rec.hit_all  # exact, not statistical
             for h in rec.hits:
-                not_e[h.h_index] += not h.event_e
-                not_d[h.h_index] += not h.event_d
+                not_e[h.h_index] += not h.event_E
+                not_d[h.h_index] += not h.event_D
         for j in range(k):
             e_h = fam.members[j].edge_count
             e_j = minimal_m2_subgraph(pat).edge_count

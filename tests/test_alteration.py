@@ -187,11 +187,13 @@ def test_family_weight_validation():
         WeightedFamily((g,), (-1.0,))
 
 
-def test_lemma2_trial_identity_and_schema():
+def test_lemma2_trial_identity_and_schema(capsys):
     n, p = 40, 0.2
-    fam = WeightedFamily.unit((LabeledGraph.complete(n),))
-    rec = lemma2_trial(n, p, TRIANGLE, fam, Seed(11))
-    d = rec.to_dict()
+    # one member with all 780 pairs of [40]: the family is K_40 alone
+    assert main(["lemma2", "--pattern", "triangle", "--n", str(n), "--p", str(p),
+                 "--family-size", "1", "--family-edges", "780", "--trials", "1",
+                 "--seed", "11"]) == 0
+    d = json.loads(capsys.readouterr().out)["records"][0]
     assert set(d) == {"seed", "trial_index", "n", "p", "in_regime",
                       "hits", "hit_all", "missed_weight"}
     h = d["hits"][0]
@@ -200,8 +202,10 @@ def test_lemma2_trial_identity_and_schema():
     # the conditional-hit identity: both events imply a surviving shared edge
     if h["event_E"] and h["event_D"]:
         assert h["shared_altered"] >= 1
-    assert rec.hit_all == (rec.missed_weight == 0.0)
+    assert d["hit_all"] == (d["missed_weight"] == 0.0)
     # the trial's altered graph, kept out of the JSON record, is F-free
+    rec = lemma2_trial(n, p, TRIANGLE, WeightedFamily.unit((LabeledGraph.complete(n),)),
+                       Seed(11))
     assert h["shared_altered"] == rec.altered.edge_count
     assert not contains_copy(rec.altered, TRIANGLE)
 

@@ -1,8 +1,10 @@
+import json
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ffree.cli import main
 from ffree.density import (
     UndefinedDensityError,
     density_gap_check,
@@ -118,6 +120,7 @@ def test_gap_holds_whenever_max_degree_two():
             assert m2_density(pat) > m_density(pat)
 
 
-def test_report_serialization():
-    d = density_gap_check(PRESETS["K4"]).to_dict()
+def test_report_serialization(capsys):
+    assert main(["density", "--pattern", "K4"]) == 0
+    d = json.loads(capsys.readouterr().out)
     assert d["m"] == "3/2" and d["m2"] == "5/2" and d["gap_holds"] is True

@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 from fractions import Fraction
 
@@ -11,7 +12,6 @@ from ffree.cli import main
 from ffree.exact_tiny import (
     PivotCapError,
     ScaleError,
-    gap_report,
     lp_min_cost,
     min_cover_cost,
     mu_exact,
@@ -439,13 +439,13 @@ def test_mu_exact_rejects_p_outside_unit_interval():
             mu_exact(4, p, TRIANGLE)
 
 
-def test_gap_chain_holds():
-    for (n, pattern) in [(3, TRIANGLE), (4, TRIANGLE), (4, C4), (5, TRIANGLE)]:
-        rep = gap_report(n, pattern)
-        assert rep.chain_holds
-        assert rep.pc <= rep.qf + 1e-4 + rep.tolerance
-        assert rep.qf <= rep.q + 2 * rep.tolerance
-        d = rep.to_dict()
+def test_gap_chain_holds(capsys):
+    for (n, pattern) in [(3, "triangle"), (4, "triangle"), (4, "C4"), (5, "triangle")]:
+        assert main(["gap", "--pattern", pattern, "--n", str(n)]) == 0
+        d = json.loads(capsys.readouterr().out)
+        assert d["chain_holds"]
+        assert d["pc"] <= d["qf"] + 1e-4 + d["tolerance"]
+        assert d["qf"] <= d["q"] + 2 * d["tolerance"]
         assert d["ratio_q_pc"] >= 1.0 - 1e-6
 
 

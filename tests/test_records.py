@@ -38,9 +38,9 @@ def _mu():
 
 
 G_REPR = "LabeledGraph(n=3, bits=5)"
-HIT_REPR = ("HitRecord(h_index=0, e_h=2, shared_raw=1, event_e=True, touched_copies=0, "
-            "event_d=True, shared_altered=1)")
-TRIAL_REPR = (f"TrialRecord(seed_master=7, trial_index=0, n=3, p=0.5, in_regime=False, "
+HIT_REPR = ("HitRecord(h_index=0, e_H=2, shared_raw=1, event_E=True, touched_copies=0, "
+            "event_D=True, shared_altered=1)")
+TRIAL_REPR = (f"TrialRecord(seed=7, trial_index=0, n=3, p=0.5, in_regime=False, "
               f"hits=({HIT_REPR},), hit_all=True, missed_weight=0.0, altered={G_REPR})")
 TRIANGLE_REPR = "PatternGraph(vertex_count=3, edges=((0, 1), (0, 2), (1, 2)))"
 MU_REPR = "MuEstimate(mu_hat=0.5, ci_lo=0.25, ci_hi=0.75)"
@@ -56,7 +56,7 @@ RECORDS = [
      "LemmaConstants(delta=0.25, admissible_p_max=0.125)"),
     (lambda: PackingResult(LabeledGraph(3, 5), (1,), LabeledGraph(3, 4)), "copies",
      f"PackingResult(source={G_REPR}, copies=(1,), altered=LabeledGraph(n=3, bits=4))"),
-    (_hit, "e_h", HIT_REPR),
+    (_hit, "e_H", HIT_REPR),
     (_trial, "hit_all", TRIAL_REPR),
     (lambda: RefutationResult(None, (_trial(),)), "graph",
      f"RefutationResult(graph=None, trials=({TRIAL_REPR},))"),
@@ -64,10 +64,10 @@ RECORDS = [
      f"DensityReport(m=Fraction(1, 1), m2=Fraction(2, 1), witness_m={TRIANGLE_REPR}, "
      f"witness_m2={TRIANGLE_REPR}, gap_holds=True)"),
     (_mu, "mu_hat", MU_REPR),
-    (lambda: ThresholdEstimate(16, "0-1 0-2 1-2", 0.25, _mu(), 100, 7, 0.05, ((0.5, 0.25),)),
+    (lambda: ThresholdEstimate(16, "0-1 0-2 1-2", 0.25, *_mu(), 100, 7, 0.05, ((0.5, 0.25),)),
      "p_hat",
-     f"ThresholdEstimate(n=16, pattern='0-1 0-2 1-2', p_hat=0.25, mu={MU_REPR}, trials=100, "
-     f"seed_master=7, tolerance=0.05, trace=((0.5, 0.25),))"),
+     "ThresholdEstimate(n=16, pattern='0-1 0-2 1-2', p_hat=0.25, mu_at_p_hat=0.5, ci_lo=0.25, "
+     "ci_hi=0.75, trials=100, seed=7, tolerance=0.05, trace=((0.5, 0.25),))"),
     (lambda: ScalingFit("0-1 0-2 1-2", ((8, 0.25), (16, 0.125)), -1.0, 0.5, -1.0), "slope",
      "ScalingFit(pattern='0-1 0-2 1-2', points=((8, 0.25), (16, 0.125)), slope=-1.0, "
      "intercept=0.5, target_slope=-1.0)"),
