@@ -56,9 +56,8 @@ def _emit_json(args, payload: dict):
     _emit(args, _json({"schema": SCHEMA, **payload}) + "\n")
 
 
-def _emit_csv(args, header: list[str], rows: list[list]):
-    lines = [",".join(header)]
-    lines += [",".join(str(x) for x in row) for row in rows]
+def _emit_csv(args, rows: list[dict]):
+    lines = [",".join(rows[0])] + [",".join(map(str, row.values())) for row in rows]
     _emit(args, "\n".join(lines) + "\n")
 
 
@@ -77,9 +76,9 @@ def cmd_density(args) -> int:
 
 
 def cmd_sample(args) -> int:
-    g = sample_gnp(args.n, args.p, Seed.parse(args.seed))
+    g = sample_gnp(args.n, args.p, args.seed)
     _emit_json(args, {
-        "command": "sample", "n": args.n, "p": args.p, "seed": args.seed,
+        "command": "sample", "n": args.n, "p": args.p, "seed": args.seed.master,
         "edge_count": g.edge_count,
         "edges": g.edges(),
     })
@@ -88,12 +87,12 @@ def cmd_sample(args) -> int:
 
 def cmd_alter(args) -> int:
     f = parse_pattern(args.pattern)
-    result = alteration.alteration_graph(args.n, args.p, f, Seed.parse(args.seed))
+    result = alteration.alteration_graph(args.n, args.p, f, args.seed)
     j = density.minimal_m2_subgraph(f)
     cap = alteration.lemma_constants(f, args.n).admissible_p_max
     _emit_json(args, {
         "command": "alter", "pattern": args.pattern, "n": args.n, "p": args.p,
-        "seed": args.seed, "j": j.to_text(), "in_regime": args.p <= cap,
+        "seed": args.seed.master, "j": j.to_text(), "in_regime": args.p <= cap,
         "sampled_edges": result.source.edge_count,
         "packed_copies": len(result.copies),
         "altered_edges": result.altered.edge_count,
@@ -106,22 +105,21 @@ def cmd_alter(args) -> int:
 def cmd_mu_sweep(args) -> int:
     f = parse_pattern(args.pattern)
     grid = [float(x) for x in args.p_grid.split(",")]
-    curve = thresholds.mu_curve(args.n, grid, f, args.trials, Seed.parse(args.seed))
-    rows = [[args.pattern, args.n, repr(p), repr(est.mu_hat),
-             repr(est.ci_lo), repr(est.ci_hi), args.trials, args.seed]
+    curve = thresholds.mu_curve(args.n, grid, f, args.trials, args.seed)
+    # insertion order gives the CSV columns; str() prints a float as the JSON writer does
+    rows = [{"pattern": args.pattern, "n": args.n, "p": p, **est._asdict(),
+             "trials": args.trials, "seed": args.seed.master}
             for p, est in zip(grid, curve)]
-    header = ["pattern", "n", "p", "mu_hat", "ci_lo", "ci_hi", "trials", "seed"]
     if args.format == "json":
-        _emit_json(args, {"command": "mu-sweep",
-                          "rows": [dict(zip(header, r)) for r in rows]})
+        _emit_json(args, {"command": "mu-sweep", "rows": rows})
     else:
-        _emit_csv(args, header, rows)
+        _emit_csv(args, rows)
     return 0
 
 
 def cmd_pc(args) -> int:
     est = thresholds.estimate_pc(args.n, parse_pattern(args.pattern), args.trials, args.tol,
-                                 Seed.parse(args.seed))
+                                 args.seed)
     _emit_json(args, {"command": "pc", **est._asdict()})
     return 0
 
@@ -129,10 +127,9 @@ def cmd_pc(args) -> int:
 def cmd_scaling(args) -> int:
     n_list = [int(x) for x in args.n_list.split(",")]
     fit = thresholds.scaling_fit(parse_pattern(args.pattern), n_list, args.trials, args.tol,
-                                 Seed.parse(args.seed))
-    _emit_json(args, {"command": "scaling", "seed": args.seed,
-                      "trials": args.trials, "tolerance": args.tol,
-                      **fit._asdict()})
+                                 args.seed)
+    _emit_json(args, {"command": "scaling", "seed": args.seed.master, "trials": args.trials,
+                      "tolerance": args.tol, **fit._asdict()})
     return 0
 
 
@@ -153,8 +150,7 @@ def _generated_family(args, f, weight=None):
             f"exist at n={n}; {fix}"
         )
     weights = None if weight is None else (weight,) * args.family_size
-    family = alteration.random_family(n, args.family_size, edges, Seed.parse(args.seed),
-                                      weights=weights)
+    family = alteration.random_family(n, args.family_size, edges, args.seed, weights=weights)
     return family, edges, delta
 
 
@@ -164,12 +160,11 @@ def cmd_lemma2(args) -> int:
     f = parse_pattern(args.pattern)
     family, _, delta = _generated_family(args, f, args.family_weight)
     alteration.require_family_condition(family, args.p, delta, "generated family")
-    records = [alteration.lemma2_trial(args.n, args.p, f, family, Seed.parse(args.seed),
-                                       trial_index=i)
+    records = [alteration.lemma2_trial(args.n, args.p, f, family, args.seed, trial_index=i)
                for i in range(args.trials)]
     _emit_json(args, {
         "command": "lemma2", "pattern": args.pattern, "n": args.n, "p": args.p,
-        "seed": args.seed, "trials": args.trials,
+        "seed": args.seed.master, "trials": args.trials,
         "family_size": args.family_size,
         "family_edge_counts": [g.edge_count for g in family.members],
         "family_weights": list(family.weights),
@@ -188,10 +183,10 @@ def cmd_refute(args) -> int:
     comps, edges, _ = _generated_family(args, f)
     gfam = alteration.WeightedFamily.unit(tuple(g.complement()
                                                 for g in comps.members))
-    result = alteration.refute_certificate(gfam, f, n, p, args.budget, Seed.parse(args.seed))
+    result = alteration.refute_certificate(gfam, f, n, p, args.budget, args.seed)
     _emit_json(args, {
         "command": "refute", "pattern": args.pattern, "n": n, "p": p,
-        "seed": args.seed, "members": args.family_size, "budget": args.budget,
+        "seed": args.seed.master, "members": args.family_size, "budget": args.budget,
         "complement_edges": edges,
         "success": result.success,
         "trials_used": len(result.trials),
@@ -278,6 +273,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
+        if "seed" in args:   # parsed here, so a bad seed gets the one-line error
+            args.seed = Seed.parse(args.seed)
         return COMMANDS[args.command][0](args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -171,6 +171,49 @@ def test_usage_errors_exit_2(capsys, argv, message):
     assert captured.err == f"error: {message}\n"
 
 
+_TINY = ["--n", "40", "--p", "0.2", "--family-size", "2"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["sample", "--n", "12", "--p", "0.3"],
+    ["alter", "--pattern", "triangle", "--n", "30", "--p", "0.01"],
+    ["pc", "--pattern", "triangle", "--n", "12", "--trials", "30"],
+    ["scaling", "--pattern", "triangle", "--n-list", "8,12,16", "--trials", "30"],
+    ["lemma2", "--pattern", "triangle", *_TINY, "--trials", "2"],
+    ["refute", "--pattern", "triangle", *_TINY, "--budget", "20"],
+    ["mu-sweep", "--pattern", "triangle", "--n", "8", "--p-grid", "0.1,0.5", "--trials", "20",
+     "--format", "json"],
+], ids=lambda argv: argv[0])
+def test_documents_write_the_parsed_seed(capsys, argv):
+    # one JSON type per key: every document, record and row writes the master
+    # seed as an int, whatever form --seed took, and mu-sweep rows hold numbers
+    code, out = run(capsys, *argv, "--seed", "0x1f")
+    assert code == 0
+    doc = json.loads(out)
+    seeds = re.findall(r'"seed": ([^,\n]*)', out)
+    assert seeds and set(seeds) == {"31"}, seeds
+    assert len(seeds) == ("seed" in doc) + len(doc.get("records", doc.get("rows", [])))
+    for row in doc.get("rows", []):
+        assert all(type(row[k]) is float for k in ("p", "mu_hat", "ci_lo", "ci_hi")), row
+
+
+@pytest.mark.parametrize("seed, message", [
+    ("x", "invalid literal for int() with base 0: 'x'"),
+    ("-1", "master seed must be a 64-bit nonnegative integer"),
+    ("0x10000000000000000", "master seed must be a 64-bit nonnegative integer"),
+    ("1e3", "invalid literal for int() with base 0: '1e3'"),
+])
+@pytest.mark.parametrize("argv", [
+    ["sample", "--n", "12", "--p", "0.3"],
+    ["lemma2", "--pattern", "triangle", *_TINY, "--trials", "2"],
+], ids=lambda argv: argv[0])
+def test_bad_seed_exits_2(capsys, argv, seed, message):
+    assert main([*argv, "--seed", seed]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 def test_exact_q_and_qf(capsys):
     code, out = run(capsys, "exact-q", "--pattern", "triangle", "--n", "3")
     assert code == 0
@@ -283,16 +326,17 @@ def test_reruns_byte_identical(capsys, argv):
 
 
 # stdout SHA-256 pinned at the commit before copies were found once each: a
-# change in the copy order would change the greedy packing and these bytes
+# change in the copy order would change the greedy packing and these bytes.
+# Re-pinned when `seed` became the parsed int (the only change in the JSON)
 @pytest.mark.parametrize("argv, digest", [
     (["lemma2", "--pattern", "K4", "--n", "60", "--p", "0.3", "--family-size", "4",
       "--trials", "3", "--seed", "5"],
-     "7168d32fa6f495d6fa3015783873b8810a9c5db0bd4bf120dd68c8f3eb083268"),
+     "2f3c9967b3d655406b4ba7e0ca46ef999968c60a1eea85c40f63545e1b436684"),
     (["lemma2", "--pattern", "C4", "--n", "100", "--p", "0.08", "--family-size", "4",
       "--trials", "4", "--seed", "5"],
-     "59ba63b7b4fec79301f205e3c736af6fa2388a950e306364aabae62e817e9722"),
+     "4ebd5b1a66199ad755fdb9c69de2a829d6b0337c9b01930e92c6d023f7757ffe"),
     (["alter", "--pattern", "0-1 1-2 3-4", "--n", "200", "--p", "0.02", "--seed", "5"],
-     "6169c390eca2f6d6883d32cccabd0566ea3f016a1b97588aa94aa17559a47cf3"),
+     "786f6f59b628c0455b30a1a2c2470d10472624e21af79d3c12b04141d0e74923"),
 ], ids=["lemma2-K4", "lemma2-C4", "alter-P3+K2"])
 def test_alteration_golden_digests(capsys, argv, digest):
     code, out = run(capsys, *argv)
@@ -302,14 +346,15 @@ def test_alteration_golden_digests(capsys, argv, digest):
 
 # stdout SHA-256 pinned at the commit before hitting times sorted only the
 # bands of marks they reach: a change in the arrival order would move a
-# hitting time and these bytes
+# hitting time and these bytes.  The scaling digests were re-pinned when
+# `seed` became the parsed int (the only change in the JSON)
 @pytest.mark.parametrize("argv, digest", [
     (["scaling", "--pattern", "triangle", "--n-list", "16,32,64,128", "--trials", "40",
       "--tol", "0.05", "--seed", "5"],
-     "22c48f6fcc3a966ebf8fc09e96748275987410a537f626ed60152df1b7e889a9"),
+     "9ad3db0d074b772e5d0fd55be477d5be21a767604f5092bef91eee1711cef2c7"),
     (["scaling", "--pattern", "C4", "--n-list", "16,32,64,128", "--trials", "40",
       "--tol", "0.05", "--seed", "5"],
-     "c29281405777876bde142b44d5caad13568c38966defe8e26e078d493818036c"),
+     "bda55312bd50198e16e74baae1b0f86bb5a8e764d91961f04b17e06dc11c2a64"),
     (["pc", "--pattern", "K4", "--n", "60", "--trials", "40", "--tol", "0.05", "--seed", "5"],
      "678f6cb9a1150daa691ae6f0b58643b3810d5d27f183f657fa06a8e91578f78a"),
     (["mu-sweep", "--pattern", "C4", "--n", "64", "--p-grid", "0.01,0.02,0.03,0.05",
@@ -404,7 +449,9 @@ def test_exact_golden_digests(capsys, command, pattern, tol):
 
 # stdout SHA-256 pinned at the commit before the documents were written from
 # the records' fields: a change in how a document is rendered (a key, a
-# number's form, an edge list) would change these bytes; `n=2 0-1` has no m2
+# number's form, an edge list) would change these bytes; `n=2 0-1` has no m2.
+# sample, refute and mu-sweep were re-pinned when `seed` became the parsed int
+# and the mu-sweep rows' p, mu_hat, ci_lo and ci_hi became numbers
 _DOCUMENT_DIGESTS = {
     **{("density", "--pattern", pattern): digest for pattern, digest in {
         "triangle": "9291a8e92af6e790bb638fb083b898bebe60474ee3f577de380f067c9966fd3f",
@@ -418,16 +465,16 @@ _DOCUMENT_DIGESTS = {
         "n=2 0-1": "3ea0291c0c41590ac7337b79f8bb432743e7fd8736178ee42deaddabf04d818b",
     }.items()},
     ("sample", "--n", "30", "--p", "0.2", "--seed", "9"):
-        "05d1ef0e064c8c5cde7c36225c4bffc237c44cef44ce97dc3869e693b25604ef",
+        "55cb527cccf1c25d5800bce7b5b11ad5f95e123af3dea39c35621d0bcbb0450e",
     ("refute", "--pattern", "triangle", "--n", "40", "--p", "0.2", "--family-size", "3",
      "--budget", "30", "--seed", "9"):
-        "452b9c7300fb15e990c8e0495232bcd9c71140ec56d6c97eceb806f65f6a9563",
+        "9aeb269ba5e43086a14fc2e62338ff939f53903644378f8812c5242fadadc647",
     ("refute", "--pattern", "triangle", "--n", "40", "--p", "0.2", "--family-size", "0",
      "--seed", "9"):
-        "dec3d615a2dfe2fc71dab84d69f9cc1e9e6c1c362c37419f9ea1ba032e28830e",
+        "a959bd2a554c069abd135edb1bb62394429e5afeb7cbdf10e58a3ef97f83f7cf",
     ("mu-sweep", "--pattern", "triangle", "--n", "10", "--p-grid", "0.1,0.3,0.5",
      "--trials", "60", "--seed", "9", "--format", "json"):
-        "56acfc8d53727929bbfe00018776afc40c9da5c2070de4d7833190ac5ea55111",
+        "5df266c0150352924bf4ca9f088a139a54a61d283507cb35c42fe5cc91fdf141",
 }
 
 
