@@ -1,9 +1,11 @@
 import math
+from bisect import bisect_left, bisect_right
 
 import numpy as np
 import pytest
 
 from ffree import thresholds
+from ffree.exact_tiny import mu_exact
 from ffree.graphs import PRESETS, PatternGraph, parse_pattern
 from ffree.sampling import EdgeThresholdTable, Seed, _p_to_grid, coupled_realize
 from ffree.subiso import contains_copy
@@ -228,3 +230,52 @@ def test_bracket_error_is_a_usage_error():
     with pytest.raises(BracketError, match="^thresholds: ") as info:
         estimate_pc(5, PRESETS["K5"], 3, 0.05, Seed(0))
     assert isinstance(info.value, ValueError)
+
+
+# The Monte Carlo layer against the exact layer at n <= 5.  mu_hat(p) is the
+# empirical survival function of the hitting times and mu_exact(p) its law, so by
+# the Dvoretzky-Kiefer-Wolfowitz inequality with Massart's constant (Ann. Probab.
+# 18:1269, 1990), P(sup_p |mu_hat - mu_exact| > eps) <= 2 exp(-2 N eps^2) for N
+# tables: at a false-failure rate of 1e-6 per case, eps = 0.0190 for N = 20000.
+EXACT_LAW_TABLES = 20_000
+EXACT_LAW_EPS = math.sqrt(math.log(2 / 1e-6) / (2 * EXACT_LAW_TABLES))
+
+
+def _p_at(n: int, f: PatternGraph, level: float) -> float:
+    """The p with mu_exact(n, p, F) = level; mu_exact falls strictly on [0, 1]."""
+    lo, hi = 0.0, 1.0
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        if mu_exact(n, mid, f) >= level:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+@pytest.mark.parametrize("text, n", [("triangle", 4), ("triangle", 5), ("C4", 5), ("P3", 5),
+                                     ("K4", 5), ("C5", 5), ("P4", 5)],
+                         ids=lambda v: str(v))
+def test_hitting_times_follow_the_exact_law(monkeypatch, text, n):
+    # one battery serves both checks: the hitting times estimate_pc computes
+    f = parse_pattern(text)
+    batteries = []
+    hitting_times = thresholds.hitting_times
+    monkeypatch.setattr(thresholds, "hitting_times",
+                        lambda *args: batteries.append(hitting_times(*args)) or batteries[-1])
+    est = estimate_pc(n, f, EXACT_LAW_TABLES, 0.01, Seed(11))
+    times = sorted(batteries[0])
+    # mu_hat is constant between its jumps and mu_exact is monotone, so the sup
+    # is attained on either side of a jump: at p = T / 2^64, mu_hat steps from
+    # #{T_i >= T} / N down to #{T_i > T} / N
+    size = len(times)
+    sup = max(max(abs(size - bisect_left(times, t) - size * mu),
+                  abs(size - bisect_right(times, t) - size * mu)) / size
+              for t in set(times) for mu in [mu_exact(n, t / 2.0 ** 64, f)])
+    assert sup <= EXACT_LAW_EPS, sup
+    # under the same event, mu_hat(lo) >= 1/2 > mu_hat(hi) puts the final bracket
+    # [lo, hi] across [p(1/2 + eps), p(1/2 - eps)]
+    lo = max(p for p, mu in est.trace if mu >= 0.5)
+    hi = min(p for p, mu in est.trace if mu < 0.5)
+    assert lo <= _p_at(n, f, 0.5 - EXACT_LAW_EPS), (lo, est.p_hat)
+    assert hi >= _p_at(n, f, 0.5 + EXACT_LAW_EPS), (hi, est.p_hat)
