@@ -5,10 +5,10 @@ construction of F-free graphs hitting adversarial families, Monte Carlo
 threshold location, and exact tiny-n expectation thresholds with the chain
 p_c <= q_f <= q.
 
-numpy is imported inside the functions that use it, so importing the package,
-the densities and the whole exact tiny-n layer (p_c, q_f and q) do not load it.
-fractions and hashlib are imported the same way, and the result records are
-NamedTuples, not dataclasses (the dataclasses module imports inspect).
+The package needs only the standard library.  fractions, hashlib and random
+are imported inside the functions that use them, so importing the package
+loads none of them, and the result records are NamedTuples, not dataclasses
+(the dataclasses module imports inspect).
 
 The records are also the command line's output: ffree.cli writes each
 `ffree/1` JSON document from a record's _asdict(), under its field names.

@@ -229,16 +229,21 @@ def min_family_edges(k: int, p: float, delta: float) -> int:
 
 
 def random_member(n: int, edge_count: int, gen) -> LabeledGraph:
-    """Uniform labeled graph on [n] with exactly edge_count edges."""
-    import numpy as np
+    """Uniform labeled graph on [n] with exactly edge_count edges.
+
+    Draws the smaller of its edge set and its complement's, one uniform pair
+    id per gen.random() call, rejecting repeats."""
     pairs = n * (n - 1) // 2
     if edge_count < 0:
         raise ValueError(f"edge_count must be >= 0, got {edge_count}")
     if edge_count > pairs:
         raise ValueError(f"edge_count {edge_count} exceeds {pairs} pairs")
-    present = np.zeros(pairs, dtype=bool)
-    present[gen.choice(pairs, size=edge_count, replace=False)] = True
-    return LabeledGraph.from_mask(n, present)
+    size = min(edge_count, pairs - edge_count)
+    chosen: set[int] = set()
+    while len(chosen) < size:
+        chosen.add(int(gen.random() * pairs))
+    g = LabeledGraph.from_ids(n, chosen)
+    return g if size == edge_count else g.complement()
 
 
 def random_family(n: int, k: int, edge_count: int, seed: Seed,

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from itertools import chain
 from json.encoder import encode_basestring_ascii
 
 from . import alteration, density, exact_tiny, thresholds
@@ -35,6 +36,12 @@ def _emit(args, text: str):
 _scalar = json.JSONEncoder(allow_nan=False).encode   # ValueError on NaN or inf
 
 
+def _int_pairs(o) -> bool:
+    """Whether the sequence o holds only 2-tuples of ints, as an edge list does."""
+    return (set(map(type, o)) == {tuple} and set(map(len, o)) == {2}
+            and set(map(type, chain.from_iterable(o))) == {int})
+
+
 def _json(o, indent: str = "") -> str:
     """json.dumps(o, indent=2, sort_keys=True) for str-keyed documents,
     without json's pure-Python encoder loop, refusing NaN and infinities.
@@ -45,7 +52,11 @@ def _json(o, indent: str = "") -> str:
     if isinstance(o, dict) and o:
         items = [f"{encode_basestring_ascii(k)}: {_json(v, inner)}" for k, v in sorted(o.items())]
     elif isinstance(o, (list, tuple)) and o:
-        items = [repr(v) if type(v) is int else _json(v, inner) for v in o]
+        if _int_pairs(o):   # an edge list: one format pass, no call per pair
+            pair = f"[\n{inner}  %d,\n{inner}  %d\n{inner}]"
+            items = [f",\n{inner}".join([pair] * len(o)) % tuple(chain.from_iterable(o))]
+        else:
+            items = [repr(v) if type(v) is int else _json(v, inner) for v in o]
     else:
         return _scalar(o)
     start, end = "{}" if isinstance(o, dict) else "[]"

@@ -10,12 +10,12 @@ Two representations are used throughout the project:
 
 The pair index convention is fixed project-wide: pair (u, v) with u < v has
 index v(v-1)/2 + u.  Everything that serializes edge ids relies on it; only
-this module decodes pair indices or packs pair arrays into bits.  Its
-decoders import numpy when first called, so importing the module does not.
+this module decodes pair indices or packs pair ids into bits.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from typing import NamedTuple
 
@@ -39,11 +39,10 @@ def pair_index(u: int, v: int, n: int) -> int:
 def pair_endpoints(ids) -> tuple[list[int], list[int]]:
     """Inverse of :func:`pair_index` over a sequence of pair indices:
     (u of each pair, v of each pair)."""
-    import numpy as np
-    k = np.asarray(ids, dtype=np.int64)
-    # floor(sqrt(8k + 1)) is 2v - 1 or 2v; float64 finds it for every v <= 9e7
-    v = (np.sqrt(8 * k + 1).astype(np.int64) + 1) >> 1
-    return (k - (v * (v - 1) >> 1)).tolist(), v.tolist()
+    isqrt = math.isqrt
+    # 8k + 1 = (2v - 1)^2 + 8u with 0 <= u < v, so isqrt(8k + 1) is 2v - 1 or 2v
+    vs = [(isqrt(8 * k + 1) + 1) >> 1 for k in ids]
+    return [k - (v * (v - 1) >> 1) for k, v in zip(ids, vs)], vs
 
 
 class PatternGraph(NamedTuple("PatternGraph", [("vertex_count", int),
@@ -209,11 +208,12 @@ class LabeledGraph(NamedTuple("LabeledGraph", [("n", int), ("bits", int)])):
         return LabeledGraph(n, bits)
 
     @staticmethod
-    def from_mask(n: int, present) -> "LabeledGraph":
-        """Graph whose edges are the pair indices where bool array `present` is true."""
-        import numpy as np
-        packed = np.packbits(present, bitorder="little")
-        return LabeledGraph(n, int.from_bytes(packed.tobytes(), "little"))
+    def from_ids(n: int, ids) -> "LabeledGraph":
+        """Graph whose edges are the given pair indices (repeats allowed)."""
+        raw = bytearray((n * (n - 1) // 2 + 7) // 8)
+        for k in ids:
+            raw[k >> 3] |= 1 << (k & 7)
+        return LabeledGraph(n, int.from_bytes(raw, "little"))
 
     @property
     def pair_count(self) -> int:
@@ -229,10 +229,12 @@ class LabeledGraph(NamedTuple("LabeledGraph", [("n", int), ("bits", int)])):
 
     def edge_ids(self) -> list[int]:
         """Pair indices of the edges, increasing."""
-        import numpy as np
-        raw = self.bits.to_bytes((self.bits.bit_length() + 7) // 8, "little")
-        bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8), bitorder="little")
-        return np.flatnonzero(bits).tolist()
+        text = format(self.bits, "b")[::-1]   # text[k] is bit k
+        ids, k = [], text.find("1")
+        while k >= 0:
+            ids.append(k)
+            k = text.find("1", k + 1)
+        return ids
 
     def edges(self) -> list[tuple[int, int]]:
         return list(zip(*pair_endpoints(self.edge_ids())))

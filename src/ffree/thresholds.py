@@ -10,46 +10,24 @@ Newman-Ziff single pass).  For every p,
     contains_copy(coupled_realize(table, p), F)  ==  T < grid(p),
 
 so mu_hat(p) is the count #{T_i >= grid(p)} / N over one battery of tables.
-Each table is generated, scanned once and dropped.  The scan sorts and
-decodes the marks band by band, each band of marks [lo, hi) in (mark, id)
-order, and stops at the pair that completes F, whose mark is T: a triangle
-or C4 appears after about n of the n(n-1)/2 arrivals, so most marks are
-never sorted.  The bisection for p_c probes that count, which makes its
-trace exactly non-increasing in p; fresh seeds across repeats quantify
-sampling error.
+A table is its arrival stream (sampling.EdgeThresholdTable): the scan reads
+the arrivals, which the table draws one at a time as they are read, and
+stops at the pair that completes F, whose mark is T.  A triangle or C4
+appears after about n of the n(n-1)/2 arrivals, so most marks are never
+drawn.  The bisection for p_c probes that count, which makes its trace
+exactly non-increasing in p; fresh seeds across repeats quantify sampling
+error.
 """
 
 from __future__ import annotations
 
 import math
-from itertools import chain
 from typing import NamedTuple
 
 from .density import m_density
-from .graphs import PatternGraph, pair_endpoints, pair_index
+from .graphs import PatternGraph, pair_index
 from .sampling import _GRID, EdgeThresholdTable, Seed, _p_to_grid
 from .subiso import first_completing_edge
-
-
-def _arrival_bands(table: EdgeThresholdTable):
-    """Pair ids in increasing (mark, id) order, as a stable argsort of the
-    marks has them, sorted one band of marks [lo, hi) at a time.
-
-    The first band holds ~2n pairs, past the ~n arrivals after which a
-    triangle or C4 typically appears, and each cut doubles the last.  Once a
-    cut would pass a quarter of the grid the band takes every mark left, so
-    tables of at most 8n pairs (n <= 17) are sorted at once: there a band's
-    fixed cost outweighs the sorting it saves.
-    """
-    import numpy as np
-    u = table.u
-    lo, hi = 0, 2 * table.n * _GRID // len(u)
-    while 4 * hi < _GRID:
-        band = np.flatnonzero((u >= lo) & (u < hi))
-        yield band[np.argsort(u[band], kind="stable")]
-        lo, hi = hi, 2 * hi
-    band = np.flatnonzero(u >= lo)
-    yield band[np.argsort(u[band], kind="stable")]
 
 
 def hitting_time(table: EdgeThresholdTable, f: PatternGraph) -> int:
@@ -62,11 +40,10 @@ def hitting_time(table: EdgeThresholdTable, f: PatternGraph) -> int:
         return _GRID
     if f.edge_count == 0:
         return -1
-    pairs = chain.from_iterable(zip(*pair_endpoints(band)) for band in _arrival_bands(table))
-    hit = first_completing_edge(table.n, pairs, f)
+    hit = first_completing_edge(table.n, table.arrival_pairs(), f)
     # a copy on at most n vertices is completed by the time every edge arrives
     assert hit is not None
-    return int(table.u[pair_index(*hit, table.n)])
+    return table.marks[table.ids.index(pair_index(*hit, table.n))]
 
 
 def hitting_times(n: int, f: PatternGraph, trials: int, seed: Seed,
@@ -184,9 +161,11 @@ def scaling_fit(f: PatternGraph, n_list: list[int], trials: int,
     if len(n_list) < 3 or sorted(n_list) != list(n_list) or len(set(n_list)) != len(n_list):
         raise ValueError("need at least 3 strictly increasing n values")
     m = m_density(f)   # refuses a too-large F before any estimate
-    import numpy as np
     points = [(n, estimate_pc(n, f, trials, tolerance, seed).p_hat) for n in n_list]
-    slope, intercept = np.polyfit(np.log([n for n, _ in points]),
-                                  np.log([p for _, p in points]), 1)
-    return ScalingFit(f.to_text(), tuple(points), float(slope), float(intercept),
+    xs = [math.log(n) for n, _ in points]
+    ys = [math.log(p) for _, p in points]
+    x_mean, y_mean = sum(xs) / len(xs), sum(ys) / len(ys)
+    slope = (sum((x - x_mean) * (y - y_mean) for x, y in zip(xs, ys))
+             / sum((x - x_mean) ** 2 for x in xs))
+    return ScalingFit(f.to_text(), tuple(points), slope, y_mean - slope * x_mean,
                       -1.0 / float(m))

@@ -12,8 +12,8 @@ first, random family members by setting one big-int bit per drawn pair,
 the exact p_c by a bisection loop of its own, pair ids by an integer square
 root per id, the tiny-n F-free census by searching every graph on [n],
 the least cover cost by a branch and bound with a per-element amortized
-bound in place of LP prices, the hitting time by one stable argsort
-and decode of every mark before the first arrival, the covering LP's
+bound in place of LP prices, the hitting time by a contains_copy search of
+each prefix of the whole arrival stream, the covering LP's
 float optimum by a numpy tableau simplex on the labeled instance instead of
 a list tableau on its S_n-orbits, the census's copies of F by the
 subgraph search on K_n instead of by permuting [n], the greedy cover by
@@ -29,6 +29,7 @@ node instead of raising its parent's.
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import math
 from fractions import Fraction
@@ -37,10 +38,9 @@ import numpy as np
 
 from ffree.exact_tiny import (PIVOT_CAP, SIMPLEX_TOL, PivotCapError, _greedy_cost, _Instance,
                               _root_bound, _spread, mu_exact)
-from ffree.graphs import LabeledGraph, PatternGraph, pair_endpoints, pair_index
+from ffree.graphs import LabeledGraph, PatternGraph, pair_index
 from ffree.sampling import EdgeThresholdTable, Seed, coupled_realize, sample_gnp
-from ffree.subiso import (_embeddings, _host, _search_order, contains_copy, enumerate_copies,
-                          first_completing_edge)
+from ffree.subiso import _embeddings, _host, _search_order, contains_copy, enumerate_copies
 from ffree.thresholds import MuEstimate, ThresholdEstimate, wilson_interval
 
 
@@ -227,13 +227,18 @@ def census_from_copies_oracle(n: int, f: PatternGraph
 
 
 def random_member_oracle(n: int, edge_count: int, gen) -> LabeledGraph:
-    """random_member by or-ing one bit per drawn pair into a growing int."""
+    """random_member by or-ing one bit per drawn pair into a growing int, a
+    repeat being a pair whose bit is already set, and xor-ing the drawn bits
+    out of K_n when the complement is the smaller set."""
     pairs = n * (n - 1) // 2
-    chosen = gen.choice(pairs, size=edge_count, replace=False)
+    flip = edge_count > pairs - edge_count
     bits = 0
-    for k in chosen:
-        bits |= 1 << int(k)
-    return LabeledGraph(n, bits)
+    for _ in range(pairs - edge_count if flip else edge_count):
+        k = int(gen.random() * pairs)
+        while bits >> k & 1:
+            k = int(gen.random() * pairs)
+        bits |= 1 << k
+    return LabeledGraph(n, bits ^ ((1 << pairs) - 1) if flip else bits)
 
 
 def partition_cover_oracle(elements: list[int], m: int, p: Fraction) -> Fraction:
@@ -487,16 +492,26 @@ def pc_exact_oracle(n: int, f: PatternGraph, tolerance: float = 1e-12) -> float:
 
 
 def hitting_time_oracle(table: EdgeThresholdTable, f: PatternGraph) -> int:
-    """hitting_time from one stable argsort of every mark, every pair decoded
-    before the first arrival is read."""
+    """hitting_time from the table's whole stream, drawn first, by a search
+    of each prefix with contains_copy."""
     if table.n < f.vertex_count:
         return 1 << 64
     if f.edge_count == 0:
         return -1
-    order = np.argsort(table.u, kind="stable")
-    hit = first_completing_edge(table.n, zip(*pair_endpoints(order)), f)
-    assert hit is not None
-    return int(table.u[pair_index(*hit, table.n)])
+    table.count_below(1 << 64)
+    bits = 0
+    for mark, k in zip(table.marks, table.ids):
+        bits |= 1 << k
+        if contains_copy(LabeledGraph(table.n, bits), f):
+            return mark
+    raise AssertionError("a copy on at most n vertices completes by the last arrival")
+
+
+def numpy_stream(master: int, purpose: str, index: int = 0) -> np.random.Generator:
+    """A numpy Philox generator keyed by (master, purpose, index), for tests
+    that draw their own data with numpy."""
+    tag = int.from_bytes(hashlib.blake2b(purpose.encode(), digest_size=8).digest(), "big")
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence([master, tag, index])))
 
 
 def greedy_cover_oracle(a: np.ndarray, weights: list[float]) -> float:

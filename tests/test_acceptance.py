@@ -44,7 +44,7 @@ from ffree.subiso import contains_copy
 from ffree.thresholds import scaling_fit
 from fractions import Fraction
 
-from oracles import density_oracle, lp_bfs_oracle
+from oracles import density_oracle, lp_bfs_oracle, numpy_stream
 
 TRIANGLE = PRESETS["triangle"]
 C4 = PRESETS["C4"]
@@ -212,8 +212,7 @@ def test_refutation_harness_n60():
 
 
 def test_chernoff_utility_bound():
-    draws = Seed(99).stream("acceptance-chernoff").binomial(200, 0.1,
-                                                            size=100_000)
+    draws = numpy_stream(99, "acceptance-chernoff").binomial(200, 0.1, size=100_000)
     freq = float((draws <= 10).mean())
     bound = math.exp(-2.5)
     se = math.sqrt(bound * (1 - bound) / 100_000)

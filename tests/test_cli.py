@@ -1,3 +1,4 @@
+import ast
 import hashlib
 import json
 import math
@@ -13,6 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import ffree
+from ffree import sampling, thresholds
 from ffree.cli import COMMANDS, _json, build_parser, main
 from ffree.sampling import EdgeThresholdTable
 
@@ -93,10 +95,13 @@ def test_pc_json(capsys):
     assert abs(doc["p_hat"] - 0.5 ** (1 / 3)) < 0.1
 
 
-def test_pc_usage_errors_exit_2(capsys):
+def test_pc_usage_errors_exit_2(capsys, monkeypatch):
     # 2 of 3 tables on 5 vertices are still K5-free at the top endpoint
-    assert main(["pc", "--pattern", "K5", "--n", "5", "--trials", "3",
-                 "--seed", "0"]) == 2
+    top = 1 << 64
+    with monkeypatch.context() as patch:
+        patch.setattr(thresholds, "hitting_times", lambda *args: [top - 1, top - 1, 0])
+        assert main(["pc", "--pattern", "K5", "--n", "5", "--trials", "3",
+                     "--seed", "0"]) == 2
     assert capsys.readouterr().err.startswith("error: thresholds: ")
     assert main(["pc", "--pattern", "triangle", "--n", "5", "--trials", "0"]) == 2
 
@@ -327,16 +332,17 @@ def test_reruns_byte_identical(capsys, argv):
 
 # stdout SHA-256 pinned at the commit before copies were found once each: a
 # change in the copy order would change the greedy packing and these bytes.
-# Re-pinned when `seed` became the parsed int (the only change in the JSON)
+# Re-pinned when `seed` became the parsed int (the only change in the JSON),
+# and when the tables became pure-Python arrival streams (only the draws changed)
 @pytest.mark.parametrize("argv, digest", [
     (["lemma2", "--pattern", "K4", "--n", "60", "--p", "0.3", "--family-size", "4",
       "--trials", "3", "--seed", "5"],
-     "2f3c9967b3d655406b4ba7e0ca46ef999968c60a1eea85c40f63545e1b436684"),
+     "f6071e8632d77732f3a8c7fa5b0700d52bcc43f032a0cb50be5136b3209c8733"),
     (["lemma2", "--pattern", "C4", "--n", "100", "--p", "0.08", "--family-size", "4",
       "--trials", "4", "--seed", "5"],
-     "4ebd5b1a66199ad755fdb9c69de2a829d6b0337c9b01930e92c6d023f7757ffe"),
+     "24c0a423551c196537735db22163cc73ed05e46f3d397787466c9078dfee27e6"),
     (["alter", "--pattern", "0-1 1-2 3-4", "--n", "200", "--p", "0.02", "--seed", "5"],
-     "786f6f59b628c0455b30a1a2c2470d10472624e21af79d3c12b04141d0e74923"),
+     "d4c4c003c3c02182e16dc73c9d9b80876c770e65f781cd5c4f8108a95757a8ab"),
 ], ids=["lemma2-K4", "lemma2-C4", "alter-P3+K2"])
 def test_alteration_golden_digests(capsys, argv, digest):
     code, out = run(capsys, *argv)
@@ -344,22 +350,21 @@ def test_alteration_golden_digests(capsys, argv, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
-# stdout SHA-256 pinned at the commit before hitting times sorted only the
-# bands of marks they reach: a change in the arrival order would move a
-# hitting time and these bytes.  The scaling digests were re-pinned when
-# `seed` became the parsed int (the only change in the JSON)
+# stdout SHA-256 of the hitting-time estimates: a change in the arrival order
+# would move a hitting time and these bytes.  Re-pinned when the tables became
+# pure-Python arrival streams (only the draws changed)
 @pytest.mark.parametrize("argv, digest", [
     (["scaling", "--pattern", "triangle", "--n-list", "16,32,64,128", "--trials", "40",
       "--tol", "0.05", "--seed", "5"],
-     "9ad3db0d074b772e5d0fd55be477d5be21a767604f5092bef91eee1711cef2c7"),
+     "341b5b091a9e076e71f0eb297bee8396b43cfc1ca86f8d9945af96997d207a86"),
     (["scaling", "--pattern", "C4", "--n-list", "16,32,64,128", "--trials", "40",
       "--tol", "0.05", "--seed", "5"],
-     "bda55312bd50198e16e74baae1b0f86bb5a8e764d91961f04b17e06dc11c2a64"),
+     "5d4fed2324576e32ad143c8507311d52be6c90aa8a1d3b6a79761fdf5878493a"),
     (["pc", "--pattern", "K4", "--n", "60", "--trials", "40", "--tol", "0.05", "--seed", "5"],
-     "678f6cb9a1150daa691ae6f0b58643b3810d5d27f183f657fa06a8e91578f78a"),
+     "4518f5eee6f6146a99d1cfc357b28c690e657a359057a749613364bb71e4a8d8"),
     (["mu-sweep", "--pattern", "C4", "--n", "64", "--p-grid", "0.01,0.02,0.03,0.05",
       "--trials", "40", "--seed", "5"],
-     "8ed67ae9f4f8926ae07772677128db830760786b720c0ddee494191a94c4266f"),
+     "01bf7611d2c55f34fe004cbb89213ac6af9132f18f9bc678f2bef5dd14e44316"),
 ], ids=["scaling-triangle", "scaling-C4", "pc-K4", "mu-sweep-C4"])
 def test_monte_carlo_golden_digests(capsys, argv, digest):
     code, out = run(capsys, *argv)
@@ -451,7 +456,8 @@ def test_exact_golden_digests(capsys, command, pattern, tol):
 # the records' fields: a change in how a document is rendered (a key, a
 # number's form, an edge list) would change these bytes; `n=2 0-1` has no m2.
 # sample, refute and mu-sweep were re-pinned when `seed` became the parsed int
-# and the mu-sweep rows' p, mu_hat, ci_lo and ci_hi became numbers
+# and the mu-sweep rows' p, mu_hat, ci_lo and ci_hi became numbers, and again
+# when the tables became pure-Python arrival streams (only the draws changed)
 _DOCUMENT_DIGESTS = {
     **{("density", "--pattern", pattern): digest for pattern, digest in {
         "triangle": "9291a8e92af6e790bb638fb083b898bebe60474ee3f577de380f067c9966fd3f",
@@ -465,16 +471,16 @@ _DOCUMENT_DIGESTS = {
         "n=2 0-1": "3ea0291c0c41590ac7337b79f8bb432743e7fd8736178ee42deaddabf04d818b",
     }.items()},
     ("sample", "--n", "30", "--p", "0.2", "--seed", "9"):
-        "55cb527cccf1c25d5800bce7b5b11ad5f95e123af3dea39c35621d0bcbb0450e",
+        "58270676bde9e6c4fa6f75478aad7e787456d09da0e110bd76a78aaf44a62938",
     ("refute", "--pattern", "triangle", "--n", "40", "--p", "0.2", "--family-size", "3",
      "--budget", "30", "--seed", "9"):
-        "9aeb269ba5e43086a14fc2e62338ff939f53903644378f8812c5242fadadc647",
+        "093f5ed7295bc11c7d1ae2e3fa08863f34fabbc89cedabe22ba55eb7b8409529",
     ("refute", "--pattern", "triangle", "--n", "40", "--p", "0.2", "--family-size", "0",
      "--seed", "9"):
         "a959bd2a554c069abd135edb1bb62394429e5afeb7cbdf10e58a3ef97f83f7cf",
     ("mu-sweep", "--pattern", "triangle", "--n", "10", "--p-grid", "0.1,0.3,0.5",
      "--trials", "60", "--seed", "9", "--format", "json"):
-        "5df266c0150352924bf4ca9f088a139a54a61d283507cb35c42fe5cc91fdf141",
+        "770e8b0a88a1abb665b1910bd2496e414076975e95798e6434128a4c0e817e67",
 }
 
 
@@ -496,16 +502,32 @@ def test_exact_golden_petersen_gap_exits_2(capsys):
 
 
 def test_out_of_memory_exits_2(capsys, monkeypatch):
-    # a table of n(n-1)/2 marks at n = 100000 needs 37 GiB; fail as numpy would
+    # a MemoryError raised while a table is drawn ends the call with one line
     def generate(n, gen):
-        raise MemoryError(f"Unable to allocate 37.3 GiB for {n * (n - 1) // 2} marks")
+        raise MemoryError(f"no room for the arrivals of {n * (n - 1) // 2} pairs")
 
     monkeypatch.setattr(EdgeThresholdTable, "generate", staticmethod(generate))
     assert main(["pc", "--pattern", "triangle", "--n", "100000", "--trials", "1"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("error: out of memory: Unable to allocate 37.3 GiB")
-    assert captured.err.count("\n") == 1
+    assert captured.err == "error: out of memory: no room for the arrivals of 4999950000 pairs\n"
+
+
+def test_realization_too_large_for_memory_exits_2_at_once(capsys, monkeypatch, deadline):
+    # G(100000, 1/2) has ~2.5e9 edges to draw, ~298 GiB of arrivals: refused
+    # before the first draw, on a machine of any size
+    deadline(5)
+    monkeypatch.setattr(sampling, "_memory_bytes", lambda: 64 << 30)
+
+    def draws(table):
+        raise AssertionError("an arrival was drawn")
+
+    monkeypatch.setattr(EdgeThresholdTable, "_draws", draws)
+    assert main(["sample", "--n", "100000", "--p", "0.5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: out of memory: drawing the edges of a G(100000, p) sample "
+                            "needs ~298 GiB, more than this machine's 64 GiB\n")
 
 
 def _python_subprocess(*argv):
@@ -523,24 +545,32 @@ def _ffree_subprocess(*argv):
 
 
 def test_exact_layer_and_density_run_without_numpy():
-    # numpy, fractions and hashlib are imported inside the functions that use
-    # them, and the records are NamedTuples, not dataclasses (whose module
-    # imports inspect): a fresh interpreter imports the CLI, builds its parser
-    # and runs these commands without loading any of them; density, last,
-    # may load fractions
+    # no subcommand loads numpy, and the records are NamedTuples, not
+    # dataclasses (whose module imports inspect).  random and hashlib are
+    # imported by Seed.stream and fractions by the densities, so `import
+    # ffree.cli` and its parser load none of them; the exact layer loads
+    # none either, and every seeded subcommand, last, may load all three
+    seeded = {name for name, (_, _, specs) in COMMANDS.items()
+              if any(flag == "--seed" for flag, _ in specs)}
     script = "\n".join([
         "import contextlib, io, json, sys",
-        "unused = {'numpy', 'dataclasses', 'inspect', 'fractions', 'decimal',",
-        "          'hashlib', '_hashlib'}",
+        "before = set(sys.modules)",
         "import ffree.cli",
         "ffree.cli.build_parser()",
-        "assert not unused & sys.modules.keys(), ('import ffree.cli', unused & sys.modules.keys())",
-        "for argv in json.loads(sys.argv[1]):",
+        "lazy = {'numpy', 'dataclasses', 'inspect', 'fractions', 'decimal', 'random',",
+        "        'hashlib', '_hashlib'}",
+        "assert not lazy & (sys.modules.keys() - before), lazy & (sys.modules.keys() - before)",
+        "unused = lazy - {'random'} - before",
+        "argvs, seeded = json.loads(sys.argv[1]), json.loads(sys.argv[2])",
+        "for argv in argvs:",
         "    with contextlib.redirect_stdout(io.StringIO()):",
         "        assert ffree.cli.main(argv) == 0, argv",
         "    if argv[0] == 'density':",
         "        unused -= {'fractions', 'decimal'}",
+        "    if argv[0] in seeded:",
+        "        unused -= {'fractions', 'decimal', 'hashlib', '_hashlib'}",
         "    assert not unused & sys.modules.keys(), (argv, unused & sys.modules.keys())",
+        "assert 'numpy' in unused",
     ])
     argvs = [["exact-qf", "--pattern", "C4", "--n", "5", "--tol", "0.01"],
              ["exact-qf", "--pattern", "n=3", "--n", "3"], ["--help"],
@@ -550,9 +580,29 @@ def test_exact_layer_and_density_run_without_numpy():
              # probes of q here search below the root
              *([command, "--pattern", text, "--n", "5"]
                for command in ("exact-q", "gap") for text in ("C4", "P3", "n=4 0-1 1-2")),
-             ["density", "--pattern", "C4"]]
-    proc = _python_subprocess("-c", script, json.dumps(argvs))
+             ["density", "--pattern", "C4"],
+             ["sample", "--n", "30", "--p", "0.2"],
+             ["alter", "--pattern", "triangle", "--n", "30", "--p", "0.05"],
+             ["mu-sweep", "--pattern", "C4", "--n", "8", "--p-grid", "0.1,0.5", "--trials", "20"],
+             ["pc", "--pattern", "triangle", "--n", "8", "--trials", "20"],
+             ["scaling", "--pattern", "triangle", "--n-list", "4,6,8", "--trials", "20"],
+             ["lemma2", "--pattern", "triangle", "--n", "30", "--p", "0.2", "--trials", "2"],
+             ["refute", "--pattern", "triangle", "--n", "40", "--p", "0.2", "--budget", "30"]]
+    assert {argv[0] for argv in argvs if argv[0] != "--help"} == set(COMMANDS)
+    proc = _python_subprocess("-c", script, json.dumps(argvs), json.dumps(sorted(seeded)))
     assert proc.returncode == 0, proc.stderr
+
+
+def test_no_module_imports_numpy():
+    for path in sorted(Path(ffree.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            assert not [m for m in names if m.split(".")[0] == "numpy"], (path.name, node.lineno)
 
 
 def test_exact_qf_c4_n5_terminates():
@@ -649,8 +699,14 @@ def _expanded(o):
     return o
 
 
+# edge lists, which the writer formats in one pass, and lists of pairs that
+# only look like them (a bool is an int to %d, but not to JSON)
+_PAIR_LISTS = st.lists(st.tuples(st.integers(), st.integers())
+                       | st.tuples(st.integers() | st.booleans(), st.integers()))
+
+
 @settings(max_examples=150, deadline=None)
-@given(st.recursive(_SCALARS, lambda kids: st.lists(kids) | st.tuples(kids, kids)
+@given(st.recursive(_SCALARS | _PAIR_LISTS, lambda kids: st.lists(kids) | st.tuples(kids, kids)
                     | st.dictionaries(st.text(), kids) | _records(kids), max_leaves=30))
 def test_json_writer_matches_json_dumps(doc):
     assert _json(doc) == json.dumps(_expanded(doc), indent=2, sort_keys=True)

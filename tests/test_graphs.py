@@ -146,12 +146,14 @@ def test_labeled_graph_edges_roundtrip():
     assert g.bits >> pair_index(2, 4, 5) & 1 and not g.bits >> pair_index(0, 4, 5) & 1
 
 
-@given(st.integers(1, 40), st.integers(0, 2**800))
-def test_from_mask_matches_from_edges(n, raw):
+@given(st.integers(1, 40), st.integers(0, 2**800), st.randoms(use_true_random=False))
+def test_from_ids_matches_from_edges(n, raw, rnd):
     pairs = [(u, v) for v in range(n) for u in range(v)]   # colex order
-    present = np.array([raw >> k & 1 for k in range(len(pairs))], dtype=bool)
-    edges = [e for e, x in zip(pairs, present) if x]
-    g = LabeledGraph.from_mask(n, present)
+    ids = [k for k in range(len(pairs)) if raw >> k & 1]
+    edges = [pairs[k] for k in ids]
+    shuffled = ids + ids[:len(ids) // 2]   # in any order, with repeats
+    rnd.shuffle(shuffled)
+    g = LabeledGraph.from_ids(n, shuffled)
     assert g == LabeledGraph.from_edges(n, edges)
     assert g.edges() == edges
 

@@ -13,6 +13,8 @@ from ffree.sampling import (
     sample_gnp,
 )
 
+from oracles import numpy_stream
+
 
 def test_extreme_p():
     s = Seed(123)
@@ -35,10 +37,16 @@ def test_streams_disjoint():
 
 
 def test_known_stream_frozen():
-    # pin-down regression: the derivation (master, purpose, index) -> bits
-    # must never change across releases or platforms
-    g = sample_gnp(6, 0.5, Seed(2024), purpose="gnp", index=0)
-    assert g == sample_gnp(6, 0.5, Seed(2024))
+    # pin-down regression: the derivation (master, purpose, index) -> draws
+    # must never change across releases or platforms: the stream's first
+    # value, the arrivals (pair id, mark) of its table, and the graph at p = 1/2
+    assert Seed(2024).stream("gnp", 0).random() == 0.3736177004213579
+    table = EdgeThresholdTable.generate(6, Seed(2024).stream("gnp", 0))
+    assert table.count_below(1 << 63) == 5
+    assert list(zip(table.ids, table.marks)) == [
+        (6, 566407579799749440), (8, 814387143110845952), (11, 7749419179622144000),
+        (5, 7990984220929133568), (1, 8494758459912781824), (2, 9318030543383812096)]
+    assert sample_gnp(6, 0.5, Seed(2024)) == LabeledGraph(6, 2402)
 
 
 def test_seed_parsing_and_validation():
@@ -91,7 +99,7 @@ def test_chernoff_values():
 @pytest.mark.parametrize("n_draws,p", [(100, 0.1), (200, 0.1), (400, 0.05)])
 def test_chernoff_bound_holds_empirically(n_draws, p):
     reps = 100_000
-    gen = Seed(7).stream(f"chernoff-{n_draws}")
+    gen = numpy_stream(7, f"chernoff-{n_draws}")
     draws = gen.binomial(n_draws, p, size=reps)
     freq = float(np.mean(draws <= n_draws * p / 2))
     bound = chernoff_tail_bound(n_draws, p)

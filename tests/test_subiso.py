@@ -112,9 +112,9 @@ def test_enumeration_in_dense_hosts():
              (LabeledGraph.complete(6), "0-1 2-3", 3 * math.comb(6, 4)),
              (LabeledGraph.complete(5), "0-1 1-2 3-4", 5 * math.comb(4, 2)),
              (petersen, "petersen", 1),
-             (_dense(0.85, 4), "K5", 42),
+             (_dense(0.85, 4), "K5", 44),
              (LabeledGraph(10, petersen.bits | _dense(0.5, 3).bits),
-              "petersen", 24)]
+              "petersen", 36)]
     for g, name, count in cases:
         copies = enumerate_copies(g, ALL_PATTERNS[name])
         assert len(copies) == count, name

@@ -1,4 +1,5 @@
 import math
+import random
 from bisect import bisect_left, bisect_right
 
 import numpy as np
@@ -11,7 +12,6 @@ from ffree.sampling import EdgeThresholdTable, Seed, _p_to_grid, coupled_realize
 from ffree.subiso import contains_copy
 from ffree.thresholds import (
     BracketError,
-    _arrival_bands,
     estimate_mu,
     estimate_pc,
     hitting_time,
@@ -20,7 +20,7 @@ from ffree.thresholds import (
     wilson_interval,
 )
 
-from oracles import hitting_time_oracle, mu_oracle, pc_bisection_oracle
+from oracles import hitting_time_oracle, mu_oracle, numpy_stream, pc_bisection_oracle
 
 TRIANGLE = PRESETS["triangle"]
 
@@ -104,7 +104,7 @@ def test_hitting_time_matches_realized_search(text):
     # contains_copy(coupled_realize(t, p), F) == (T < grid(p)) for every p:
     # at the extremes, at random p, and on either side of T itself
     f = parse_pattern(text)
-    gen = Seed(5).stream("hitting-p")
+    gen = numpy_stream(5, "hitting-p")
     for n in (1, 3, 4, 5, 8, 12):
         for i in range(12):
             table = EdgeThresholdTable.generate(n, Seed(11).stream(f"ht-{n}", i))
@@ -118,26 +118,23 @@ def test_hitting_time_matches_realized_search(text):
 
 
 def _table(n: int, marks) -> EdgeThresholdTable:
-    u = np.array(marks, dtype=np.uint64)
-    assert len(u) == n * (n - 1) // 2
-    return EdgeThresholdTable(n, u)
-
-
-def _assert_arrivals_stable_argsort(table: EdgeThresholdTable):
-    bands = list(_arrival_bands(table))
-    assert np.array_equal(np.concatenate(bands), np.argsort(table.u, kind="stable"))
+    """A table drawn in full in which pair id k has mark marks[k]; equal marks
+    arrive in id order."""
+    marks = [int(m) for m in marks]
+    assert len(marks) == n * (n - 1) // 2
+    table = EdgeThresholdTable.generate(n, random.Random(0))
+    table.ids.extend(sorted(range(len(marks)), key=marks.__getitem__))
+    table.marks.extend(marks[k] for k in table.ids)
+    return table
 
 
 @pytest.mark.parametrize("text", HITTING_PATTERNS)
 def test_hitting_time_equals_full_sort_oracle(text):
-    # n = 17 is the largest table sorted at once; n >= 18 cuts bands
     f = parse_pattern(text)
     for n in (1, 2, 3, 5, 8, 17, 18, 24, 40, 64, 128):
         for i in range(6 if n < 64 else 3):
             table = EdgeThresholdTable.generate(n, Seed(12).stream(f"oracle-{n}", i))
             assert hitting_time(table, f) == hitting_time_oracle(table, f), (n, i)
-            if n > 1:
-                _assert_arrivals_stable_argsort(table)
 
 
 def test_hitting_time_equals_oracle_p3_n300():
@@ -147,49 +144,52 @@ def test_hitting_time_equals_oracle_p3_n300():
 
 
 def _tied_tables(n: int):
-    """Tables of coarse marks, so many tie, with a tenth of the pairs on a
-    band cut (2n/size of the grid, doubling), next to one, at 0 or 2^64 - 1."""
+    """Tables of coarse marks, so many tie, with a tenth of the pairs at the
+    ends of the grid, 0 and 2^64 - 1."""
     size = n * (n - 1) // 2
-    cuts = [(2 * n << 64) // size << k for k in range(3)]
-    special = [0, (1 << 64) - 1, *(c + d for c in cuts for d in (-1, 0, 1) if c + d < 1 << 64)]
-    gen = Seed(21).stream(f"ties-{n}")
+    gen = numpy_stream(21, f"ties-{n}")
     for levels in (8, 64, 512, 4096):
         u = gen.integers(0, levels, size, dtype=np.uint64) * np.uint64((1 << 64) // levels)
         at = gen.choice(size, size // 10, replace=False)
-        u[at] = gen.choice(np.array(special, dtype=np.uint64), len(at))
+        u[at] = gen.choice(np.array([0, (1 << 64) - 1], dtype=np.uint64), len(at))
         yield _table(n, u)
 
 
 @pytest.mark.parametrize("n", [18, 24, 40, 64])
-def test_hitting_time_ties_and_band_cuts(n):
+def test_hitting_time_tied_marks(n):
+    # tied arrivals enter the coupled graph together, at the p above their mark
     for table in _tied_tables(n):
-        _assert_arrivals_stable_argsort(table)
         for text in ("triangle", "C4", "K4", "P3", "0-1 2-3", "petersen"):
             f = parse_pattern(text)
-            assert hitting_time(table, f) == hitting_time_oracle(table, f), text
+            t = hitting_time(table, f)
+            assert t == hitting_time_oracle(table, f), text
+            if 0 <= t < 1 << 64:
+                for p in (t / 2.0 ** 64, math.nextafter(t / 2.0 ** 64, 1.0)):
+                    assert contains_copy(coupled_realize(table, p), f) == (t < _p_to_grid(p))
 
 
 @pytest.mark.parametrize("n", [5, 8, 18, 24, 33])
 def test_hitting_time_complete_pattern_is_last_arrival(n):
-    # F = K_n on n vertices completes only with the last arrival, which the
-    # open-ended last band holds.  From n = 18 the last vertex's pairs get
-    # the top marks: a random order would leave full-degree vertices that
-    # the rooted search tries in every increasing run before each arrival
+    # F = K_n on n vertices completes only with the last arrival, so its mark
+    # is the truth here (the prefix-search oracle tries every increasing run
+    # of the full-degree vertices: 11 s for one K24 table).  From n = 18 the
+    # last vertex's pairs get the top marks: a random order would leave
+    # full-degree vertices that the rooted search tries in every increasing
+    # run before each arrival
     f = PatternGraph.from_edges([(i, j) for j in range(n) for i in range(j)])
     size = n * (n - 1) // 2
     for i in range(3):
-        gen = Seed(13).stream(f"kn-{n}", i)
+        gen = numpy_stream(13, f"kn-{n}", i)
         u = gen.integers(0, 1 << 64, size, dtype=np.uint64)
         if n >= 18:
             u.sort()
             gen.shuffle(u[:size - n + 1])
             gen.shuffle(u[size - n + 1:])
-        table = _table(n, u)
-        assert hitting_time(table, f) == hitting_time_oracle(table, f) == int(u.max())
+        assert hitting_time(_table(n, u), f) == int(u.max())
     # all marks tied: the last arrival is the last pair id
     table = _table(n, [7] * size)
-    assert hitting_time(table, f) == hitting_time_oracle(table, f) == 7
-    _assert_arrivals_stable_argsort(table)
+    assert table.ids[-1] == size - 1
+    assert hitting_time(table, f) == 7
 
 
 def test_hitting_time_complete_pattern_random_marks_under_time_limit(deadline):
@@ -200,7 +200,7 @@ def test_hitting_time_complete_pattern_random_marks_under_time_limit(deadline):
     for k in range(3, 17):
         f = PatternGraph.from_edges([(i, j) for j in range(k) for i in range(j)])
         for i in range(3):
-            u = Seed(17).stream(f"kk-{k}", i).integers(0, 1 << 64, k * (k - 1) // 2,
+            u = numpy_stream(17, f"kk-{k}", i).integers(0, 1 << 64, k * (k - 1) // 2,
                                                         dtype=np.uint64)
             assert hitting_time(_table(k, u), f) == int(u.max()), (k, i)
 
@@ -225,8 +225,10 @@ def test_estimate_mu_equals_realizing_oracle(text):
         assert [estimate_mu(n, p, f, 50, Seed(8)) for p in grid] == want
 
 
-def test_bracket_error_is_a_usage_error():
+def test_bracket_error_is_a_usage_error(monkeypatch):
     # K5 on 5 vertices: 2 of 3 tables still K5-free at the top endpoint
+    top = _p_to_grid(1.0 - 5 ** -2.0)
+    monkeypatch.setattr(thresholds, "hitting_times", lambda *args: [top, top, top - 1])
     with pytest.raises(BracketError, match="^thresholds: ") as info:
         estimate_pc(5, PRESETS["K5"], 3, 0.05, Seed(0))
     assert isinstance(info.value, ValueError)
