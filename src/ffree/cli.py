@@ -287,7 +287,7 @@ def main(argv=None) -> int:
         if "seed" in args:   # parsed here, so a bad seed gets the one-line error
             args.seed = Seed.parse(args.seed)
         return COMMANDS[args.command][0](args)
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:   # OverflowError: an n too large to index
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MemoryError as exc:

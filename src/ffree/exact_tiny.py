@@ -295,8 +295,8 @@ class ThresholdValue(NamedTuple):
     tolerance: float
 
 
-def _bisect_budget(within, tolerance: float) -> ThresholdValue:
-    """Least p at which within(p) holds, for a predicate monotone in p."""
+def _bisect_budget(within, tolerance: float, relative: bool = False) -> ThresholdValue:
+    """Least p in [0, 1] where a monotone within(p) holds, to an absolute or relative tolerance."""
     if not 0 < tolerance < float("inf"):
         raise ValueError(f"tolerance must be positive and finite, got {tolerance}")
     if not within(1.0):
@@ -304,7 +304,7 @@ def _bisect_budget(within, tolerance: float) -> ThresholdValue:
     if within(0.0):
         return ThresholdValue(0.0, False, tolerance)
     lo, hi = 0.0, 1.0
-    while hi - lo > tolerance:
+    while hi - lo > tolerance * (0.5 * (lo + hi) if relative else 1.0):
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:   # lo and hi are adjacent floats
             break

@@ -29,6 +29,9 @@ _GRID = 1 << 64
 # bytes an arrival holds once drawn, its mark and pair id in two lists and a set
 # (118 measured at n = 2000), and its id in the slice that a realization reads
 _ARRIVAL_BYTES = 128
+# bytes per pair of [n] in a realization with an edge: the bit text and its
+# reverse that LabeledGraph.edge_ids reads (2.14 measured at n = 20000, p = 1/n)
+_PAIR_BYTES = 2.2
 
 
 class Seed(NamedTuple("Seed", [("master", int)])):
@@ -129,14 +132,6 @@ class EdgeThresholdTable:
         """Number of arrivals with mark < t, drawing every such arrival first."""
         marks = self.marks
         if not marks or marks[-1] < t:
-            left = self.n * (self.n - 1) // 2 - len(marks)
-            last = marks[-1] if marks else 0
-            need = left * (t - last) / (_GRID - last) * _ARRIVAL_BYTES
-            memory = _memory_bytes()
-            if memory is not None and need > memory:
-                raise MemoryError(f"drawing the edges of a G({self.n}, p) sample needs "
-                                  f"~{need / 2**30:.3g} GiB, more than this machine's "
-                                  f"{memory / 2**30:.3g} GiB")
             for _ in self._draws():
                 if marks[-1] >= t:
                     break
@@ -144,8 +139,18 @@ class EdgeThresholdTable:
 
 
 def coupled_realize(table: EdgeThresholdTable, p: float) -> LabeledGraph:
-    """Graph with edge e present iff mark[e] < p (on the 2^-64 grid)."""
+    """Graph with edge e present iff mark[e] < p (on the 2^-64 grid); MemoryError,
+    before any draw, if its arrivals and edge_ids' bit text outgrow memory."""
     t = _p_to_grid(p)
+    pairs, marks = table.n * (table.n - 1) // 2, table.marks
+    last = marks[-1] if marks else 0
+    need = (max(0, (pairs - len(marks)) * (t - last) / (_GRID - last)) * _ARRIVAL_BYTES
+            + (pairs * _PAIR_BYTES if t else 0))
+    memory = _memory_bytes()
+    if memory is not None and need > memory:
+        raise MemoryError(f"drawing the edges of a G({table.n}, p) sample needs "
+                          f"~{need / 2**30:.3g} GiB, more than this machine's "
+                          f"{memory / 2**30:.3g} GiB")
     if t >= _GRID:
         return LabeledGraph.complete(table.n)
     return LabeledGraph.from_ids(table.n, table.ids[:table.count_below(t)])

@@ -158,8 +158,8 @@ def _edge_roots(f: PatternGraph) -> tuple:
     return tuple(roots)
 
 
-def first_completing_edge(n: int, pairs, f: PatternGraph) -> tuple[int, int] | None:
-    """The pair (u, v) whose arrival first completes a copy of F.
+def first_completing_edge(n: int, pairs, f: PatternGraph) -> int | None:
+    """Index in `pairs` of the pair (u, v) whose arrival first completes a copy of F.
 
     The graph on [n] starts empty and gains the pairs (u, v) in the given
     order.  After each arrival only copies using the new edge are searched,
@@ -173,7 +173,7 @@ def first_completing_edge(n: int, pairs, f: PatternGraph) -> tuple[int, int] | N
     top = max(f.degrees())
     adj = [0] * n
     ge = [(1 << n) - 1] + [0] * top   # ge[d]: the vertices of degree >= d
-    for u, v in pairs:
+    for k, (u, v) in enumerate(pairs):
         adj[u] |= 1 << v
         adj[v] |= 1 << u
         du, dv = adj[u].bit_count(), adj[v].bit_count()
@@ -184,7 +184,7 @@ def first_completing_edge(n: int, pairs, f: PatternGraph) -> tuple[int, int] | N
             if du < need[0] or dv < need[1]:
                 continue
             for _ in _embeddings(adj, ge, plan, (u, v), above):
-                return u, v
+                return k
     return None
 
 

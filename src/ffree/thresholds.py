@@ -9,14 +9,14 @@ Newman-Ziff single pass).  For every p,
 
     contains_copy(coupled_realize(table, p), F)  ==  T < grid(p),
 
-so mu_hat(p) is the count #{T_i >= grid(p)} / N over one battery of tables.
-A table is its arrival stream (sampling.EdgeThresholdTable): the scan reads
-the arrivals, which the table draws one at a time as they are read, and
-stops at the pair that completes F, whose mark is T.  A triangle or C4
-appears after about n of the n(n-1)/2 arrivals, so most marks are never
-drawn.  The bisection for p_c probes that count, which makes its trace
-exactly non-increasing in p; fresh seeds across repeats quantify sampling
-error.
+so mu_hat(p) is the count #{T_i >= grid(p)} / N over one battery of N tables,
+seed.stream(f"pc-table-n{n}", i), which mu_curve and estimate_pc share.  A
+table is its arrival stream (sampling.EdgeThresholdTable): the scan reads the
+arrivals, which the table draws as they are read, and stops at the one that
+completes F, whose mark is T; a triangle or C4 appears after about n of the
+n(n-1)/2 arrivals.  p_c comes from the exact layer's bisection of [0, 1] on
+that count, so its trace is exactly non-increasing in p, and it is 0 for an
+edgeless F.  Fresh seeds across repeats quantify sampling error.
 """
 
 from __future__ import annotations
@@ -25,7 +25,8 @@ import math
 from typing import NamedTuple
 
 from .density import m_density
-from .graphs import PatternGraph, pair_index
+from .exact_tiny import _bisect_budget
+from .graphs import PatternGraph
 from .sampling import _GRID, EdgeThresholdTable, Seed, _p_to_grid
 from .subiso import first_completing_edge
 
@@ -40,25 +41,18 @@ def hitting_time(table: EdgeThresholdTable, f: PatternGraph) -> int:
         return _GRID
     if f.edge_count == 0:
         return -1
-    hit = first_completing_edge(table.n, table.arrival_pairs(), f)
+    k = first_completing_edge(table.n, table.arrival_pairs(), f)
     # a copy on at most n vertices is completed by the time every edge arrives
-    assert hit is not None
-    return table.marks[table.ids.index(pair_index(*hit, table.n))]
+    assert k is not None
+    return table.marks[k]
 
 
-def hitting_times(n: int, f: PatternGraph, trials: int, seed: Seed,
-                  purpose: str) -> list[int]:
-    """Hitting times of the tables seed.stream(purpose, i), i < trials."""
+def hitting_times(n: int, f: PatternGraph, trials: int, seed: Seed) -> list[int]:
+    """Hitting times of the battery seed.stream(f"pc-table-n{n}", i), i < trials."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    return [hitting_time(EdgeThresholdTable.generate(n, seed.stream(purpose, i)), f)
+    return [hitting_time(EdgeThresholdTable.generate(n, seed.stream(f"pc-table-n{n}", i)), f)
             for i in range(trials)]
-
-
-def _free_count(times: list[int], p: float) -> int:
-    """Number of tables whose graph at p is F-free."""
-    grid = _p_to_grid(p)
-    return sum(1 for t in times if t >= grid)
 
 
 def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
@@ -80,7 +74,9 @@ class MuEstimate(NamedTuple):
 
 
 def _mu_estimate(times: list[int], p: float) -> MuEstimate:
-    free = _free_count(times, p)
+    """mu_hat(p), the share of the battery's graphs at p that are F-free."""
+    grid = _p_to_grid(p)
+    free = sum(1 for t in times if t >= grid)
     lo, hi = wilson_interval(free, len(times))
     return MuEstimate(free / len(times), lo, hi)
 
@@ -95,7 +91,7 @@ def mu_curve(n: int, ps: list[float], f: PatternGraph, trials: int,
     """estimate_mu at every p in `ps`, from one pass over the battery."""
     for p in ps:
         _p_to_grid(p)
-    times = hitting_times(n, f, trials, seed, "mu")
+    times = hitting_times(n, f, trials, seed)
     return [_mu_estimate(times, p) for p in ps]
 
 
@@ -112,37 +108,22 @@ class ThresholdEstimate(NamedTuple):
     trace: tuple[tuple[float, float], ...]  # (p, mu_hat) probes, probe order
 
 
-class BracketError(ValueError):
-    """Initial bracket endpoints fail to straddle mu = 1/2."""
-
-
 def estimate_pc(n: int, f: PatternGraph, trials: int, tolerance: float,
                 seed: Seed) -> ThresholdEstimate:
-    """Bisection for the p with mu_p = 1/2 on a shared coupled battery."""
+    """Bisection of [0, 1], to a relative tolerance, for the p with mu_hat(p) = 1/2."""
     if n < f.vertex_count:
         raise ValueError(f"n={n} < pattern vertex count {f.vertex_count}: mu is constant 1")
-    if not 0 < tolerance < float("inf"):
+    if not 0 < tolerance < float("inf"):   # before any table is drawn
         raise ValueError(f"tolerance must be positive and finite, got {tolerance}")
-    times = hitting_times(n, f, trials, seed, f"pc-table-n{n}")
+    times = hitting_times(n, f, trials, seed)
+    trace = []
 
-    def mu_hat(p: float) -> float:
-        return _free_count(times, p) / trials
+    def below_half(p: float) -> bool:
+        mu_hat = _mu_estimate(times, p).mu_hat
+        trace.append((p, mu_hat))
+        return mu_hat < 0.5
 
-    lo, hi = n ** -2.0, 1.0 - n ** -2.0
-    trace = [(lo, mu_hat(lo)), (hi, mu_hat(hi))]
-    if trace[0][1] < 0.5 or trace[1][1] > 0.5:
-        raise BracketError(f"thresholds: endpoints do not straddle 1/2: {trace}")
-    while hi - lo > tolerance * 0.5 * (hi + lo):
-        mid = 0.5 * (lo + hi)
-        mu_mid = mu_hat(mid)
-        if mid == (lo if mu_mid >= 0.5 else hi):
-            break  # lo and hi are adjacent floats: the bracket cannot shrink
-        trace.append((mid, mu_mid))
-        if mu_mid >= 0.5:
-            lo = mid
-        else:
-            hi = mid
-    p_hat = 0.5 * (lo + hi)
+    p_hat = _bisect_budget(below_half, tolerance, relative=True).value
     return ThresholdEstimate(n, f.to_text(), p_hat, *_mu_estimate(times, p_hat),
                              trials, seed.master, tolerance, tuple(trace))
 
@@ -161,6 +142,8 @@ def scaling_fit(f: PatternGraph, n_list: list[int], trials: int,
     if len(n_list) < 3 or sorted(n_list) != list(n_list) or len(set(n_list)) != len(n_list):
         raise ValueError("need at least 3 strictly increasing n values")
     m = m_density(f)   # refuses a too-large F before any estimate
+    if m == 0:
+        raise ValueError(f"pattern {f.to_text()!r} has m(F) = 0: p_c = 0 and has no log")
     points = [(n, estimate_pc(n, f, trials, tolerance, seed).p_hat) for n in n_list]
     xs = [math.log(n) for n, _ in points]
     ys = [math.log(p) for _, p in points]

@@ -442,7 +442,7 @@ def mu_oracle(n: int, p: float, f: PatternGraph, trials: int, seed: Seed) -> MuE
     """estimate_mu by realizing each table at p and searching it whole."""
     free = sum(
         1 for i in range(trials)
-        if not contains_copy(sample_gnp(n, p, seed, purpose="mu", index=i), f)
+        if not contains_copy(sample_gnp(n, p, seed, purpose=f"pc-table-n{n}", index=i), f)
     )
     lo, hi = wilson_interval(free, trials)
     return MuEstimate(free / trials, lo, hi)
@@ -450,7 +450,9 @@ def mu_oracle(n: int, p: float, f: PatternGraph, trials: int, seed: Seed) -> MuE
 
 def pc_bisection_oracle(n: int, f: PatternGraph, trials: int, tolerance: float,
                         seed: Seed) -> ThresholdEstimate:
-    """estimate_pc by realizing every table at every bisection probe."""
+    """estimate_pc by realizing every table at every bisection probe: mu_hat
+    at 1, then at 0, then a bisection of [0, 1] until hi - lo is at most
+    tolerance times the midpoint, or lo and hi are adjacent floats."""
     battery = [EdgeThresholdTable.generate(n, seed.stream(f"pc-table-n{n}", i))
                for i in range(trials)]
 
@@ -458,11 +460,15 @@ def pc_bisection_oracle(n: int, f: PatternGraph, trials: int, tolerance: float,
         free = sum(1 for t in battery if not contains_copy(coupled_realize(t, p), f))
         return free / trials
 
-    lo, hi = n ** -2.0, 1.0 - n ** -2.0
-    trace = [(lo, mu_hat(lo)), (hi, mu_hat(hi))]
-    assert trace[0][1] >= 0.5 >= trace[1][1], trace
-    while hi - lo > tolerance * 0.5 * (hi + lo):
+    trace = [(1.0, mu_hat(1.0)), (0.0, mu_hat(0.0))]
+    assert trace[0][1] < 0.5, trace   # every table's graph at p = 1 is K_n
+    lo, hi = 0.0, 1.0
+    if trace[1][1] < 0.5:   # an edgeless F is in every graph: p_hat = 0
+        hi = 0.0
+    while hi - lo > tolerance * (lo + hi) / 2:
         mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            break
         mu_mid = mu_hat(mid)
         trace.append((mid, mu_mid))
         if mu_mid >= 0.5:

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import ffree
-from ffree import sampling, thresholds
+from ffree import sampling
 from ffree.cli import COMMANDS, _json, build_parser, main
 from ffree.sampling import EdgeThresholdTable
 
@@ -95,15 +95,31 @@ def test_pc_json(capsys):
     assert abs(doc["p_hat"] - 0.5 ** (1 / 3)) < 0.1
 
 
-def test_pc_usage_errors_exit_2(capsys, monkeypatch):
-    # 2 of 3 tables on 5 vertices are still K5-free at the top endpoint
-    top = 1 << 64
-    with monkeypatch.context() as patch:
-        patch.setattr(thresholds, "hitting_times", lambda *args: [top - 1, top - 1, 0])
-        assert main(["pc", "--pattern", "K5", "--n", "5", "--trials", "3",
-                     "--seed", "0"]) == 2
-    assert capsys.readouterr().err.startswith("error: thresholds: ")
+def test_pc_usage_errors_exit_2(capsys):
     assert main(["pc", "--pattern", "triangle", "--n", "5", "--trials", "0"]) == 2
+
+
+def test_pc_of_a_small_battery_brackets_the_unit_interval(capsys):
+    # mu_hat(1) = 0 and mu_hat(0) = 1 on any battery: 3 tables need no luck
+    code, out = run(capsys, "pc", "--pattern", "K5", "--n", "5", "--trials", "3", "--seed", "2")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["trace"][:2] == [[1.0, 0.0], [0.0, 1.0]]
+    assert doc["p_hat"] == 0.953125
+
+
+@pytest.mark.parametrize("argv", [
+    ["pc", "--pattern", "triangle"],
+    ["mu-sweep", "--pattern", "triangle", "--p-grid", "0.1"],
+    ["sample", "--p", "0"],
+    ["alter", "--pattern", "triangle", "--p", "0.1"],
+], ids=["pc", "mu-sweep", "sample", "alter"])
+def test_astronomical_n_exits_2(capsys, argv):
+    # Python refuses a list or bytearray of 10^30 items before allocating any
+    assert main([*argv, "--n", str(10 ** 30)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
 def test_pc_tiny_tolerance_terminates(capsys):
@@ -352,19 +368,20 @@ def test_alteration_golden_digests(capsys, argv, digest):
 
 # stdout SHA-256 of the hitting-time estimates: a change in the arrival order
 # would move a hitting time and these bytes.  Re-pinned when the tables became
-# pure-Python arrival streams (only the draws changed)
+# pure-Python arrival streams (only the draws changed), and when p_c's bisection
+# moved to [0, 1] and mu-sweep to pc's battery (only the probes and that battery)
 @pytest.mark.parametrize("argv, digest", [
     (["scaling", "--pattern", "triangle", "--n-list", "16,32,64,128", "--trials", "40",
       "--tol", "0.05", "--seed", "5"],
-     "341b5b091a9e076e71f0eb297bee8396b43cfc1ca86f8d9945af96997d207a86"),
+     "289ed0eccf4d9a1f8b8bf11e6e5185dd2271cd5314727f9098c16216fad7572c"),
     (["scaling", "--pattern", "C4", "--n-list", "16,32,64,128", "--trials", "40",
       "--tol", "0.05", "--seed", "5"],
-     "5d4fed2324576e32ad143c8507311d52be6c90aa8a1d3b6a79761fdf5878493a"),
+     "cf78153bb85264b201651eb9b695a105ca1f4f2beba0acf5bce38a304e9992c3"),
     (["pc", "--pattern", "K4", "--n", "60", "--trials", "40", "--tol", "0.05", "--seed", "5"],
-     "4518f5eee6f6146a99d1cfc357b28c690e657a359057a749613364bb71e4a8d8"),
+     "fa87fe9a866e4fa172841bb1ec90a020e484ebbc4d3067b3aa7b114f9a61648a"),
     (["mu-sweep", "--pattern", "C4", "--n", "64", "--p-grid", "0.01,0.02,0.03,0.05",
       "--trials", "40", "--seed", "5"],
-     "01bf7611d2c55f34fe004cbb89213ac6af9132f18f9bc678f2bef5dd14e44316"),
+     "de6124a145378ff6f9d14be58f94c8e19e0d52cf9c695a87def90bb8c720ece2"),
 ], ids=["scaling-triangle", "scaling-C4", "pc-K4", "mu-sweep-C4"])
 def test_monte_carlo_golden_digests(capsys, argv, digest):
     code, out = run(capsys, *argv)
@@ -456,8 +473,9 @@ def test_exact_golden_digests(capsys, command, pattern, tol):
 # the records' fields: a change in how a document is rendered (a key, a
 # number's form, an edge list) would change these bytes; `n=2 0-1` has no m2.
 # sample, refute and mu-sweep were re-pinned when `seed` became the parsed int
-# and the mu-sweep rows' p, mu_hat, ci_lo and ci_hi became numbers, and again
-# when the tables became pure-Python arrival streams (only the draws changed)
+# and the mu-sweep rows' p, mu_hat, ci_lo and ci_hi became numbers, again
+# when the tables became pure-Python arrival streams (only the draws changed),
+# and mu-sweep once more when it came to read pc's battery
 _DOCUMENT_DIGESTS = {
     **{("density", "--pattern", pattern): digest for pattern, digest in {
         "triangle": "9291a8e92af6e790bb638fb083b898bebe60474ee3f577de380f067c9966fd3f",
@@ -480,7 +498,7 @@ _DOCUMENT_DIGESTS = {
         "a959bd2a554c069abd135edb1bb62394429e5afeb7cbdf10e58a3ef97f83f7cf",
     ("mu-sweep", "--pattern", "triangle", "--n", "10", "--p-grid", "0.1,0.3,0.5",
      "--trials", "60", "--seed", "9", "--format", "json"):
-        "770e8b0a88a1abb665b1910bd2496e414076975e95798e6434128a4c0e817e67",
+        "f7d2952fd4f04808da15ff220d577ecd28f223fa393e153235c0d9994aa5851b",
 }
 
 
@@ -514,8 +532,10 @@ def test_out_of_memory_exits_2(capsys, monkeypatch):
 
 
 def test_realization_too_large_for_memory_exits_2_at_once(capsys, monkeypatch, deadline):
-    # G(100000, 1/2) has ~2.5e9 edges to draw, ~298 GiB of arrivals: refused
-    # before the first draw, on a machine of any size
+    # G(100000, 1/2) has ~2.5e9 edges to draw, ~298 GiB of arrivals, and ~10 GiB
+    # of bit text for edge_ids; G(100000, 1) draws none but lists as many.  At
+    # n = 300000, p = 1e-5 the ~4.5e5 arrivals take ~58 MB, but the bit text
+    # ~92 GiB.  Each is refused before the first draw, on a machine of any size
     deadline(5)
     monkeypatch.setattr(sampling, "_memory_bytes", lambda: 64 << 30)
 
@@ -523,11 +543,13 @@ def test_realization_too_large_for_memory_exits_2_at_once(capsys, monkeypatch, d
         raise AssertionError("an arrival was drawn")
 
     monkeypatch.setattr(EdgeThresholdTable, "_draws", draws)
-    assert main(["sample", "--n", "100000", "--p", "0.5"]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == ("error: out of memory: drawing the edges of a G(100000, p) sample "
-                            "needs ~298 GiB, more than this machine's 64 GiB\n")
+    for n, p, need in [("100000", "0.5", "308"), ("100000", "1", "606"),
+                       ("300000", "1e-5", "92.3")]:
+        assert main(["sample", "--n", n, "--p", p]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: out of memory: drawing the edges of a G({n}, p) "
+                                f"sample needs ~{need} GiB, more than this machine's 64 GiB\n")
 
 
 def _python_subprocess(*argv):

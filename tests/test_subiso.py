@@ -241,14 +241,14 @@ def test_contains_copy_dense_terminates(deadline):
 @pytest.mark.parametrize("name", list(PRESETS))
 def test_first_completing_edge_returns_the_completing_pair(name):
     # on seeded random arrival orders of every pair of K_n, the graph before
-    # the returned pair is F-free and the graph with it contains F
+    # the pair at the returned index is F-free and the graph with it contains F
     f = PRESETS[name]
     rng = random.Random(name)
     for n in range(f.vertex_count, f.vertex_count + 3):
         pairs = [(u, v) for v in range(n) for u in range(v)]
         for _ in range(5):
             rng.shuffle(pairs)
-            i = pairs.index(first_completing_edge(n, iter(pairs), f))
+            i = first_completing_edge(n, iter(pairs), f)
             assert not contains_copy(LabeledGraph.from_edges(n, pairs[:i]), f), (n, pairs)
             assert contains_copy(LabeledGraph.from_edges(n, pairs[:i + 1]), f), (n, pairs)
 

@@ -6,12 +6,11 @@ import numpy as np
 import pytest
 
 from ffree import thresholds
-from ffree.exact_tiny import mu_exact
+from ffree.exact_tiny import mu_exact, pc_exact
 from ffree.graphs import PRESETS, PatternGraph, parse_pattern
 from ffree.sampling import EdgeThresholdTable, Seed, _p_to_grid, coupled_realize
 from ffree.subiso import contains_copy
 from ffree.thresholds import (
-    BracketError,
     estimate_mu,
     estimate_pc,
     hitting_time,
@@ -93,6 +92,16 @@ def test_scaling_fit_refuses_a_large_pattern_before_estimating(monkeypatch):
     path17 = PatternGraph.from_edges([(i, i + 1) for i in range(16)], 17)
     with pytest.raises(ValueError, match="pattern too large"):
         scaling_fit(path17, [17, 18, 19], 10, 0.05, Seed(0))
+
+
+def test_scaling_fit_refuses_an_edgeless_pattern_before_estimating(monkeypatch):
+    # an edgeless F has p_c = 0 at every n, so log p_c is undefined
+    def estimate_pc(*args):
+        raise AssertionError("estimate_pc ran on an edgeless pattern")
+
+    monkeypatch.setattr(thresholds, "estimate_pc", estimate_pc)
+    with pytest.raises(ValueError, match=r"m\(F\) = 0"):
+        scaling_fit(parse_pattern("n=3"), [3, 4, 5], 10, 0.05, Seed(0))
 
 
 # presets, a disconnected pattern, one with an isolated vertex, one edgeless
@@ -225,13 +234,35 @@ def test_estimate_mu_equals_realizing_oracle(text):
         assert [estimate_mu(n, p, f, 50, Seed(8)) for p in grid] == want
 
 
-def test_bracket_error_is_a_usage_error(monkeypatch):
-    # K5 on 5 vertices: 2 of 3 tables still K5-free at the top endpoint
-    top = _p_to_grid(1.0 - 5 ** -2.0)
-    monkeypatch.setattr(thresholds, "hitting_times", lambda *args: [top, top, top - 1])
-    with pytest.raises(BracketError, match="^thresholds: ") as info:
-        estimate_pc(5, PRESETS["K5"], 3, 0.05, Seed(0))
-    assert isinstance(info.value, ValueError)
+@pytest.mark.parametrize("text", ["triangle", "C4"])
+def test_mu_curve_and_estimate_pc_read_one_battery(text):
+    # every mu_hat of a pc estimate, the probes' and the one at p_hat, is the
+    # mu_curve value at that p with the same trials and seed
+    f = parse_pattern(text)
+    for n in (8, 16):
+        for seed in (Seed(3), Seed(40)):
+            est = estimate_pc(n, f, 60, 0.02, seed)
+            curve = mu_curve(n, [p for p, _ in est.trace] + [est.p_hat], f, 60, seed)
+            assert [mu.mu_hat for mu in curve[:-1]] == [mu for _, mu in est.trace]
+            assert curve[-1] == (est.mu_at_p_hat, est.ci_lo, est.ci_hi)
+
+
+def test_estimate_pc_of_an_edgeless_pattern_is_zero():
+    # every graph on n >= 3 vertices contains F = 3 isolated vertices: mu_p = 0
+    f = parse_pattern("n=3")
+    est = estimate_pc(5, f, 20, 0.05, Seed(0))
+    assert est.p_hat == pc_exact(5, f) == 0.0
+    assert est.trace == ((1.0, 0.0), (0.0, 0.0))
+
+
+@pytest.mark.parametrize("tolerance", [0.0, -0.1, float("nan"), float("inf")])
+def test_estimate_pc_refuses_a_bad_tolerance_before_drawing(monkeypatch, tolerance):
+    def hitting_times(*args):
+        raise AssertionError("a table was drawn before the tolerance was checked")
+
+    monkeypatch.setattr(thresholds, "hitting_times", hitting_times)
+    with pytest.raises(ValueError, match="tolerance"):
+        estimate_pc(8, TRIANGLE, 10, tolerance, Seed(0))
 
 
 # The Monte Carlo layer against the exact layer at n <= 5.  mu_hat(p) is the
