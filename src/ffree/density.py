@@ -7,8 +7,9 @@ For a pattern F:
 
 Both maxima are attained by induced subgraphs (at a fixed vertex set, adding
 every available edge only increases the ratio), so enumeration runs over the
-2^{v_F} vertex subsets.  All arithmetic is exact via fractions.Fraction,
-imported on first use, so importing the module does not load it.
+2^{v_F} vertex subsets.  One cached search serves m, m2 and both witnesses.
+All arithmetic is exact via fractions.Fraction, imported on first use, so
+importing the module does not load it.
 """
 
 from __future__ import annotations
@@ -29,66 +30,41 @@ class UndefinedDensityError(ValueError):
     pass
 
 
-def _check_size(f: PatternGraph):
-    if f.vertex_count > MAX_PATTERN_VERTICES:
-        raise ValueError(f"pattern too large: {f.vertex_count} > {MAX_PATTERN_VERTICES} vertices")
-
-
-def _induced_edge_count(f: PatternGraph, subset_mask: int) -> int:
-    return sum(1 for u, v in f.edges if subset_mask >> u & 1 and subset_mask >> v & 1)
-
-
-def _induced_on(f: PatternGraph, mask: int) -> PatternGraph:
-    return f.induced([v for v in range(f.vertex_count) if mask >> v & 1])
-
-
-def _best_subset(f: PatternGraph, min_vertices: int, shift: int):
-    """Max of (e - [shift>0]) / (|S| - shift) over |S| >= min_vertices.
+@functools.lru_cache(maxsize=128)   # two keys a pattern; the alteration layer reads m2 per trial
+def _best_subset(f: PatternGraph, min_vertices: int, shift: int) -> tuple[Fraction, PatternGraph]:
+    """(max of (e_S - [shift>0]) / (|S| - shift) over |S| >= min_vertices,
+    the subgraph induced on the first S attaining it).
 
     shift = 0 gives m, shift = 2 gives m2.  Ties broken toward smaller
     subsets, then lexicographically smaller vertex sets, so witnesses are
     deterministic.
     """
+    if f.vertex_count > MAX_PATTERN_VERTICES:
+        raise ValueError(f"pattern too large: {f.vertex_count} > {MAX_PATTERN_VERTICES} vertices")
     from fractions import Fraction
-    nv = f.vertex_count
     best: Fraction | None = None
-    best_mask = None
+    best_vertices: tuple[int, ...] = ()
     # iterate by cardinality so the smallest achieving subset wins ties
-    for size in range(min_vertices, nv + 1):
-        for combo in combinations(range(nv), size):
-            mask = 0
-            for v in combo:
-                mask |= 1 << v
-            e = _induced_edge_count(f, mask)
+    for size in range(min_vertices, f.vertex_count + 1):
+        for subset in combinations(range(f.vertex_count), size):
+            inside = set(subset)
+            e = sum(1 for u, v in f.edges if u in inside and v in inside)
             val = Fraction(e - (1 if shift else 0), size - shift)
             if best is None or val > best:
-                best, best_mask = val, mask
-    return best, best_mask
-
-
-def _m(f: PatternGraph):
-    """(m(F), vertex mask of its witness)."""
-    _check_size(f)
-    return _best_subset(f, 1, 0)
-
-
-@functools.lru_cache(maxsize=64)   # the alteration layer asks on every trial
-def _m2(f: PatternGraph):
-    """(m2(F), vertex mask of its witness), for v_F >= 3."""
-    _check_size(f)
-    return _best_subset(f, 3, 2)
+                best, best_vertices = val, subset
+    return best, f.induced(best_vertices)
 
 
 def m_density(f: PatternGraph) -> Fraction:
     """Exact m(F) = max e_J / v_J over nonempty subgraphs."""
-    return _m(f)[0]
+    return _best_subset(f, 1, 0)[0]
 
 
 def m2_density(f: PatternGraph) -> Fraction:
     """Exact m2(F) = max (e_J - 1) / (v_J - 2) over subgraphs with v_J >= 3."""
     if f.vertex_count < 3:
         raise UndefinedDensityError("m2(F) undefined: no subgraph on >= 3 vertices")
-    return _m2(f)[0]
+    return _best_subset(f, 3, 2)[0]
 
 
 def minimal_m2_subgraph(f: PatternGraph) -> PatternGraph:
@@ -100,7 +76,7 @@ def minimal_m2_subgraph(f: PatternGraph) -> PatternGraph:
     """
     if f.vertex_count < 3 or f.max_degree() < 2:
         raise UndefinedDensityError("minimal m2 subgraph needs v_F >= 3 and max degree >= 2")
-    return _induced_on(f, _m2(f)[1]).drop_isolated()
+    return _best_subset(f, 3, 2)[1].drop_isolated()
 
 
 class DensityReport(NamedTuple):
@@ -113,8 +89,8 @@ class DensityReport(NamedTuple):
 
 def density_gap_check(f: PatternGraph) -> DensityReport:
     """Report m, m2 (if defined), their witnesses, and whether m2 > m."""
-    m, mask = _m(f)
+    m, witness = _best_subset(f, 1, 0)
     if f.vertex_count < 3:
-        return DensityReport(m, None, _induced_on(f, mask), None, False)
-    m2, mask2 = _m2(f)
-    return DensityReport(m, m2, _induced_on(f, mask), _induced_on(f, mask2), m2 > m)
+        return DensityReport(m, None, witness, None, False)
+    m2, witness2 = _best_subset(f, 3, 2)
+    return DensityReport(m, m2, witness, witness2, m2 > m)

@@ -29,7 +29,7 @@ _GRID = 1 << 64
 # bytes an arrival holds once drawn, its mark and pair id in two lists and a set
 # (118 measured at n = 2000), and its id in the slice that a realization reads
 _ARRIVAL_BYTES = 128
-# bytes per pair of [n] in a realization with an edge: the bit text and its
+# bytes per pair of [n] in a realization at p > 0: the bit text and its
 # reverse that LabeledGraph.edge_ids reads (2.14 measured at n = 20000, p = 1/n)
 _PAIR_BYTES = 2.2
 
@@ -139,13 +139,15 @@ class EdgeThresholdTable:
 
 
 def coupled_realize(table: EdgeThresholdTable, p: float) -> LabeledGraph:
-    """Graph with edge e present iff mark[e] < p (on the 2^-64 grid); MemoryError,
-    before any draw, if its arrivals and edge_ids' bit text outgrow memory."""
+    """Graph with edge e present iff mark[e] < p (2^-64 grid), drawing nothing at p = 0;
+    MemoryError, before any draw, if its arrivals and edge_ids' bit text outgrow memory."""
     t = _p_to_grid(p)
+    if not t:
+        return LabeledGraph.empty(table.n)
     pairs, marks = table.n * (table.n - 1) // 2, table.marks
     last = marks[-1] if marks else 0
     need = (max(0, (pairs - len(marks)) * (t - last) / (_GRID - last)) * _ARRIVAL_BYTES
-            + (pairs * _PAIR_BYTES if t else 0))
+            + pairs * _PAIR_BYTES)
     memory = _memory_bytes()
     if memory is not None and need > memory:
         raise MemoryError(f"drawing the edges of a G({table.n}, p) sample needs "

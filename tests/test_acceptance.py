@@ -41,7 +41,7 @@ from ffree.exact_tiny import (
 from ffree.graphs import LabeledGraph, PRESETS, PatternGraph
 from ffree.sampling import Seed
 from ffree.subiso import contains_copy
-from ffree.thresholds import scaling_fit
+from ffree.thresholds import mu_curve, scaling_fit
 from fractions import Fraction
 
 from oracles import density_oracle, lp_bfs_oracle, numpy_stream
@@ -141,6 +141,22 @@ def test_threshold_scaling_slopes():
         assert fit.target_slope == pytest.approx(-1.0)
         assert abs(fit.slope - (-1.0)) <= 0.15, fit
     assert time.monotonic() - start < 600.0
+
+
+def test_paper_gap_at_the_constructions_constants():
+    # the alteration construction certifies q_f >= eps n^(-1/m2) =
+    # admissible_p_max, while p_c = Theta(n^(-1/m)) falls faster, so mu at that
+    # p drops below 1/2 as n grows.  For P3 (m = 2/3, m2 = 1), 100 tables under
+    # Seed(7) read mu_hat 0.76 at n = 1024 and 0.07 at n = 8192: at n = 8192,
+    # p_c < eps n^(-1/m2) <= q_f.  A Wilson interval over 100 tables lies above
+    # 1/2 iff >= 60 are F-free and below iff <= 40, so were mu equal to those
+    # estimates, a fresh seed would fail with probability Pr(Bin(100, 0.76) < 60)
+    # = 1.3e-4 plus Pr(Bin(100, 0.07) > 40) = 5e-15 (6.2e-2 and 1.8e-11 at the
+    # Wilson ends 0.668 and 0.137)
+    p3 = PRESETS["P3"]
+    for n, above_half in [(1024, True), (8192, False)]:
+        [est] = mu_curve(n, [lemma_constants(p3, n).admissible_p_max], p3, 100, Seed(7))
+        assert (est.ci_lo > 0.5 if above_half else est.ci_hi < 0.5), (n, est)
 
 
 def test_exact_tiny_chain():

@@ -211,14 +211,10 @@ def test_lemma2_trial_identity_and_schema(capsys):
     assert not contains_copy(rec.altered, TRIANGLE)
 
 
-def test_m2_witness_computed_once_per_pattern(monkeypatch, capsys):
+def test_m2_witness_computed_once_per_pattern(capsys):
     # the witness J walks every vertex subset of F in Fraction: each trial,
     # each alteration and `alter` read it from one cache, shared with m2(F)
-    calls = []
-    best_subset = density._best_subset
-    monkeypatch.setattr(density, "_best_subset",
-                        lambda f, *a: calls.append((f, *a)) or best_subset(f, *a))
-    density._m2.cache_clear()
+    density._best_subset.cache_clear()
     n, p = 30, 0.1
     fam = WeightedFamily.unit((LabeledGraph.complete(n),))
     patterns = [C4, K4, PRESETS["petersen"]]
@@ -229,7 +225,8 @@ def test_m2_witness_computed_once_per_pattern(monkeypatch, capsys):
         assert main(["alter", "--pattern", f.to_text(), "--n", str(n),
                      "--p", str(p), "--seed", "5"]) == 0
     capsys.readouterr()
-    assert calls == [(f, 3, 2) for f in patterns]
+    info = density._best_subset.cache_info()
+    assert (info.misses, info.currsize) == (len(patterns), len(patterns)), info
 
 
 def test_lemma2_hit_rate_on_dense_family():

@@ -111,15 +111,24 @@ def test_pc_of_a_small_battery_brackets_the_unit_interval(capsys):
 @pytest.mark.parametrize("argv", [
     ["pc", "--pattern", "triangle"],
     ["mu-sweep", "--pattern", "triangle", "--p-grid", "0.1"],
-    ["sample", "--p", "0"],
+    ["sample", "--p", "1e-9"],
     ["alter", "--pattern", "triangle", "--p", "0.1"],
 ], ids=["pc", "mu-sweep", "sample", "alter"])
 def test_astronomical_n_exits_2(capsys, argv):
-    # Python refuses a list or bytearray of 10^30 items before allocating any
+    # Python refuses a list or bytearray of 10^30 items before allocating any,
+    # and the memory guard refuses a sample's edges before the first draw
     assert main([*argv, "--n", str(10 ** 30)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+def test_empty_sample_on_astronomical_n(capsys):
+    # p = 0 draws no arrival and builds no bit buffer, so 10^30 vertices cost nothing
+    code, out = run(capsys, "sample", "--n", str(10 ** 30), "--p", "0")
+    assert code == 0
+    doc = json.loads(out)
+    assert (doc["n"], doc["edge_count"], doc["edges"]) == (10 ** 30, 0, [])
 
 
 def test_pc_tiny_tolerance_terminates(capsys):

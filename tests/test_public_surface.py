@@ -37,7 +37,6 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "ffree"
 
 ALLOWED = {
     "chernoff_tail_bound": "the Chernoff bound behind event E_H; an acceptance test checks it",
-    "LabeledGraph.complete": "a test fixture: K_n is the host or family member of ~30 tests",
 }
 
 ONE_VALUE_ALLOWED: dict[str, str] = {}

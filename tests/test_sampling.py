@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -78,6 +79,20 @@ def test_coupling_extremes():
     table = EdgeThresholdTable.generate(10, Seed(1).stream("t"))
     assert coupled_realize(table, 0.0) == LabeledGraph.empty(10)
     assert coupled_realize(table, 1.0) == LabeledGraph.complete(10)
+
+
+def test_p_zero_draws_and_allocates_nothing():
+    # the empty graph needs no arrival and no C(n, 2)-bit buffer (~48 MB at n = 20000)
+    table = EdgeThresholdTable.generate(10, Seed(1).stream("t"))
+    assert coupled_realize(table, 0.0) == LabeledGraph.empty(10)
+    assert (table.marks, table.ids) == ([], [])
+    tracemalloc.start()
+    try:
+        assert sample_gnp(20000, 0.0, Seed(1)) == LabeledGraph.empty(20000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak
 
 
 def test_mean_edge_count_sanity():
