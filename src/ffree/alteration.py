@@ -43,17 +43,17 @@ class InapplicablePatternError(ValueError):
 class LemmaConstants(NamedTuple):
     delta: float
     admissible_p_max: float
+    j: PatternGraph   # the pattern the construction packs; F and n are checked here only
 
 
 def lemma_constants(f: PatternGraph, n: int) -> LemmaConstants:
-    """delta = 1/max{9, 4 e_F}, p cap = EPSILON * n^(-1/m2)."""
+    """delta = 1/max{9, 4 e_F}, p cap = EPSILON * n^(-1/m2) and J = minimal_m2_subgraph(F)."""
     if f.max_degree() < 2:
         raise InapplicablePatternError("pattern needs a vertex of degree >= 2")
     if n < 1:
         raise ValueError("n must be positive")
-    delta = 1.0 / max(9, 4 * f.edge_count)
-    m2 = m2_density(f)
-    return LemmaConstants(delta, EPSILON * n ** (-1.0 / float(m2)))
+    return LemmaConstants(1.0 / max(9, 4 * f.edge_count),
+                          EPSILON * n ** (-1.0 / float(m2_density(f))), minimal_m2_subgraph(f))
 
 
 class WeightedFamily(NamedTuple("WeightedFamily", [("members", tuple[LabeledGraph, ...]),
@@ -113,8 +113,7 @@ def alteration_graph(n: int, p: float, f: PatternGraph, seed: Seed,
     """Sample G(n, p), pack J-copies, delete them; result is F-free."""
     if not (0.0 < p < 1.0):
         raise ValueError(f"p={p} outside (0, 1)")
-    lemma_constants(f, n)   # raises on a pattern or n outside the construction's scope
-    j = minimal_m2_subgraph(f)
+    j = lemma_constants(f, n).j   # raises on a pattern or n outside the construction's scope
     g = sample_gnp(n, p, seed, purpose="alteration", index=index)
     return greedy_maximal_packing(g, j)
 
@@ -150,8 +149,8 @@ def lemma2_trial(n: int, p: float, f: PatternGraph, family: WeightedFamily,
     """
     if family.members and family.members[0].n != n:
         raise ValueError("family members must live on [n]")
-    j = minimal_m2_subgraph(f)
-    e_j = j.edge_count
+    consts = lemma_constants(f, n)
+    e_j = consts.j.edge_count
     result = alteration_graph(n, p, f, seed, index=trial_index)
     hits = []
     hit_all = True
@@ -175,8 +174,7 @@ def lemma2_trial(n: int, p: float, f: PatternGraph, family: WeightedFamily,
             missed += w
         hits.append(HitRecord(i, e_h, shared_raw, event_e, touched, event_d,
                               shared_altered))
-    in_regime = p <= lemma_constants(f, n).admissible_p_max
-    return TrialRecord(seed.master, trial_index, n, p, in_regime,
+    return TrialRecord(seed.master, trial_index, n, p, p <= consts.admissible_p_max,
                        tuple(hits), hit_all, missed, result.altered)
 
 
@@ -202,19 +200,17 @@ def refute_certificate(gfam: WeightedFamily, f: PatternGraph, n: int, p: float,
         raise ValueError(f"trial budget must be >= 0, got {trial_budget}")
     if not gfam.members:
         return RefutationResult(LabeledGraph.empty(n), ())
-    consts = lemma_constants(f, n)
     complements = WeightedFamily(tuple(g.complement() for g in gfam.members),
                                  gfam.weights)
-    require_family_condition(complements, p, consts.delta, "complement family")
+    require_family_condition(complements, p, lemma_constants(f, n).delta, "complement family")
     records = []
     for i in range(trial_budget):
         rec = lemma2_trial(n, p, f, complements, seed, trial_index=i)
         records.append(rec)
         if rec.hit_all:
-            # verify the escape explicitly
-            full = rec.altered.full_mask
+            # verify the escape explicitly; the altered graph has no bit outside the pairs
             for s in gfam.members:
-                assert rec.altered.bits & ~s.bits & full, (
+                assert rec.altered.bits & ~s.bits, (
                     "altered graph unexpectedly contained in a certificate member"
                 )
             return RefutationResult(rec.altered, tuple(records))
@@ -247,13 +243,11 @@ def random_member(n: int, edge_count: int, gen) -> LabeledGraph:
 
 
 def random_family(n: int, k: int, edge_count: int, seed: Seed,
-                  weights: tuple[float, ...] | None = None) -> WeightedFamily:
-    """k seeded random graphs with a prescribed edge count each."""
+                  weight: float = 1.0) -> WeightedFamily:
+    """k seeded random graphs with a prescribed edge count and one weight each."""
     if k < 0:
         raise ValueError(f"family size must be >= 0, got {k}")
     members = tuple(random_member(n, edge_count, seed.stream("family", i))
                     for i in range(k))
-    if weights is None:
-        return WeightedFamily.unit(members)
-    return WeightedFamily(members, weights)
+    return WeightedFamily(members, (weight,) * k)
 

@@ -2,8 +2,8 @@
 
 One subcommand per experiment; every run embeds its resolved configuration
 and seed in the output, and identical config + seed gives byte-identical
-output.  Exit codes: 0 success, 1 assertion failure (e.g. chain violation or
-a failed refutation), 2 usage error.
+output.  Exit codes: 0 success; 1 a checked property failed, with one `failure:`
+line on stderr after any document; 2 a usage error, with one `error:` line.
 """
 
 from __future__ import annotations
@@ -99,8 +99,7 @@ def cmd_sample(args) -> int:
 def cmd_alter(args) -> int:
     f = parse_pattern(args.pattern)
     result = alteration.alteration_graph(args.n, args.p, f, args.seed)
-    j = density.minimal_m2_subgraph(f)
-    cap = alteration.lemma_constants(f, args.n).admissible_p_max
+    _, cap, j = alteration.lemma_constants(f, args.n)
     _emit_json(args, {
         "command": "alter", "pattern": args.pattern, "n": args.n, "p": args.p,
         "seed": args.seed.master, "j": j.to_text(), "in_regime": args.p <= cap,
@@ -144,10 +143,10 @@ def cmd_scaling(args) -> int:
     return 0
 
 
-def _generated_family(args, f, weight=None):
+def _generated_family(args, f, weight=1.0):
     """(family, edges per member, delta): --family-size seeded random graphs
-    with --family-edges edges each, by default the fewest edges meeting the
-    unit-weight family condition at p."""
+    of the given weight with --family-edges edges each, by default the fewest
+    edges meeting the unit-weight family condition at p."""
     n, p = args.n, args.p
     if not 0.0 < p < 1.0:
         raise ValueError(f"p={p} outside (0, 1)")
@@ -160,8 +159,7 @@ def _generated_family(args, f, weight=None):
             f"family needs {edges} edges per member but only {n*(n-1)//2} pairs "
             f"exist at n={n}; {fix}"
         )
-    weights = None if weight is None else (weight,) * args.family_size
-    family = alteration.random_family(n, args.family_size, edges, args.seed, weights=weights)
+    family = alteration.random_family(n, args.family_size, edges, args.seed, weight)
     return family, edges, delta
 
 
@@ -203,7 +201,10 @@ def cmd_refute(args) -> int:
         "trials_used": len(result.trials),
         "escaping_edges": None if result.graph is None else result.graph.edges(),
     })
-    return 0 if result.success else 1
+    if not result.success:   # main prints the failure line and exits 1
+        raise AssertionError(f"refute: no escaping graph in {len(result.trials)} of "
+                             f"{args.budget} trials")
+    return 0
 
 
 def cmd_exact(args) -> int:
@@ -220,7 +221,10 @@ def cmd_gap(args) -> int:
     _emit_json(args, {"command": "gap", **report._asdict(),
                       "ratio_q_pc": report.q / report.pc if report.pc > 0 else None,
                       "ratio_qf_pc": report.qf / report.pc if report.pc > 0 else None})
-    return 0 if report.chain_holds else 1
+    if not report.chain_holds:
+        raise AssertionError(f"gap: p_c <= q_f <= q fails (pc={report.pc}, qf={report.qf}, "
+                             f"q={report.q})")
+    return 0
 
 
 def _trials(default: int) -> tuple:
@@ -256,7 +260,7 @@ COMMANDS = {
     "scaling": (cmd_scaling, "log-log scaling fit of p_c against n", (*_SEEDED, ("--n-list", dict(
         required=True, help="comma-separated increasing n")), *_BISECT)),
     "lemma2": (cmd_lemma2, "lemma2 trials against a generated family",
-               (*_FAMILY, ("--family-weight", dict(type=float, default=None)), _trials(10))),
+               (*_FAMILY, ("--family-weight", dict(type=float, default=1.0)), _trials(10))),
     "refute": (cmd_refute, "refute trials against a generated family",
                (*_FAMILY, ("--budget", dict(type=int, default=50)))),
     "exact-q": (cmd_exact, "exact tiny-n exact-q", _EXACT),

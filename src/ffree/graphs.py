@@ -202,10 +202,7 @@ class LabeledGraph(NamedTuple("LabeledGraph", [("n", int), ("bits", int)])):
 
     @staticmethod
     def from_edges(n: int, edges) -> "LabeledGraph":
-        bits = 0
-        for u, v in edges:
-            bits |= 1 << pair_index(min(u, v), max(u, v), n)
-        return LabeledGraph(n, bits)
+        return LabeledGraph.from_ids(n, [pair_index(min(u, v), max(u, v), n) for u, v in edges])
 
     @staticmethod
     def from_ids(n: int, ids) -> "LabeledGraph":

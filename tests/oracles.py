@@ -9,8 +9,10 @@ solutions, edge ids by peeling the lowest set bit, mu and p_c
 by realizing every coupled table at every probed p and searching it whole,
 copy lists by walking every automorphic image of every copy and keeping the
 first, random family members by setting one big-int bit per drawn pair,
-the exact p_c by a bisection loop of its own, pair ids by an integer square
-root per id, the tiny-n F-free census by searching every graph on [n],
+the chance that the altered graph misses H by pushing the exact law of every
+graph on [n] through the packing, the exact p_c by a bisection loop of its
+own, pair ids by an integer square root per id, the tiny-n F-free census by
+searching every graph on [n],
 the least cover cost by a branch and bound with a per-element amortized
 bound in place of LP prices, the hitting time by a contains_copy search of
 each prefix of the whole arrival stream, the covering LP's
@@ -224,6 +226,23 @@ def census_from_copies_oracle(n: int, f: PatternGraph
                      if not any((g | 1 << e) in ffree
                                 for e in range(m) if not g >> e & 1))
     return tuple(maximal), tuple(profile)
+
+
+def miss_probabilities(altered: list[int], pairs: int, p: Fraction) -> list[Fraction]:
+    """P(A & H == 0) for every H over the pairs, indexed by H's bits, where
+    A = altered[G] and G ~ G(n, p) is given by its edge bits: the exact law of
+    A, summed over the subsets of each complement of H (the subset-sum
+    transform)."""
+    weight = [p ** e * (1 - p) ** (pairs - e) for e in range(pairs + 1)]
+    law = [Fraction(0)] * (1 << pairs)
+    for g, a in enumerate(altered):
+        law[a] += weight[g.bit_count()]
+    for b in range(pairs):   # afterwards law[S] is the mass of the A inside S
+        for s in range(1 << pairs):
+            if s >> b & 1:
+                law[s] += law[s ^ 1 << b]
+    full = (1 << pairs) - 1
+    return [law[full ^ h] for h in range(1 << pairs)]
 
 
 def random_member_oracle(n: int, edge_count: int, gen) -> LabeledGraph:

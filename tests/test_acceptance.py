@@ -109,8 +109,7 @@ def test_conditional_hit_identity_and_envelopes():
     for pat in (TRIANGLE, C4, K4):
         consts = lemma_constants(pat, n)
         p = consts.admissible_p_max
-        fam = random_family(n, k, member_edges, Seed(31),
-                            weights=(0.1,) * k)
+        fam = random_family(n, k, member_edges, Seed(31), weight=0.1)
         assert family_weight(fam, p, consts.delta) <= 0.5
         not_e = [0] * k
         not_d = [0] * k

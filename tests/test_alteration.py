@@ -24,8 +24,8 @@ from ffree.graphs import LabeledGraph, PRESETS, PatternGraph, parse_pattern
 from ffree.sampling import Seed, sample_gnp
 from ffree.subiso import _search_order, contains_copy, enumerate_copies, pack_copies
 
-from oracles import (enumerate_copies_oracle, greedy_packing_oracle, numpy_stream,
-                     random_member_oracle)
+from oracles import (enumerate_copies_oracle, greedy_packing_oracle, miss_probabilities,
+                     numpy_stream, random_member_oracle)
 
 
 TRIANGLE = PRESETS["triangle"]
@@ -209,6 +209,31 @@ def test_lemma2_trial_identity_and_schema(capsys):
                        Seed(11))
     assert h["shared_altered"] == rec.altered.edge_count
     assert not contains_copy(rec.altered, TRIANGLE)
+
+
+# every preset on at most 5 vertices with a degree-2 vertex, at each n from v(F) to 5
+_TINY_LEMMA2 = [(name, n) for name in ("triangle", "C4", "K4", "C5", "P3", "P4", "K5")
+                for n in range(PRESETS[name].vertex_count, 6)]
+
+
+@pytest.mark.parametrize("name, n", _TINY_LEMMA2, ids=[f"{f}-n{n}" for f, n in _TINY_LEMMA2])
+def test_lemma2_exact_at_tiny_n(name, n):
+    # Lemma 2 on the exact law of G_{n,p}(J): each altered graph of the 2^C(n,2)
+    # graphs on [n] is F-free, and P(G(J) misses H) <= exp(-delta e(H) p) for every
+    # nonempty H over the pairs, at the p cap and at 1/256; math.exp is scaled down by
+    # a relative 1e-12 so that its rounding cannot pass a failing bound
+    f = PRESETS[name]
+    consts = lemma_constants(f, n)
+    pairs = n * (n - 1) // 2
+    altered = [greedy_maximal_packing(LabeledGraph(n, g), consts.j).altered.bits
+               for g in range(1 << pairs)]
+    assert not any(contains_copy(LabeledGraph(n, a), f) for a in set(altered))
+    slack = 1 - Fraction(1, 10 ** 12)
+    for p in (Fraction(consts.admissible_p_max), Fraction(1, 256)):
+        miss = miss_probabilities(altered, pairs, p)
+        for h in range(1, 1 << pairs):
+            bound = math.exp(-consts.delta * h.bit_count() * float(p))
+            assert miss[h] <= Fraction(bound) * slack, (name, n, p, h)
 
 
 def test_m2_witness_computed_once_per_pattern(capsys):

@@ -164,13 +164,15 @@ def test_refute_success(capsys):
 
 def test_refute_not_found_exits_1(capsys):
     # a budget of 0 tries no trial: the documented "refutation not found" exit
-    code, out = run(capsys, "refute", "--pattern", "triangle", "--n", "40",
-                    "--p", "0.2", "--family-size", "3", "--budget", "0")
+    code = main(["refute", "--pattern", "triangle", "--n", "40",
+                 "--p", "0.2", "--family-size", "3", "--budget", "0"])
+    captured = capsys.readouterr()
     assert code == 1
-    doc = json.loads(out)
+    doc = json.loads(captured.out)
     assert doc["success"] is False
     assert doc["trials_used"] == 0
     assert doc["escaping_edges"] is None
+    assert captured.err == "failure: refute: no escaping graph in 0 of 0 trials\n"
 
 
 _TOO_MANY = "family needs {} edges per member but only 45 pairs exist at n=10; {}"
@@ -264,6 +266,16 @@ def test_gap_chain(capsys):
     assert doc["chain_holds"] is True
 
 
+def test_gap_chain_failure_exits_1_with_one_failure_line(capsys, monkeypatch):
+    broken = ffree.GapReport(4, "0-1 0-2 1-2", 0.5, 0.25, 0.75, False, False, False, 0.01)
+    monkeypatch.setattr(ffree.exact_tiny, "gap_report", lambda n, f, tol: broken)
+    code = main(["gap", "--pattern", "triangle", "--n", "4"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert json.loads(captured.out)["chain_holds"] is False
+    assert captured.err == "failure: gap: p_c <= q_f <= q fails (pc=0.5, qf=0.25, q=0.75)\n"
+
+
 def test_out_file(tmp_path, capsys):
     dest = tmp_path / "density.json"
     code = main(["density", "--pattern", "K4", "--out", str(dest)])
@@ -308,15 +320,40 @@ def test_bad_family_arguments_exit_2(argv, message):
     assert proc.stderr == f"error: {message}\n"
 
 
+# one unit of sh text that a `;` or newline does not cut: a quoted string, an escaped
+# character, or a comment (a `#` opening a word, up to the newline); group 1 is a cut
+_SH_PIECE = re.compile(r"""'[^']*'|"(?:\\.|[^"\\])*"|\\.|(?<![^\s;])#[^\n]*|([;\n])|.""", re.S)
+
+
+def _sh_commands(block: str) -> list[list[str]]:
+    """The words of each command in an sh block: `\\`-newline continuations
+    join lines, and the block is cut at each `;` and newline outside quotes
+    and comments."""
+    block = block.replace("\\\n", " ")
+    cuts = [m.start() for m in _SH_PIECE.finditer(block) if m.group(1)]
+    segments = [block[i + 1:j] for i, j in zip([-1, *cuts], [*cuts, len(block)])]
+    return [words for words in (shlex.split(s, comments=True) for s in segments) if words]
+
+
+def test_sh_commands_cut_only_outside_quotes_and_comments():
+    block = ('x=$(python -c "import ffree; print(1)")  # a comment; not cut\n'
+             "ffree density --pattern 'a;b\nc'; ffree sample \\\n  --n \"3\"\n\n")
+    assert _sh_commands(block) == [
+        ["x=$(python", "-c", "import ffree; print(1))"],
+        ["ffree", "density", "--pattern", "a;b\nc"],
+        ["ffree", "sample", "--n", "3"],
+    ]
+    with pytest.raises(ValueError, match="No closing quotation"):
+        _sh_commands("ffree density --pattern 'a;b\n")
+
+
 def _readme_commands():
     """argv of every `ffree` call in the README's sh blocks; a loop variable
     stands for the first value it takes."""
     readme = Path(__file__).resolve().parents[1] / "README.md"
     for block in re.findall(r"```sh\n(.*?)```", readme.read_text(), re.S):
-        block = block.replace("\\\n", " ")
         first = dict(re.findall(r"for (\w+) in (\S+)", block))
-        for segment in re.split(r"[;\n]", block):
-            words = shlex.split(segment, comments=True)
+        for words in _sh_commands(block):
             if "ffree" in words:
                 yield [first.get(w[1:], w) if w.startswith("$") else w
                        for w in words[words.index("ffree") + 1:]]

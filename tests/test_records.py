@@ -52,8 +52,8 @@ RECORDS = [
     (lambda: Seed(5), "master", "Seed(master=5)"),
     (lambda: WeightedFamily((LabeledGraph(3, 5),), (1.0,)), "weights",
      f"WeightedFamily(members=({G_REPR},), weights=(1.0,))"),
-    (lambda: LemmaConstants(0.25, 0.125), "delta",
-     "LemmaConstants(delta=0.25, admissible_p_max=0.125)"),
+    (lambda: LemmaConstants(0.25, 0.125, TRIANGLE), "delta",
+     f"LemmaConstants(delta=0.25, admissible_p_max=0.125, j={TRIANGLE_REPR})"),
     (lambda: PackingResult(LabeledGraph(3, 5), (1,), LabeledGraph(3, 4)), "copies",
      f"PackingResult(source={G_REPR}, copies=(1,), altered=LabeledGraph(n=3, bits=4))"),
     (_hit, "e_H", HIT_REPR),
