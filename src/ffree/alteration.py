@@ -72,16 +72,11 @@ class WeightedFamily(NamedTuple("WeightedFamily", [("members", tuple[LabeledGrap
             raise ValueError("all family members must share the same vertex count")
         return super().__new__(cls, members, weights)
 
-    @staticmethod
-    def unit(members) -> "WeightedFamily":
-        members = tuple(members)
-        return WeightedFamily(members, (1.0,) * len(members))
-
 
 def family_weight(family: WeightedFamily, p: float, delta: float) -> float:
     """sum_H w(H) exp(-delta e(H) p), the total the family condition bounds."""
-    return sum(w * math.exp(-delta * g.edge_count * p)
-               for g, w in zip(family.members, family.weights))
+    return math.fsum(w * math.exp(-delta * g.edge_count * p)
+                     for g, w in zip(family.members, family.weights))
 
 
 def require_family_condition(family: WeightedFamily, p: float, delta: float,
@@ -187,30 +182,29 @@ class RefutationResult(NamedTuple):
         return self.graph is not None
 
 
-def refute_certificate(gfam: WeightedFamily, f: PatternGraph, n: int, p: float,
+def refute_certificate(complements: WeightedFamily, f: PatternGraph, n: int, p: float,
                        trial_budget: int, seed: Seed) -> RefutationResult:
     """Find an F-free graph escaping the down-closure of a putative certificate.
 
-    Builds the complement family, requires the family condition at (p, delta),
-    then runs alteration trials; the first trial hitting every complement
-    yields a graph sharing a non-edge with every certificate member, hence
-    outside the down-closure.  The escape is verified directly.
+    Takes the complements of the certificate's members, with their weights,
+    requires the family condition on them at (p, delta), then runs alteration
+    trials; the first trial hitting every complement yields a graph sharing a
+    non-edge with every certificate member, hence outside the down-closure.
+    The escape is verified directly.
     """
     if trial_budget < 0:
         raise ValueError(f"trial budget must be >= 0, got {trial_budget}")
-    if not gfam.members:
+    if not complements.members:
         return RefutationResult(LabeledGraph.empty(n), ())
-    complements = WeightedFamily(tuple(g.complement() for g in gfam.members),
-                                 gfam.weights)
     require_family_condition(complements, p, lemma_constants(f, n).delta, "complement family")
     records = []
     for i in range(trial_budget):
         rec = lemma2_trial(n, p, f, complements, seed, trial_index=i)
         records.append(rec)
         if rec.hit_all:
-            # verify the escape explicitly; the altered graph has no bit outside the pairs
-            for s in gfam.members:
-                assert rec.altered.bits & ~s.bits, (
+            # verify the escape explicitly: an edge in complement h is a non-edge of its member
+            for h in complements.members:
+                assert rec.altered.bits & h.bits, (
                     "altered graph unexpectedly contained in a certificate member"
                 )
             return RefutationResult(rec.altered, tuple(records))

@@ -188,11 +188,9 @@ def cmd_lemma2(args) -> int:
 def cmd_refute(args) -> int:
     f = parse_pattern(args.pattern)
     n, p = args.n, args.p
-    # certificate members are complements of random graphs with enough edges
-    comps, edges, _ = _generated_family(args, f)
-    gfam = alteration.WeightedFamily.unit(tuple(g.complement()
-                                                for g in comps.members))
-    result = alteration.refute_certificate(gfam, f, n, p, args.budget, args.seed)
+    # the certificate's members are the complements of random graphs with enough edges
+    complements, edges, _ = _generated_family(args, f)
+    result = alteration.refute_certificate(complements, f, n, p, args.budget, args.seed)
     _emit_json(args, {
         "command": "refute", "pattern": args.pattern, "n": n, "p": p,
         "seed": args.seed.master, "members": args.family_size, "budget": args.budget,

@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import math
 from collections import Counter
 from functools import cached_property, lru_cache, reduce
 from typing import NamedTuple
@@ -197,11 +198,11 @@ def _root_bound(inst: _Instance, weights: list[float]) -> tuple[float, list[floa
     cannot lift the bound to the LP optimum.  A labeled candidate's load under
     _spread(z) is its orbit's row . z, so z fits the labeled weights too."""
     z = [max(x, 0.0) for x in _orbit_lp(inst, weights)[2]]
-    loads = (sum(a * x for a, x in zip(row, z)) for row in inst.orbit_packing)
+    loads = (math.fsum(a * x for a, x in zip(row, z)) for row in inst.orbit_packing)
     shrink = min([1.0, *(weights[r] / load for r, load in zip(inst.representatives, loads)
                          if load > 0)]) * (1.0 - SIMPLEX_TOL)
     z = [x * shrink for x in z]
-    return sum(z), z
+    return math.fsum(z), z
 
 
 def _branch_and_bound(inst: _Instance, weights: list[float], incumbent: float,
@@ -265,7 +266,7 @@ def _branch_and_bound(inst: _Instance, weights: list[float], incumbent: float,
         return any(branch(live & ~cover[c], live & cover[c], cost + weights[c], need, fit)
                    for _, c in sorted(e for e in fit if cover[e[1]] & target))
 
-    branch((1 << len(inst.elements)) - 1, 0, 0.0, sum(y),
+    branch((1 << len(inst.elements)) - 1, 0, 0.0, math.fsum(y),
            [(w - load(cover[c]), c) for c, w in enumerate(weights)])
     del branch   # a self-referencing closure: free the memo now, not at the next GC
     return best
@@ -405,7 +406,7 @@ def mu_exact(n: int, p: float, f: PatternGraph) -> float:
     _check_cap(n, p)
     m = n * (n - 1) // 2
     counts = _ffree_census(n, f)[1]
-    return sum(counts[e] * p ** e * (1.0 - p) ** (m - e) for e in range(m + 1))
+    return math.fsum(counts[e] * p ** e * (1.0 - p) ** (m - e) for e in range(m + 1))
 
 
 def pc_exact(n: int, f: PatternGraph) -> float:

@@ -10,7 +10,8 @@ Two representations are used throughout the project:
 
 The pair index convention is fixed project-wide: pair (u, v) with u < v has
 index v(v-1)/2 + u.  Everything that serializes edge ids relies on it; only
-this module decodes pair indices or packs pair ids into bits.
+this module decodes pair ids.  Other modules pack ids into bits, and the hot
+loops of sampling and subiso compute ids inline instead of calling pair_index.
 """
 
 from __future__ import annotations

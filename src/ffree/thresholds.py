@@ -147,8 +147,8 @@ def scaling_fit(f: PatternGraph, n_list: list[int], trials: int,
     points = [(n, estimate_pc(n, f, trials, tolerance, seed).p_hat) for n in n_list]
     xs = [math.log(n) for n, _ in points]
     ys = [math.log(p) for _, p in points]
-    x_mean, y_mean = sum(xs) / len(xs), sum(ys) / len(ys)
-    slope = (sum((x - x_mean) * (y - y_mean) for x, y in zip(xs, ys))
-             / sum((x - x_mean) ** 2 for x in xs))
+    x_mean, y_mean = math.fsum(xs) / len(xs), math.fsum(ys) / len(ys)
+    slope = (math.fsum((x - x_mean) * (y - y_mean) for x, y in zip(xs, ys))
+             / math.fsum((x - x_mean) ** 2 for x in xs))
     return ScalingFit(f.to_text(), tuple(points), slope, y_mean - slope * x_mean,
                       -1.0 / float(m))

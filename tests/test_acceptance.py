@@ -6,6 +6,7 @@ one representative per isomorphism class (the networkx atlas) instead of
 all labeled graphs.
 """
 
+import builtins
 import json
 import math
 import time
@@ -194,8 +195,7 @@ def test_refutation_harness_n60():
         # if even those fail the condition, no admissible family exists
         consts = lemma_constants(TRIANGLE, n)
         p = consts.admissible_p_max
-        fam = WeightedFamily.unit(
-            tuple(LabeledGraph.complete(n) for _ in range(k)))
+        fam = WeightedFamily(tuple(LabeledGraph.complete(n) for _ in range(k)), (1.0,) * k)
         weight = k * math.exp(-consts.delta * (n * (n - 1) // 2) * p)
         return p, family_weight(fam, p, consts.delta) <= 0.5, weight
 
@@ -207,23 +207,23 @@ def test_refutation_harness_n60():
         f"weight {weight:.3f} > 1/2")
     # 218 is the minimum: one vertex fewer and even the densest family fails
     assert not densest(n - 1)[1]
-    fam = WeightedFamily.unit(
-        tuple(LabeledGraph.empty(n) for _ in range(k)))
-    res = refute_certificate(fam, TRIANGLE, n, p, 50, Seed(7))
+    certificate = tuple(LabeledGraph.empty(n) for _ in range(k))
+    complements = WeightedFamily(tuple(g.complement() for g in certificate), (1.0,) * k)
+    res = refute_certificate(complements, TRIANGLE, n, p, 50, Seed(7))
     assert res.success
     assert not contains_copy(res.graph, TRIANGLE)
-    for member in fam.members:
+    for member in certificate:
         assert res.graph.bits & ~member.bits != 0
 
     # on 60 vertices the same certificate is refused, with the weight stated
     p60, ok60, _ = densest(60)
     assert not ok60
-    empty60 = WeightedFamily.unit(
-        tuple(LabeledGraph.empty(60) for _ in range(k)))
+    empty60 = tuple(LabeledGraph.empty(60) for _ in range(k))
     with pytest.raises(InapplicableFamilyError,
                        match=r"complement family weight 6\.508 > 1/2 "
                              r"at p=0\.00291195, delta=0\.08333"):
-        refute_certificate(empty60, TRIANGLE, 60, p60, 50, Seed(7))
+        refute_certificate(WeightedFamily(tuple(g.complement() for g in empty60), (1.0,) * k),
+                           TRIANGLE, 60, p60, 50, Seed(7))
 
 
 def test_chernoff_utility_bound():
@@ -252,11 +252,26 @@ CLI_RUNS = [
     ["exact-q", "--pattern", "triangle", "--n", "4"],
     ["exact-qf", "--pattern", "triangle", "--n", "4"],
     ["gap", "--pattern", "triangle", "--n", "4"],
+    ["exact-q", "--pattern", "P3", "--n", "5"],   # the smallest run searching below q's root
 ]
+# a run is named by its subcommand; a subcommand's later runs add their pattern
+CLI_RUN_IDS = [a[0] if [b[0] for b in CLI_RUNS].index(a[0]) == i else f"{a[0]}-{a[2]}"
+               for i, a in enumerate(CLI_RUNS)]
 
 
-@pytest.mark.parametrize("argv", CLI_RUNS, ids=[a[0] for a in CLI_RUNS])
-def test_reproducibility_byte_identical(tmp_path, argv):
+def _sum_refusing_floats(items, start=0, *, _sum=builtins.sum):
+    items = list(items)
+    if any(isinstance(x, float) for x in (start, *items)):
+        raise TypeError("a float total needs math.fsum: builtin sum rounds it "
+                        "differently from Python 3.12 on")
+    return _sum(items, start)
+
+
+@pytest.mark.parametrize("argv", CLI_RUNS, ids=CLI_RUN_IDS)
+def test_reproducibility_byte_identical(tmp_path, monkeypatch, argv):
+    # every float total goes through math.fsum, so the bytes do not depend on the
+    # interpreter's builtin sum
+    monkeypatch.setattr(builtins, "sum", _sum_refusing_floats)
     outs = []
     for tag in ("a", "b"):
         dest = tmp_path / f"{tag}.out"

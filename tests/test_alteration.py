@@ -20,6 +20,7 @@ from ffree.alteration import (
     refute_certificate,
 )
 from ffree.cli import main
+from ffree.exact_tiny import lp_min_cost, qf_exact
 from ffree.graphs import LabeledGraph, PRESETS, PatternGraph, parse_pattern
 from ffree.sampling import Seed, sample_gnp
 from ffree.subiso import _search_order, contains_copy, enumerate_copies, pack_copies
@@ -174,9 +175,9 @@ def test_in_regime_is_p_at_most_the_cap(capsys):
 def test_family_condition_examples():
     n, p = 20, 0.3
     delta = lemma_constants(TRIANGLE, n).delta
-    dense = WeightedFamily.unit((LabeledGraph.complete(n),))
+    dense = WeightedFamily((LabeledGraph.complete(n),), (1.0,))
     assert family_weight(dense, p, delta) <= 0.5
-    edgeless = WeightedFamily.unit((LabeledGraph.empty(n),))
+    edgeless = WeightedFamily((LabeledGraph.empty(n),), (1.0,))
     assert not family_weight(edgeless, p, delta) <= 0.5
 
 
@@ -205,7 +206,7 @@ def test_lemma2_trial_identity_and_schema(capsys):
         assert h["shared_altered"] >= 1
     assert d["hit_all"] == (d["missed_weight"] == 0.0)
     # the trial's altered graph, kept out of the JSON record, is F-free
-    rec = lemma2_trial(n, p, TRIANGLE, WeightedFamily.unit((LabeledGraph.complete(n),)),
+    rec = lemma2_trial(n, p, TRIANGLE, WeightedFamily((LabeledGraph.complete(n),), (1.0,)),
                        Seed(11))
     assert h["shared_altered"] == rec.altered.edge_count
     assert not contains_copy(rec.altered, TRIANGLE)
@@ -234,6 +235,22 @@ def test_lemma2_exact_at_tiny_n(name, n):
         for h in range(1, 1 << pairs):
             bound = math.exp(-consts.delta * h.bit_count() * float(p))
             assert miss[h] <= Fraction(bound) * slack, (name, n, p, h)
+    # the dual side, a lower bound on q_f: a law nu of F-free graphs A with
+    # nu(A inside S) <= (1 - p)^(C(n,2) - |S|) / c for every S makes each fractional
+    # certificate cost at least c.  nu is the law of G_{n,p'}(J) at p' = k/16, c(p, p')
+    # the least such ratio, and the largest p where some c exceeds 1/2 is below q_f
+    grid = [k / 16 for k in range(1, 16)]
+    full = (1 << pairs) - 1
+    laws = [[(pairs - s.bit_count(), miss[full ^ s]) for s in range(1 << pairs)
+             if miss[full ^ s] > 0]
+            for miss in (miss_probabilities(altered, pairs, q) for q in grid)]
+    certified = 0.0
+    for p in grid:
+        c = max(min((1 - p) ** gap / nu for gap, nu in law) for law in laws)
+        assert lp_min_cost(n, p, f) >= c - 1e-12, (name, n, p, c)
+        if c > 0.5:
+            certified = p
+    assert 0 < certified < qf_exact(n, f).value, (name, n, certified)
 
 
 def test_m2_witness_computed_once_per_pattern(capsys):
@@ -241,7 +258,7 @@ def test_m2_witness_computed_once_per_pattern(capsys):
     # each alteration and `alter` read it from one cache, shared with m2(F)
     density._best_subset.cache_clear()
     n, p = 30, 0.1
-    fam = WeightedFamily.unit((LabeledGraph.complete(n),))
+    fam = WeightedFamily((LabeledGraph.complete(n),), (1.0,))
     patterns = [C4, K4, PRESETS["petersen"]]
     for f in patterns:
         for i in range(3):
@@ -275,11 +292,11 @@ def test_refute_empty_family_trivial():
 
 
 def test_refute_rejects_thin_family():
-    fam = WeightedFamily.unit((LabeledGraph.complete(8),))
-    # complement of a complete graph is edgeless, so the condition on the
+    # the certificate K_8 has an edgeless complement, so the condition on the
     # complement family cannot hold
+    complements = WeightedFamily((LabeledGraph.complete(8).complement(),), (1.0,))
     with pytest.raises(InapplicableFamilyError):
-        refute_certificate(fam, TRIANGLE, 8, 0.2, 5, Seed(0))
+        refute_certificate(complements, TRIANGLE, 8, 0.2, 5, Seed(0))
 
 
 def test_refute_produces_escape_graph(monkeypatch):
@@ -295,14 +312,14 @@ def test_refute_produces_escape_graph(monkeypatch):
     gen = numpy_stream(23, "refute-fam")
     # members whose complements have at least e_min edges
     members = tuple(random_member(n, full - e_min, gen) for _ in range(k))
-    fam = WeightedFamily.unit(members)
-    res = refute_certificate(fam, TRIANGLE, n, p, 30, Seed(23))
+    complements = WeightedFamily(tuple(m.complement() for m in members), (1.0,) * k)
+    res = refute_certificate(complements, TRIANGLE, n, p, 30, Seed(23))
     assert res.success
     assert len(calls) == len(res.trials)
     g = res.graph
     assert g is res.trials[-1].altered   # the successful trial's graph
     assert not contains_copy(g, TRIANGLE)
-    for m in fam.members:
+    for m in members:
         assert g.bits & ~m.bits != 0  # not a subgraph of any member
 
 

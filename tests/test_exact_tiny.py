@@ -535,7 +535,7 @@ def test_root_bound_packing_fits_every_labeled_weight(text):
             bound, z = exact_tiny._root_bound(inst, weights)
             y = np.array(exact_tiny._spread(z, inst.element_orbit))
             assert (a @ y <= np.array(weights)).all(), (n, k)
-            assert sum(z) == bound, (n, k)
+            assert math.fsum(z) == bound, (n, k)
 
 
 def test_root_cut_is_inclusive(monkeypatch):
