@@ -101,15 +101,16 @@ class EdgeThresholdTable:
     def _draws(self):
         """Draw the next arrivals one at a time as they are read, yielding the
         endpoints (u, v), u < v, of each; one reader at a time."""
-        n, marks, ids, drawn = self.n, self.marks, self.ids, self._drawn
-        rand, log, expm1 = self._gen.random, math.log, math.expm1
+        n, marks, ids, drawn, log_s = self.n, self.marks, self.ids, self._drawn, self._log_s
+        add, add_id, add_mark = drawn.add, ids.append, marks.append
+        rand, log, expm1, grid, scale = self._gen.random, math.log, math.expm1, _GRID, float(_GRID)
         last = marks[-1] if marks else 0
         for left in range(n * (n - 1) // 2 - len(ids), 0, -1):
             # 1 - random() is uniform on (0, 1]
-            log_s = self._log_s = self._log_s + log(1.0 - rand()) / left
-            mark = int(-expm1(log_s) * 18446744073709551616.0)
-            if not last <= mark < _GRID:   # a libm rounding must not reorder arrivals
-                mark = min(max(mark, last), _GRID - 1)
+            log_s += log(1.0 - rand()) / left
+            mark = int(-expm1(log_s) * scale)
+            if not last <= mark < grid:   # a libm rounding must not reorder arrivals
+                mark = min(max(mark, last), grid - 1)
             while True:
                 u, v = int(rand() * n), int(rand() * n)
                 if u > v:
@@ -117,10 +118,11 @@ class EdgeThresholdTable:
                 k = v * (v - 1) // 2 + u
                 if u != v and k not in drawn:
                     break
-            drawn.add(k)
-            ids.append(k)
-            marks.append(mark)
+            add(k)
+            add_id(k)
+            add_mark(mark)
             last = mark
+            self._log_s = log_s   # before the yield: a reader may stop here and resume later
             yield u, v
 
     def arrival_pairs(self):

@@ -11,9 +11,12 @@ descending-degree order, each position's candidates one bitmask of host
 vertices.  Symmetry-breaking order constraints (Grochow & Kellis, RECOMB
 2007) pass only the least embedding in each orbit of Aut(J), or of the
 automorphisms fixing a rooted search's first edge, so each copy is found once
-and existence searches skip symmetric dead ends.  Copies come from one walk
-over the host's edges by pair id with searches rooted at each edge, _blocks;
-enumerate_copies lists its copies and pack_copies packs them first-fit.
+and existence searches skip symmetric dead ends.  A rooted search places its
+root before the loop.  Copies come from one walk over the host's edges by pair
+id with searches rooted at each edge, _blocks; enumerate_copies lists its
+copies and pack_copies packs them first-fit.  The hitting-time scan,
+first_completing_edge, roots its searches at each arrival.  Both rooted callers
+skip a root whose third search position has no candidate (see _edge_roots).
 """
 
 from __future__ import annotations
@@ -73,39 +76,56 @@ def _embeddings(adj: list[int], ge: list[int], plan, root: tuple[int, ...] = (),
     images a degree-d vertex may take (degree >= d, or == d from _self_host).
     `plan` is from _search_order; `root` fixes the images of its first len(root)
     positions; `above[i]` lists earlier positions j whose image must be below
-    images[i].  rest[i] holds the untried candidates of position i, tried lowest first.
+    images[i].  The root is placed before the loop, each image only if it lies in
+    the domain the loop would build, and the loop never backtracks into it.
+    rest[i] holds the untried candidates of position i, tried lowest first.
     """
     _, prior, need = plan
     last = len(need) - 1
     images = [0] * (last + 1)
     rest = images[:]
-    rest[0] = ge[need[0]] & (1 << root[0]) if root else ge[need[0]]
-    used = i = 0   # used: the images of positions 0..i-1
-    while True:
-        cand = rest[i]
-        if cand:
-            low = cand & -cand
-            rest[i] = cand ^ low
-            images[i] = low.bit_length() - 1
-            if i == last:
-                yield tuple(images)
-                continue
-            used |= low
-            i += 1
-            dom = ge[need[i]] & ~used
-            for j in prior[i]:
-                dom &= adj[images[j]]
-            if i < len(root):
-                dom &= 1 << root[i]
-            if above:
-                for j in above[i]:
-                    dom &= -2 << images[j]   # clears bits 0..images[j]
-            rest[i] = dom
-        elif i:
-            i -= 1
-            used ^= 1 << images[i]
-        else:
+    used = 0   # the images of positions 0..i-1
+    for i, x in enumerate(root):
+        bit = 1 << x
+        if used & bit or not ge[need[i]] & bit:
             return
+        for j in prior[i]:
+            if not adj[images[j]] & bit:
+                return
+        if above:
+            for j in above[i]:
+                if images[j] >= x:
+                    return
+        images[i] = x
+        used |= bit
+    base = i = len(root)
+    if i > last:
+        yield tuple(images)
+        return
+    while True:
+        dom = ge[need[i]] & ~used   # position i's candidates
+        for j in prior[i]:
+            dom &= adj[images[j]]
+        if above:
+            for j in above[i]:
+                dom &= -2 << images[j]   # clears bits 0..images[j]
+        rest[i] = dom
+        while True:
+            cand = rest[i]
+            if cand:
+                low = cand & -cand
+                rest[i] = cand ^ low
+                images[i] = low.bit_length() - 1
+                if i < last:
+                    break
+                yield tuple(images)
+            elif i > base:
+                i -= 1
+                used ^= 1 << images[i]
+            else:
+                return
+        used |= low
+        i += 1
 
 
 @functools.lru_cache(maxsize=256)
@@ -140,8 +160,11 @@ def contains_copy(g: LabeledGraph, f: PatternGraph) -> bool:
 
 @functools.lru_cache(maxsize=64)
 def _edge_roots(f: PatternGraph) -> tuple:
-    """Pairs (plan, above) from _plan(F, (a, b)), for one oriented edge
-    (a, b) per orbit of Aut(F), the first of its orbit in F.edges order.
+    """Tuples (plan, above, need0, need1, third), with (plan, above) from
+    _plan(F, (a, b)) for one oriented edge (a, b) per orbit of Aut(F), the first of
+    its orbit in F.edges order.  need0 and need1 are the least host degrees of the
+    root's images, and third is (prior, need) of the plan's third position, or None
+    for a one-edge plan: the rooted callers' pre-checks.
 
     A host edge (u, v) lies in a copy of F iff some root's plan embeds with
     its first two positions at (u, v): an automorphism carrying (a, b) to
@@ -152,9 +175,12 @@ def _edge_roots(f: PatternGraph) -> tuple:
     roots, covered = [], set()
     for e in oriented:
         if e not in covered:
-            roots.append(_plan(f, e))
+            plan, above = _plan(f, e)
+            _, prior, need = plan
+            roots.append((plan, above, need[0], need[1],
+                          (prior[2], need[2]) if len(need) > 2 else None))
             # (c, d) is in the orbit of e iff F embeds in itself with e at (c, d)
-            covered.update(r for r in oriented if next(_embeddings(*host, roots[-1][0], r), None))
+            covered.update(r for r in oriented if next(_embeddings(*host, plan, r), None))
     return tuple(roots)
 
 
@@ -163,7 +189,9 @@ def first_completing_edge(n: int, pairs, f: PatternGraph) -> int | None:
 
     The graph on [n] starts empty and gains the pairs (u, v) in the given
     order.  After each arrival only copies using the new edge are searched,
-    rooted at it (see _edge_roots).  None if the graph never contains a copy.
+    rooted at it (see _edge_roots), and a root runs only if its images have the
+    degrees it needs and its third position, if any, has a candidate.  None if
+    the graph never contains a copy.
     """
     if f.edge_count < 1:
         raise ValueError("pattern must have at least one edge")
@@ -173,17 +201,25 @@ def first_completing_edge(n: int, pairs, f: PatternGraph) -> int | None:
     top = max(f.degrees())
     adj = [0] * n
     ge = [(1 << n) - 1] + [0] * top   # ge[d]: the vertices of degree >= d
-    for k, (u, v) in enumerate(pairs):
-        adj[u] |= 1 << v
-        adj[v] |= 1 << u
+    for k, root in enumerate(pairs):
+        u, v = root
+        bu, bv = 1 << u, 1 << v
+        adj[u] |= bv
+        adj[v] |= bu
         du, dv = adj[u].bit_count(), adj[v].bit_count()
-        ge[min(du, top)] |= 1 << u
-        ge[min(dv, top)] |= 1 << v
-        for plan, above in roots:
-            need = plan[2]
-            if du < need[0] or dv < need[1]:
+        ge[du if du < top else top] |= bu
+        ge[dv if dv < top else top] |= bv
+        for plan, above, need0, need1, third in roots:
+            if du < need0 or dv < need1:
                 continue
-            for _ in _embeddings(adj, ge, plan, (u, v), above):
+            if third:
+                prior, need2 = third
+                dom = ge[need2] & ~(bu | bv)
+                for i in prior:   # the third position's candidates
+                    dom &= adj[root[i]]
+                if not dom:
+                    continue
+            for _ in _embeddings(adj, ge, plan, root, above):
                 return k
     return None
 
@@ -200,19 +236,21 @@ def _blocks(g: LabeledGraph, j: PatternGraph):
     if g.n < j.vertex_count:
         return   # isolated pattern vertices still need distinct host vertices
     adj, ge = _host(g, max(j.degrees()))
-    roots = [(plan, above, *((plan[1][2], ge[plan[2][2]]) if len(plan[2]) > 2 else ((), -1)))
-             for plan, above in _edge_roots(j)]
+    roots = _edge_roots(j)
     for v in range(g.n):
         below = (1 << v) - 1   # the u < v not yet walked
         while cand := adj[v] & below:
             u = (cand & -cand).bit_length() - 1
             below &= -2 << u
-            root, block = (u, v), []
-            for plan, above, prior, third in roots:
-                for i in prior:   # the third position's candidates
-                    third &= adj[root[i]]
-                if not third & ~(1 << u | 1 << v):
-                    continue
+            root, block, off = (u, v), [], ~(1 << u | 1 << v)
+            for plan, above, _, _, third in roots:
+                if third:
+                    prior, need2 = third
+                    dom = ge[need2] & off
+                    for i in prior:   # the third position's candidates
+                        dom &= adj[root[i]]
+                    if not dom:
+                        continue
                 for images in _embeddings(adj, ge, plan, root, above):
                     pairs = [(images[i], y) for y, prev in zip(images, plan[1]) for i in prev]
                     block.append((sorted(y * (y - 1) // 2 + x if x < y else x * (x - 1) // 2 + y

@@ -148,7 +148,12 @@ def test_plans_and_roots_match_generator_oracle(name):
     assert _plan(f) == plan_oracle(f)[:2]
     for e in (e for u, v in f.edges for e in ((u, v), (v, u))):
         assert _plan(f, e) == plan_oracle(f, e)[:2]
-    assert _edge_roots(f) == edge_roots_oracle(f)
+    roots = _edge_roots(f)
+    assert tuple((plan, above) for plan, above, *_ in roots) == edge_roots_oracle(f)
+    # the pre-check data is read off each root's plan
+    for (_, prior, need), _, need0, need1, third in roots:
+        assert (need0, need1) == (need[0], need[1])
+        assert third == ((prior[2], need[2]) if len(need) > 2 else None)
 
 
 def test_edge_roots_of_dense_pattern_are_fast(deadline):
@@ -156,7 +161,8 @@ def test_edge_roots_of_dense_pattern_are_fast(deadline):
     # degree >= d domains they fail late, and K12 - e took ~24 s
     deadline(2)
     f = _complete_minus_edge(12)
-    assert _edge_roots(f) == tuple(_plan(f, e) for e in [(0, 2), (2, 0), (2, 3)])
+    assert (tuple(r[:2] for r in _edge_roots(f))
+            == tuple(_plan(f, e) for e in [(0, 2), (2, 0), (2, 3)]))
 
 
 @settings(max_examples=30, deadline=None)
@@ -202,6 +208,37 @@ def test_embeddings_equal_recursive_oracle(f, n, p, master, data):
     assert got == list(embeddings_oracle(adj, [m.bit_count() for m in adj], plan, root, above))
 
 
+@pytest.mark.parametrize("host, name, first_edge, root, above, degrees, count", [
+    # an above constraint at a root position: 1 is not above 3
+    (LabeledGraph.complete(5), "triangle", (), (3, 1), [[], [0], []], None, 0),
+    (LabeledGraph.complete(5), "triangle", (), (1, 3), [[], [0], []], None, 3),
+    # a root vertex outside ge[need]: vertex 0 of K4 given degree 1
+    (LabeledGraph.complete(4), "triangle", (), (0, 1), None, [1, 3, 3, 3], 0),
+    (LabeledGraph.complete(4), "triangle", (), (1, 2), None, [1, 3, 3, 3], 1),
+    # a non-adjacent root pair, then an adjacent one, on C5
+    (C5_GRAPH, "P3", (1, 0), (0, 2), None, None, 0),
+    (C5_GRAPH, "P3", (1, 0), (0, 1), None, None, 1),
+    # a root as long as the plan: valid, against the order, on a path, repeated
+    (LabeledGraph.complete(4), "triangle", (), (0, 1, 2), None, None, 1),
+    (LabeledGraph.complete(4), "triangle", (), (2, 1, 0), [[], [0], [0, 1]], None, 0),
+    (LabeledGraph.from_edges(4, [(0, 1), (1, 2), (2, 3)]), "triangle", (), (0, 1, 2),
+     None, None, 0),
+    (LabeledGraph.complete(4), "triangle", (), (0, 1, 0), None, None, 0),
+    # a valid root whose next position has an empty domain
+    (C5_GRAPH, "triangle", (), (0, 1), None, None, 0),
+])
+def test_root_placement_matches_recursive_oracle(host, name, first_edge, root, above,
+                                                 degrees, count):
+    # each root image must lie in the domain the backtracking loop would build
+    plan = _search_order(PRESETS[name], first_edge)
+    adj = host.adjacency_masks()
+    degrees = degrees or [m.bit_count() for m in adj]
+    ge = [sum(1 << v for v, d in enumerate(degrees) if d >= k) for k in range(max(plan[2]) + 1)]
+    got = list(_embeddings(adj, ge, plan, root, above))
+    assert got == list(embeddings_oracle(adj, degrees, plan, root, above))
+    assert len(got) == count
+
+
 def _complete(k: int) -> PatternGraph:
     return PatternGraph.from_edges(list(itertools.combinations(range(k), 2)))
 
@@ -238,11 +275,13 @@ def test_contains_copy_dense_terminates(deadline):
     assert not contains_copy(LabeledGraph.from_edges(16, _complete(16).edges[1:]), _complete(16))
 
 
-@pytest.mark.parametrize("name", list(PRESETS))
+# plus a one-edge plan, with no third position, and a star, whose two roots
+# differ and whose third position hangs off the centre
+@pytest.mark.parametrize("name", [*PRESETS, "0-1", "0-1 0-2 0-3"])
 def test_first_completing_edge_returns_the_completing_pair(name):
     # on seeded random arrival orders of every pair of K_n, the graph before
     # the pair at the returned index is F-free and the graph with it contains F
-    f = PRESETS[name]
+    f = parse_pattern(name)
     rng = random.Random(name)
     for n in range(f.vertex_count, f.vertex_count + 3):
         pairs = [(u, v) for v in range(n) for u in range(v)]

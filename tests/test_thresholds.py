@@ -104,8 +104,10 @@ def test_scaling_fit_refuses_an_edgeless_pattern_before_estimating(monkeypatch):
         scaling_fit(parse_pattern("n=3"), [3, 4, 5], 10, 0.05, Seed(0))
 
 
-# presets, a disconnected pattern, one with an isolated vertex, one edgeless
-HITTING_PATTERNS = ["triangle", "C4", "K4", "P3", "C5", "0-1 2-3", "n=4 0-1 1-2", "n=2"]
+# presets, a disconnected pattern, one with an isolated vertex, one edgeless,
+# a one-edge plan with no third search position, and a star with two roots
+HITTING_PATTERNS = ["triangle", "C4", "K4", "P3", "C5", "0-1 2-3", "n=4 0-1 1-2", "n=2",
+                    "0-1", "0-1 0-2 0-3"]
 
 
 @pytest.mark.parametrize("text", HITTING_PATTERNS)
