@@ -5,10 +5,11 @@ construction of F-free graphs hitting adversarial families, Monte Carlo
 threshold location, and exact tiny-n expectation thresholds with the chain
 p_c <= q_f <= q.
 
-The package needs only the standard library.  fractions, hashlib and random
-are imported inside the functions that use them, so importing the package
-loads none of them, and the result records are NamedTuples, not dataclasses
-(the dataclasses module imports inspect).
+The package needs only the standard library.  fractions, random and _blake2
+(hashlib's blake2b, without the OpenSSL module hashlib loads) are imported
+inside the functions that use them, so importing the package loads none of
+them, and the result records are NamedTuples, not dataclasses (the
+dataclasses module imports inspect).
 
 The records are also the command line's output: ffree.cli writes each
 `ffree/1` JSON document from a record's _asdict(), under its field names.

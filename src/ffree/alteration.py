@@ -218,7 +218,8 @@ def random_member(n: int, edge_count: int, gen) -> LabeledGraph:
     """Uniform labeled graph on [n] with exactly edge_count edges.
 
     Draws the smaller of its edge set and its complement's, one uniform pair
-    id per gen.random() call, rejecting repeats."""
+    id per gen.random() call, rejecting repeats.  A round draws only as many
+    ids as are still missing, so the draws are those of one draw at a time."""
     pairs = n * (n - 1) // 2
     if edge_count < 0:
         raise ValueError(f"edge_count must be >= 0, got {edge_count}")
@@ -226,8 +227,9 @@ def random_member(n: int, edge_count: int, gen) -> LabeledGraph:
         raise ValueError(f"edge_count {edge_count} exceeds {pairs} pairs")
     size = min(edge_count, pairs - edge_count)
     chosen: set[int] = set()
-    while len(chosen) < size:
-        chosen.add(int(gen.random() * pairs))
+    rand = gen.random
+    while need := size - len(chosen):
+        chosen.update([int(rand() * pairs) for _ in range(need)])
     g = LabeledGraph.from_ids(n, chosen)
     return g if size == edge_count else g.complement()
 

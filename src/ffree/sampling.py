@@ -45,9 +45,10 @@ class Seed(NamedTuple("Seed", [("master", int)])):
         return super().__new__(cls, master)
 
     def stream(self, purpose: str, index: int = 0) -> random.Random:
-        import hashlib
         import random
-        key = hashlib.blake2b(f"{self.master}/{index}/{purpose}".encode(), digest_size=16)
+        # hashlib's own blake2b, without the OpenSSL module hashlib loads beside it
+        from _blake2 import blake2b
+        key = blake2b(f"{self.master}/{index}/{purpose}".encode(), digest_size=16)
         return random.Random(int.from_bytes(key.digest(), "big"))
 
     @staticmethod

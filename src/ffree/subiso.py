@@ -5,18 +5,23 @@ its edge set and returned as its edge mask, the int whose bit pair_index(u, v)
 is set for each edge (one mask per distinct edge set; automorphisms of J do
 not multiply-count).  Copies are not required to be induced.
 
-Every search runs one kernel, _embeddings: backtracking in a single frame
-over the non-isolated pattern vertices in a connected-first,
-descending-degree order, each position's candidates one bitmask of host
-vertices.  Symmetry-breaking order constraints (Grochow & Kellis, RECOMB
-2007) pass only the least embedding in each orbit of Aut(J), or of the
-automorphisms fixing a rooted search's first edge, so each copy is found once
-and existence searches skip symmetric dead ends.  A rooted search places its
-root before the loop.  Copies come from one walk over the host's edges by pair
-id with searches rooted at each edge, _blocks; enumerate_copies lists its
-copies and pack_copies packs them first-fit.  The hitting-time scan,
-first_completing_edge, roots its searches at each arrival.  Both rooted callers
-skip a root whose third search position has no candidate (see _edge_roots).
+A search backtracks over the non-isolated pattern vertices in a
+connected-first, descending-degree order, each position's candidates one
+bitmask of host vertices.  Symmetry-breaking order constraints (Grochow &
+Kellis, RECOMB 2007) pass only the least embedding in each orbit of Aut(J), or
+of the automorphisms fixing a rooted search's first edge, so each copy is found
+once and existence searches skip symmetric dead ends.
+
+The generic kernel, _embeddings, interprets a search plan in a single frame;
+contains_copy and the searches of a pattern in itself run it.  The rooted
+searches, one per edge orbit of the pattern (see _edge_roots), run as Python
+compiled once per pattern (_walk): each plan's positions are nested loops with
+their domains written out, visiting the nodes _embeddings would, in its order,
+and searches deeper than _DEEPEST positions go on in _embeddings.  Copies come
+from one walk over the host's edges by pair id with searches rooted at each
+edge, _blocks; enumerate_copies lists its copies and pack_copies packs them
+first-fit.  The hitting-time scan, first_completing_edge, is compiled whole: it
+adds the arrivals one at a time and roots the searches at each.
 """
 
 from __future__ import annotations
@@ -160,11 +165,8 @@ def contains_copy(g: LabeledGraph, f: PatternGraph) -> bool:
 
 @functools.lru_cache(maxsize=64)
 def _edge_roots(f: PatternGraph) -> tuple:
-    """Tuples (plan, above, need0, need1, third), with (plan, above) from
-    _plan(F, (a, b)) for one oriented edge (a, b) per orbit of Aut(F), the first of
-    its orbit in F.edges order.  need0 and need1 are the least host degrees of the
-    root's images, and third is (prior, need) of the plan's third position, or None
-    for a one-edge plan: the rooted callers' pre-checks.
+    """Pairs (plan, above) from _plan(F, (a, b)), for one oriented edge (a, b) per
+    orbit of Aut(F), the first of its orbit in F.edges order.
 
     A host edge (u, v) lies in a copy of F iff some root's plan embeds with
     its first two positions at (u, v): an automorphism carrying (a, b) to
@@ -176,12 +178,91 @@ def _edge_roots(f: PatternGraph) -> tuple:
     for e in oriented:
         if e not in covered:
             plan, above = _plan(f, e)
-            _, prior, need = plan
-            roots.append((plan, above, need[0], need[1],
-                          (prior[2], need[2]) if len(need) > 2 else None))
+            roots.append((plan, above))
             # (c, d) is in the orbit of e iff F embeds in itself with e at (c, d)
             covered.update(r for r in oriented if next(_embeddings(*host, plan, r), None))
     return tuple(roots)
+
+
+# CPython 3.10-3.12 refuse more than 20 statically nested blocks.  A compiled walk
+# nests a loop per position it writes out, below at most two more (the scan's
+# arrival loop and the hand-off to _embeddings past this position).
+_DEEPEST = 17
+
+
+@functools.lru_cache(maxsize=64)
+def _walk(f: PatternGraph, scan: bool):
+    """F's rooted searches (see _edge_roots) compiled into one function.
+
+    Each root's positions 2.. are nested loops written out, position i's domain
+    `ge[need] & ~(b_j ...) & adj[x_j] ... & (-2 << x_k) ...` as _embeddings builds
+    it: the b_j are the placed images that neither an adjacency nor an order
+    constraint already excludes.  Candidates are taken lowest first, so the
+    searches visit the nodes _embeddings visits, in its order, and an empty
+    first domain ends a root.  Past position _DEEPEST a search goes on in
+    _embeddings, rooted at the images placed so far.
+
+    scan: walk(pairs, adj, ge) adds the pairs (x0, x1) to the empty host (adj, ge)
+    one at a time, as first_completing_edge does, and returns the index of the
+    first whose rooted searches embed F (None if none does), after testing the
+    root images' fresh degrees d0 and d1; its last position is one mask test.  Otherwise
+    walk(adj, ge, x0, x1) returns the copies through host edge (x0, x1), x0 < x1,
+    as (sorted edge ids, edge pairs), as _blocks reads them.
+    """
+    roots = _edge_roots(f)
+    top = max(f.degrees())
+    if scan:
+        lines = ["def walk(pairs, adj, ge):",
+                 " for k, (x0, x1) in enumerate(pairs):",
+                 "  b0 = 1 << x0", "  b1 = 1 << x1",
+                 "  adj[x0] |= b1", "  adj[x1] |= b0",
+                 "  d0 = adj[x0].bit_count()", "  d1 = adj[x1].bit_count()",
+                 f"  ge[d0 if d0 < {top} else {top}] |= b0",
+                 f"  ge[d1 if d1 < {top} else {top}] |= b1"]
+        base = 2
+    else:
+        lines = ["def walk(adj, ge, x0, x1):", " b0 = 1 << x0", " b1 = 1 << x1", " block = []"]
+        base = 1
+    for r, ((_, prior, need), above) in enumerate(roots):
+        last = len(need) - 1
+        tail = min(last, _DEEPEST)   # the deepest position written out
+        tests = [f"d{i} >= {need[i]}" if scan else f"ge[{need[i]}] & b{i}"
+                 for i in (0, 1) if need[i] > 1]   # an edge's ends have degree >= 1
+        depth = base
+        if tests:
+            lines.append(" " * depth + f"if {' and '.join(tests)}:")
+            depth += 1
+        for i in range(2, tail + 1):
+            off = [f"b{j}" for j in range(i) if j not in prior[i] and j not in above[i]]
+            dom = " & ".join([f"ge[{need[i]}]",
+                              *([f"~({' | '.join(off)})"] if off else []),
+                              *(f"adj[x{j}]" for j in prior[i]),
+                              *(f"(-2 << x{j})" for j in above[i])])
+            pad = " " * depth
+            if scan and i == last:
+                lines.append(pad + f"if {dom}:")
+            else:
+                lines += [pad + f"d{i} = {dom}", pad + f"while d{i}:",
+                          pad + f" b{i} = d{i} & -d{i}", pad + f" d{i} ^= b{i}",
+                          pad + f" x{i} = b{i}.bit_length() - 1"]
+            depth += 1
+        if last > tail:
+            images = ", ".join(f"x{i}" for i in range(last + 1))
+            placed = ", ".join(f"x{i}" for i in range(tail + 1))
+            lines.append(" " * depth + f"for {images} in _embeddings(adj, ge, roots[{r}][0], "
+                         f"({placed}), roots[{r}][1]):")
+            depth += 1
+        if scan:
+            lines.append(" " * depth + "return k")
+        else:
+            edges = ", ".join(f"(x{i}, x{y})" for y in range(1, last + 1) for i in prior[y])
+            lines += [" " * depth + f"pairs = [{edges}]",
+                      " " * depth + "block.append((sorted([y * (y - 1) // 2 + x if x < y else "
+                      "x * (x - 1) // 2 + y for x, y in pairs]), pairs))"]   # pair_index
+    lines.append(" return None" if scan else " return block")
+    space = {"_embeddings": _embeddings, "roots": roots}
+    exec(compile("\n".join(lines), "<ffree.subiso walk>", "exec"), space)
+    return space["walk"]
 
 
 def first_completing_edge(n: int, pairs, f: PatternGraph) -> int | None:
@@ -189,73 +270,38 @@ def first_completing_edge(n: int, pairs, f: PatternGraph) -> int | None:
 
     The graph on [n] starts empty and gains the pairs (u, v) in the given
     order.  After each arrival only copies using the new edge are searched,
-    rooted at it (see _edge_roots), and a root runs only if its images have the
-    degrees it needs and its third position, if any, has a candidate.  None if
-    the graph never contains a copy.
+    rooted at it (see _edge_roots), by F's compiled scan (see _walk): a root
+    runs only if its images have the degrees it needs, and stops at once if
+    its third position has no candidate.  None if the graph never contains a
+    copy.
     """
     if f.edge_count < 1:
         raise ValueError("pattern must have at least one edge")
     if n < f.vertex_count:
         return None
-    roots = _edge_roots(f)
-    top = max(f.degrees())
-    adj = [0] * n
-    ge = [(1 << n) - 1] + [0] * top   # ge[d]: the vertices of degree >= d
-    for k, root in enumerate(pairs):
-        u, v = root
-        bu, bv = 1 << u, 1 << v
-        adj[u] |= bv
-        adj[v] |= bu
-        du, dv = adj[u].bit_count(), adj[v].bit_count()
-        ge[du if du < top else top] |= bu
-        ge[dv if dv < top else top] |= bv
-        for plan, above, need0, need1, third in roots:
-            if du < need0 or dv < need1:
-                continue
-            if third:
-                prior, need2 = third
-                dom = ge[need2] & ~(bu | bv)
-                for i in prior:   # the third position's candidates
-                    dom &= adj[root[i]]
-                if not dom:
-                    continue
-            for _ in _embeddings(adj, ge, plan, root, above):
-                return k
-    return None
+    ge = [(1 << n) - 1] + [0] * max(f.degrees())   # ge[d]: the vertices of degree >= d
+    return _walk(f, True)(pairs, [0] * n, ge)
 
 
 def _blocks(g: LabeledGraph, j: PatternGraph):
     """Walk G's edges e by increasing pair id, deleting each after its turn.  At
-    each e that copies of J go through (rooted searches, see _edge_roots), yield
-    (adj, block): G's neighbor bitmasks less the deleted edges, which a reader may
-    delete more from, and those copies as (sorted edge ids, edge pairs), least
-    first.  Each copy comes once, in the block of its least edge.  A root runs only
-    if its third search position, if any, has a candidate: this prunes sparse hosts."""
+    each e that copies of J go through, yield (adj, block): G's neighbor
+    bitmasks less the deleted edges, which a reader may delete more from, and
+    those copies as (sorted edge ids, edge pairs), least first, found by J's
+    compiled rooted searches at e (see _walk).  Each copy comes once, in the
+    block of its least edge."""
     if j.edge_count < 1:
         raise ValueError("pattern must have at least one edge")
     if g.n < j.vertex_count:
         return   # isolated pattern vertices still need distinct host vertices
     adj, ge = _host(g, max(j.degrees()))
-    roots = _edge_roots(j)
+    walk = _walk(j, False)
     for v in range(g.n):
         below = (1 << v) - 1   # the u < v not yet walked
         while cand := adj[v] & below:
             u = (cand & -cand).bit_length() - 1
             below &= -2 << u
-            root, block, off = (u, v), [], ~(1 << u | 1 << v)
-            for plan, above, _, _, third in roots:
-                if third:
-                    prior, need2 = third
-                    dom = ge[need2] & off
-                    for i in prior:   # the third position's candidates
-                        dom &= adj[root[i]]
-                    if not dom:
-                        continue
-                for images in _embeddings(adj, ge, plan, root, above):
-                    pairs = [(images[i], y) for y, prev in zip(images, plan[1]) for i in prev]
-                    block.append((sorted(y * (y - 1) // 2 + x if x < y else x * (x - 1) // 2 + y
-                                         for x, y in pairs), pairs))   # pair_index
-            if block:
+            if block := walk(adj, ge, u, v):
                 block.sort()
                 yield adj, block
             adj[u] &= ~(1 << v)   # not ^=: a reader may have deleted e already

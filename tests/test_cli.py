@@ -615,11 +615,11 @@ def _ffree_subprocess(*argv):
 
 
 def test_exact_layer_and_density_run_without_numpy():
-    # no subcommand loads numpy, and the records are NamedTuples, not
-    # dataclasses (whose module imports inspect).  random and hashlib are
-    # imported by Seed.stream and fractions by the densities, so `import
-    # ffree.cli` and its parser load none of them; the exact layer loads
-    # none either, and every seeded subcommand, last, may load all three
+    # no subcommand loads numpy, hashlib or OpenSSL's _hashlib, and the records
+    # are NamedTuples, not dataclasses (whose module imports inspect).  random
+    # and _blake2 are imported by Seed.stream and fractions by the densities,
+    # so `import ffree.cli` and its parser load none of them; the exact layer
+    # loads none either, and every seeded subcommand, last, may load all three
     seeded = {name for name, (_, _, specs) in COMMANDS.items()
               if any(flag == "--seed" for flag, _ in specs)}
     script = "\n".join([
@@ -628,7 +628,7 @@ def test_exact_layer_and_density_run_without_numpy():
         "import ffree.cli",
         "ffree.cli.build_parser()",
         "lazy = {'numpy', 'dataclasses', 'inspect', 'fractions', 'decimal', 'random',",
-        "        'hashlib', '_hashlib'}",
+        "        '_blake2', 'hashlib', '_hashlib'}",
         "assert not lazy & (sys.modules.keys() - before), lazy & (sys.modules.keys() - before)",
         "unused = lazy - {'random'} - before",
         "argvs, seeded = json.loads(sys.argv[1]), json.loads(sys.argv[2])",
@@ -636,9 +636,9 @@ def test_exact_layer_and_density_run_without_numpy():
         "    with contextlib.redirect_stdout(io.StringIO()):",
         "        assert ffree.cli.main(argv) == 0, argv",
         "    if argv[0] == 'density':",
-        "        unused -= {'fractions', 'decimal'}",
+        "        unused -= {'fractions', 'decimal', '_blake2'}",
         "    if argv[0] in seeded:",
-        "        unused -= {'fractions', 'decimal', 'hashlib', '_hashlib'}",
+        "        unused -= {'fractions', 'decimal', '_blake2'}",
         "    assert not unused & sys.modules.keys(), (argv, unused & sys.modules.keys())",
         "assert 'numpy' in unused",
     ])

@@ -7,12 +7,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ffree.graphs import LabeledGraph, PatternGraph, PRESETS, pair_index, parse_pattern
-from ffree.sampling import Seed, sample_gnp
-from ffree.subiso import (_edge_roots, _embeddings, _host, _plan, _search_order,
-                          contains_copy, enumerate_copies, first_completing_edge)
+from ffree.sampling import EdgeThresholdTable, Seed, sample_gnp
+from ffree.subiso import (_DEEPEST, _edge_roots, _embeddings, _host, _plan, _search_order,
+                          _walk, contains_copy, enumerate_copies, first_completing_edge,
+                          pack_copies)
+from ffree.thresholds import hitting_time
 
 from oracles import (copies_oracle, edge_roots_oracle, embeddings_oracle,
-                     enumerate_copies_oracle, least_embeddings_oracle, plan_oracle)
+                     enumerate_copies_oracle, greedy_packing_oracle, hitting_time_oracle,
+                     least_embeddings_oracle, plan_oracle)
 
 TRIANGLE = PRESETS["triangle"]
 C5_GRAPH = LabeledGraph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)])
@@ -148,12 +151,7 @@ def test_plans_and_roots_match_generator_oracle(name):
     assert _plan(f) == plan_oracle(f)[:2]
     for e in (e for u, v in f.edges for e in ((u, v), (v, u))):
         assert _plan(f, e) == plan_oracle(f, e)[:2]
-    roots = _edge_roots(f)
-    assert tuple((plan, above) for plan, above, *_ in roots) == edge_roots_oracle(f)
-    # the pre-check data is read off each root's plan
-    for (_, prior, need), _, need0, need1, third in roots:
-        assert (need0, need1) == (need[0], need[1])
-        assert third == ((prior[2], need[2]) if len(need) > 2 else None)
+    assert _edge_roots(f) == edge_roots_oracle(f)
 
 
 def test_edge_roots_of_dense_pattern_are_fast(deadline):
@@ -161,8 +159,7 @@ def test_edge_roots_of_dense_pattern_are_fast(deadline):
     # degree >= d domains they fail late, and K12 - e took ~24 s
     deadline(2)
     f = _complete_minus_edge(12)
-    assert (tuple(r[:2] for r in _edge_roots(f))
-            == tuple(_plan(f, e) for e in [(0, 2), (2, 0), (2, 3)]))
+    assert _edge_roots(f) == tuple(_plan(f, e) for e in [(0, 2), (2, 0), (2, 3)])
 
 
 @settings(max_examples=30, deadline=None)
@@ -297,3 +294,67 @@ def test_first_completing_edge_none_when_never_complete():
     star = [(0, v) for v in range(1, 8)]
     assert first_completing_edge(8, iter(star), TRIANGLE) is None
     assert first_completing_edge(3, iter([(0, 1), (0, 2), (1, 2)]), PRESETS["K4"]) is None
+
+
+# every preset, disconnected patterns, and a star whose two roots differ
+WALK_PATTERNS = {**ALL_PATTERNS, "0-1 0-2 0-3": parse_pattern("0-1 0-2 0-3")}
+
+
+@pytest.mark.parametrize("name", sorted(WALK_PATTERNS))
+@settings(max_examples=30, deadline=None)
+@given(st.data(), st.floats(0.2, 0.8), st.integers(0, 2**62))
+def test_compiled_walks_equal_interpreter(name, data, p, master):
+    # at each host edge of the deleting walk, the compiled block lists the
+    # copies _embeddings finds rooted there, root by root, in its order; the
+    # compiled scan finds the hitting time of a search of every prefix
+    f = WALK_PATTERNS[name]
+    n = data.draw(st.integers(f.vertex_count, 11))
+    g = sample_gnp(n, p, Seed(master), purpose="walk-oracle")
+    adj, ge = _host(g, max(f.degrees()))
+    walk = _walk(f, False)
+    for u, v in sorted(g.edges(), key=lambda e: pair_index(*e, n)):
+        want = []
+        for plan, above in _edge_roots(f):
+            for images in _embeddings(adj, ge, plan, (u, v), above):
+                pairs = [(images[i], y) for y, prev in zip(images, plan[1]) for i in prev]
+                want.append((sorted(pair_index(*sorted(e), n) for e in pairs), pairs))
+        assert walk(adj, ge, u, v) == want, (u, v)
+        adj[u] &= ~(1 << v)
+        adj[v] &= ~(1 << u)
+    table = EdgeThresholdTable.generate(n, Seed(master).stream("walk-scan"))
+    assert hitting_time(table, f) == hitting_time_oracle(table, f)
+
+
+@pytest.mark.parametrize("j", [
+    PatternGraph.from_edges([(i, (i + 1) % 24) for i in range(24)]),   # C24
+    PatternGraph.from_edges([(i, i + 1) for i in range(23)]),   # the path on 24 vertices
+])
+def test_walks_past_the_deepest_compiled_position(j):
+    # searches deeper than the positions written out go on in _embeddings:
+    # 24-vertex patterns in two 26-cycles, joined by an edge, whose chords
+    # (i, i + 3) skip two vertices
+    assert len(_search_order(j)[0]) > _DEEPEST + 1
+    edges = [(0, 26)]
+    for s in (0, 26):
+        edges += [(s + i, s + (i + 1) % 26) for i in range(26)]
+        edges += [(s + i, s + i + 3) for i in (0, 5, 13, 19)]
+    g = LabeledGraph.from_edges(52, edges)
+    copies = enumerate_copies_oracle(g, j)
+    assert len(greedy_packing_oracle(copies)) > 1
+    assert enumerate_copies(g, j) == copies
+    assert pack_copies(g, j) == greedy_packing_oracle(copies)
+    pairs = g.edges()
+    random.Random(24).shuffle(pairs)
+    i = first_completing_edge(g.n, iter(pairs), j)
+    assert not contains_copy(LabeledGraph.from_edges(g.n, pairs[:i]), j)
+    assert contains_copy(LabeledGraph.from_edges(g.n, pairs[:i + 1]), j)
+
+
+def test_walks_of_a_large_pattern_compile_fast(deadline):
+    # 120 edge-orbit roots of 16 positions each: both walks compiled in ~0.3 s
+    rng = random.Random(60)
+    f = PatternGraph(16, tuple(sorted(rng.sample(list(itertools.combinations(range(16), 2)), 60))))
+    assert len(_edge_roots(f)) == 120
+    deadline(3)
+    _walk(f, True)
+    _walk(f, False)
